@@ -1,7 +1,8 @@
-//! Schedule-invariance sanitizer: proves every registered algorithm's
+//! Schedule-invariance sanitizer: proves every shipped algorithm's
 //! trajectory is a pure function of the construction seeds.
 //!
-//! For each [`AlgorithmSpec::registered`] entry this runs a short synthetic
+//! For each [`SweptAlgorithm::all`] entry (the registered specs plus the
+//! DP, compression and secure-aggregation algorithms) this runs a short synthetic
 //! federation and fingerprints the full trajectory (per-round metric bits,
 //! communication counters, final global model bits), then re-runs it at
 //! rayon thread counts 1/2/4 and under deterministically permuted upload
@@ -16,8 +17,7 @@
 //! This is the runtime half of the determinism lint plane; the static half
 //! is `fedcross-lint` (see docs/LINTS.md).
 
-use fedcross::AlgorithmSpec;
-use fedcross_bench::determinism::sweep_spec;
+use fedcross_bench::determinism::{sweep_spec, SweptAlgorithm};
 use std::process::ExitCode;
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -31,8 +31,8 @@ fn main() -> ExitCode {
     );
 
     let mut failures = 0usize;
-    for spec in AlgorithmSpec::registered() {
-        let outcome = sweep_spec(spec, &THREADS, &SHUFFLE_SEEDS);
+    for algorithm in SweptAlgorithm::all() {
+        let outcome = sweep_spec(algorithm, &THREADS, &SHUFFLE_SEEDS);
         let verdict = if outcome.invariant() { "ok" } else { "FAIL" };
         println!(
             "{:>18}  canonical {:016x}  {}",
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
     }
 
     if failures == 0 {
-        println!("\nall registered algorithms are schedule-invariant");
+        println!("\nall shipped algorithms are schedule-invariant");
         ExitCode::SUCCESS
     } else {
         println!(

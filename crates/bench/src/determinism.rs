@@ -5,22 +5,26 @@
 //! schedule, so a parallel kernel that races (accumulating in thread
 //! completion order, say) or an algorithm that aggregates in upload *arrival*
 //! order would still pass them. This module is the complementary race
-//! detector: it runs every registered [`AlgorithmSpec`] on a tiny synthetic
-//! federation and fingerprints the full trajectory (per-round metrics,
-//! communication counters, final global model bits), so callers can diff the
-//! fingerprint across rayon thread counts and permuted upload arrival
-//! orders. Identical fingerprints everywhere = the trajectory depends only
-//! on the construction seeds, never on the schedule.
+//! detector: it runs every shipped algorithm ([`SweptAlgorithm::all`]) on a
+//! tiny synthetic federation and fingerprints the full trajectory (per-round
+//! metrics, communication counters, final global model bits), so callers can
+//! diff the fingerprint across rayon thread counts and permuted upload
+//! arrival orders. Identical fingerprints everywhere = the trajectory depends
+//! only on the construction seeds, never on the schedule.
 //!
 //! Used by the `determinism_check` binary and the `tests/tests/lint_plane.rs`
-//! suite.
+//! suite; `tests/tests/training_plane.rs` pins every canonical fingerprint.
 
 use fedcross::{build_algorithm, AlgorithmSpec};
+use fedcross_compress::{CompressedFedAvg, UniformQuantizer};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::Heterogeneity;
 use fedcross_flsim::{
-    DeviceModel, FaultPlan, LocalTrainConfig, RoundPolicy, Simulation, SimulationConfig,
+    DeviceModel, FaultPlan, FederatedAlgorithm, LocalTrainConfig, RoundPolicy, Simulation,
+    SimulationConfig,
 };
+use fedcross_privacy::algorithms::DpFedCrossConfig;
+use fedcross_privacy::{DpConfig, DpFedAvg, DpFedCross, NoisePlacement, SecureAggFedAvg};
 use fedcross_nn::models::{cnn, CnnConfig};
 use fedcross_nn::Model;
 use fedcross_tensor::SeededRng;
@@ -118,16 +122,113 @@ fn sanitizer_config() -> SimulationConfig {
     }
 }
 
-fn is_buffered(spec: AlgorithmSpec) -> bool {
-    matches!(
-        spec,
-        AlgorithmSpec::BufferedFedAvg { .. } | AlgorithmSpec::BufferedFedCross { .. }
-    )
+/// One algorithm the sweeps cover: a registered [`AlgorithmSpec`], or one of
+/// the four privacy/compression algorithms. Those live in crates layered
+/// above `fedcross`, so `AlgorithmSpec::registered()` cannot name them; this
+/// crate depends on both planes and sweeps them here with representative
+/// settings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SweptAlgorithm {
+    /// A spec from the core registry.
+    Registered(AlgorithmSpec),
+    /// Central-noise DP-FedAvg (`fedcross_privacy::DpFedAvg`).
+    DpFedAvg,
+    /// Central-noise DP-FedCross (`fedcross_privacy::DpFedCross`).
+    DpFedCross,
+    /// Dithered 4-bit quantized FedAvg with error feedback
+    /// (`fedcross_compress::CompressedFedAvg`).
+    CompressedFedAvg,
+    /// Pairwise-masked secure-aggregation FedAvg
+    /// (`fedcross_privacy::SecureAggFedAvg`).
+    SecureAggFedAvg,
+}
+
+impl From<AlgorithmSpec> for SweptAlgorithm {
+    fn from(spec: AlgorithmSpec) -> Self {
+        SweptAlgorithm::Registered(spec)
+    }
+}
+
+impl SweptAlgorithm {
+    /// Every shipped algorithm: the registered specs followed by the four
+    /// privacy/compression algorithms.
+    pub fn all() -> Vec<SweptAlgorithm> {
+        let mut all: Vec<SweptAlgorithm> = AlgorithmSpec::registered()
+            .into_iter()
+            .map(SweptAlgorithm::from)
+            .collect();
+        all.extend([
+            SweptAlgorithm::DpFedAvg,
+            SweptAlgorithm::DpFedCross,
+            SweptAlgorithm::CompressedFedAvg,
+            SweptAlgorithm::SecureAggFedAvg,
+        ]);
+        all
+    }
+
+    /// A short display label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SweptAlgorithm::Registered(spec) => spec.label(),
+            SweptAlgorithm::DpFedAvg => "DP-FedAvg",
+            SweptAlgorithm::DpFedCross => "DP-FedCross",
+            SweptAlgorithm::CompressedFedAvg => "Compressed-FedAvg",
+            SweptAlgorithm::SecureAggFedAvg => "SecureAgg-FedAvg",
+        }
+    }
+
+    /// Builds the algorithm for the sanitizer federation.
+    pub fn build(&self, init: Vec<f32>) -> Box<dyn FederatedAlgorithm> {
+        let dp = DpConfig {
+            clip_norm: 2.0,
+            noise_multiplier: 0.3,
+            placement: NoisePlacement::Central,
+        };
+        match *self {
+            SweptAlgorithm::Registered(spec) => {
+                build_algorithm(spec, init, SANITIZER_CLIENTS, SANITIZER_K)
+            }
+            SweptAlgorithm::DpFedAvg => Box::new(DpFedAvg::new(init, dp, 101)),
+            SweptAlgorithm::DpFedCross => Box::new(DpFedCross::new(
+                DpFedCrossConfig {
+                    dp,
+                    ..Default::default()
+                },
+                init,
+                SANITIZER_K,
+                105,
+            )),
+            SweptAlgorithm::CompressedFedAvg => Box::new(CompressedFedAvg::new(
+                init,
+                Box::new(UniformQuantizer::new(4, true)),
+                true,
+                109,
+            )),
+            SweptAlgorithm::SecureAggFedAvg => Box::new(SecureAggFedAvg::new(init, 25.0, 113)),
+        }
+    }
+
+    fn is_buffered(&self) -> bool {
+        matches!(
+            self,
+            SweptAlgorithm::Registered(
+                AlgorithmSpec::BufferedFedAvg { .. } | AlgorithmSpec::BufferedFedCross { .. }
+            )
+        )
+    }
 }
 
 /// Runs `spec` for [`SANITIZER_ROUNDS`] rounds and returns the trajectory
 /// fingerprint: per-round metrics bits, communication counters and the final
-/// global model bits.
+/// global model bits. Shorthand for [`algorithm_fingerprint`] on a
+/// registered spec.
+pub fn spec_fingerprint(spec: AlgorithmSpec, upload_shuffle: Option<u64>) -> u64 {
+    algorithm_fingerprint(spec.into(), upload_shuffle)
+}
+
+/// Runs `algorithm` for [`SANITIZER_ROUNDS`] rounds and returns the
+/// trajectory fingerprint: per-round metrics bits, communication counters and
+/// the final global model bits.
 ///
 /// With `upload_shuffle: None` the uploads arrive in dispatch order (the
 /// canonical trajectory); with `Some(seed)` every round's arrival order is
@@ -138,12 +239,13 @@ fn is_buffered(spec: AlgorithmSpec) -> bool {
 /// straggling device fleet and stall faults, so their cross-round buffer —
 /// the stateful path most exposed to arrival order — actually carries
 /// entries.
-pub fn spec_fingerprint(spec: AlgorithmSpec, upload_shuffle: Option<u64>) -> u64 {
+pub fn algorithm_fingerprint(algorithm: SweptAlgorithm, upload_shuffle: Option<u64>) -> u64 {
     let (data, template) = sanitizer_setup();
     let init = template.params_flat();
-    let mut algorithm = build_algorithm(spec, init, SANITIZER_CLIENTS, SANITIZER_K);
+    let buffered = algorithm.is_buffered();
+    let mut algorithm = algorithm.build(init);
     let mut sim = Simulation::new(sanitizer_config(), &data, template);
-    if is_buffered(spec) {
+    if buffered {
         sim = sim
             .with_round_policy(RoundPolicy::Buffered {
                 goal_k: 2,
@@ -197,26 +299,31 @@ impl SweepOutcome {
     }
 }
 
-/// Sweeps one spec across rayon thread counts and upload-shuffle seeds,
-/// returning all fingerprints. The global rayon override is restored to
-/// "unset" afterwards.
-pub fn sweep_spec(spec: AlgorithmSpec, threads: &[usize], shuffle_seeds: &[u64]) -> SweepOutcome {
+/// Sweeps one algorithm (a registered spec or any [`SweptAlgorithm`]) across
+/// rayon thread counts and upload-shuffle seeds, returning all fingerprints.
+/// The global rayon override is restored to "unset" afterwards.
+pub fn sweep_spec(
+    algorithm: impl Into<SweptAlgorithm>,
+    threads: &[usize],
+    shuffle_seeds: &[u64],
+) -> SweepOutcome {
+    let algorithm = algorithm.into();
     rayon::set_num_threads(0);
-    let canonical = spec_fingerprint(spec, None);
+    let canonical = algorithm_fingerprint(algorithm, None);
     let mut variants = Vec::new();
     for &t in threads {
         rayon::set_num_threads(t);
-        variants.push((format!("threads={t}"), spec_fingerprint(spec, None)));
+        variants.push((format!("threads={t}"), algorithm_fingerprint(algorithm, None)));
     }
     rayon::set_num_threads(0);
     for &seed in shuffle_seeds {
         variants.push((
             format!("upload-shuffle={seed}"),
-            spec_fingerprint(spec, Some(seed)),
+            algorithm_fingerprint(algorithm, Some(seed)),
         ));
     }
     SweepOutcome {
-        label: spec.label(),
+        label: algorithm.label(),
         canonical,
         variants,
     }

@@ -7,9 +7,11 @@
 //! FNV-1a fingerprints recorded from the pre-refactor (PR 1) pipeline via
 //! `examples/trajectory_probe.rs` — if any kernel, blocking parameter, or
 //! loop restructure changes a single bit anywhere in training, these hashes
-//! move and the test fails.
+//! move and the test fails. A table pins the schedule-invariance fixture's
+//! trajectory fingerprint of every shipped algorithm the same way.
 
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
+use fedcross_bench::determinism::{algorithm_fingerprint, SweptAlgorithm};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{Batch, Dataset, Heterogeneity};
 use fedcross_flsim::client::local_train;
@@ -427,6 +429,53 @@ const FEDCROSS_GLOBAL_FINGERPRINT: u64 = 0x6a3f7ad376e78a38;
 const CNN_LOCAL_TRAIN_FINGERPRINT: u64 = 0x9232324d6247755f;
 const RESNET_LOCAL_TRAIN_FINGERPRINT: u64 = 0x05d75076902b6b4f;
 const LSTM_LOCAL_TRAIN_FINGERPRINT: u64 = 0xe53afd52b8e5e469;
+
+/// Canonical trajectory fingerprint (metric bits, comm counters, final-model
+/// bits) of every shipped algorithm on the `fedcross_bench::determinism`
+/// fixture, in [`SweptAlgorithm::all`] order, recorded before the algorithms
+/// shared one server skeleton (`fedcross::server`). SecureAgg-FedAvg's value
+/// is its dispatch-order trajectory, which it now also produces under a
+/// permuted upload arrival order.
+const ALGORITHM_FINGERPRINTS: [(&str, u64); 14] = [
+    ("FedAvg", 0x0fa424bd91b4a0cd),
+    ("FedProx", 0xc39883989763cffd),
+    ("SCAFFOLD", 0x16bdf7a9181307a7),
+    ("FedGen", 0xdaa36676e9df43f5),
+    ("CluSamp", 0x81ef4b49ee22186c),
+    ("FedCross", 0x06b452b19e1efd2b),
+    ("Robust-FedAvg", 0xfd41c7819e91c5dd),
+    ("Robust-FedCross", 0xe41d56c562f0e62a),
+    ("Buffered-FedAvg", 0x27798de05f5b9ffb),
+    ("Buffered-FedCross", 0xbe585dbc2463bb87),
+    ("DP-FedAvg", 0x47892885db5cb2f1),
+    ("DP-FedCross", 0x2b9299a141b37169),
+    ("Compressed-FedAvg", 0x3b04ff88d7f5ebe6),
+    ("SecureAgg-FedAvg", 0x3646bb6670bb3ea7),
+];
+
+#[test]
+fn every_algorithm_matches_its_pinned_fingerprint() {
+    let algorithms = SweptAlgorithm::all();
+    assert_eq!(
+        algorithms.len(),
+        ALGORITHM_FINGERPRINTS.len(),
+        "a shipped algorithm has no pinned fingerprint"
+    );
+    let diverged: Vec<String> = algorithms
+        .iter()
+        .zip(ALGORITHM_FINGERPRINTS)
+        .filter_map(|(algorithm, (label, pinned))| {
+            assert_eq!(algorithm.label(), label, "pin table order drifted");
+            let actual = algorithm_fingerprint(*algorithm, None);
+            (actual != pinned).then(|| format!("{label}: {actual:016x} != pinned {pinned:016x}"))
+        })
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "trajectories diverged from their pins:\n{}",
+        diverged.join("\n")
+    );
+}
 
 #[test]
 fn fedcross_trajectory_matches_pre_refactor_fingerprint() {
