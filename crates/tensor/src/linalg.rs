@@ -17,7 +17,7 @@
 
 use crate::Tensor;
 use rayon::prelude::*;
-use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
 
 /// Minimum number of multiply-accumulate operations (`m·k·n`) before a matmul
 /// variant switches to rayon.
@@ -44,12 +44,16 @@ fn parallel_worthwhile(m: usize, k: usize, n: usize) -> bool {
     m.saturating_mul(k).saturating_mul(n) >= PAR_THRESHOLD_FLOPS
 }
 
-thread_local! {
-    /// Per-thread packing scratch for the transposed operand; grows to the
-    /// largest panel seen and is reused by every subsequent call, so
-    /// steady-state matmuls perform no packing allocations.
-    static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
+/// Process-wide free list of packing buffers for the transposed operand.
+///
+/// A buffer is taken for one matmul and returned afterwards, so the list
+/// holds as many buffers as matmuls ever ran concurrently, each grown to the
+/// largest panel it served; steady-state matmuls perform no packing
+/// allocations. The list outlives every thread: rayon workers may be
+/// short-lived (the workspace's rayon shim spawns fresh threads per parallel
+/// call), and a thread-local buffer would die with its thread and be
+/// re-grown by the next one.
+static PACK_BUFFERS: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
 
 /// Writes the transpose of the row-major `src` matrix (`rows x cols`) into
 /// `dst` (`cols x rows`), walking 8x8 tiles so both sides stay cache-resident.
@@ -213,33 +217,39 @@ fn gemm(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     }
 }
 
-/// Runs `body` with a thread-local scratch buffer holding the transpose of
-/// `src` (`rows x cols`, transposed panel is `cols x rows`).
+/// Runs `body` with a pooled scratch buffer holding the transpose of `src`
+/// (`rows x cols`, transposed panel is `cols x rows`).
 ///
-/// The buffer is moved out of the thread-local cell for the duration of
-/// `body` (and returned afterwards), so no `RefCell` borrow is held across
-/// the rayon parallel regions inside `body` — with a work-stealing rayon a
-/// stolen task that re-enters this function on the same thread simply takes
-/// an empty vector instead of panicking on a nested borrow.
+/// The buffer leaves [`PACK_BUFFERS`] for the duration of `body` (no lock is
+/// held across the rayon parallel regions inside it), so a nested or
+/// concurrent call simply takes another buffer. The smallest buffer that
+/// already fits is preferred, so a small panel never claims a large buffer
+/// that a concurrent large panel would then have to re-grow.
 fn with_packed_transpose<R>(
     src: &[f32],
     rows: usize,
     cols: usize,
     body: impl FnOnce(&[f32]) -> R,
 ) -> R {
-    let mut scratch = PACK_SCRATCH.with(std::cell::RefCell::take);
-    if scratch.len() < rows * cols {
-        scratch.resize(rows * cols, 0.0);
+    let len = rows * cols;
+    let mut scratch = {
+        let mut free = PACK_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner);
+        let fits = |b: &Vec<f32>| b.len() >= len;
+        let best = (0..free.len())
+            .filter(|&i| fits(&free[i]))
+            .min_by_key(|&i| free[i].len())
+            .or_else(|| (0..free.len()).max_by_key(|&i| free[i].len()));
+        best.map(|i| free.swap_remove(i)).unwrap_or_default()
+    };
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
     }
     transpose_into(src, rows, cols, &mut scratch);
-    let result = body(&scratch[..rows * cols]);
-    PACK_SCRATCH.with(|cell| {
-        // Keep the larger buffer if a nested call installed its own.
-        let mut current = cell.borrow_mut();
-        if current.len() < scratch.len() {
-            *current = scratch;
-        }
-    });
+    let result = body(&scratch[..len]);
+    PACK_BUFFERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(scratch);
     result
 }
 
