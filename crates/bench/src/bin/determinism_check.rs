@@ -1,7 +1,7 @@
 //! Schedule-invariance sanitizer: proves every shipped algorithm's
 //! trajectory is a pure function of the construction seeds.
 //!
-//! For each [`SweptAlgorithm::all`] entry (the registered specs plus the
+//! For each [`SweptAlgorithm::shipped`] entry (the registered specs plus the
 //! DP, compression and secure-aggregation algorithms) this runs a short synthetic
 //! federation and fingerprints the full trajectory (per-round metric bits,
 //! communication counters, final global model bits), then re-runs it at
@@ -31,7 +31,7 @@ fn main() -> ExitCode {
     );
 
     let mut failures = 0usize;
-    for algorithm in SweptAlgorithm::all() {
+    for algorithm in SweptAlgorithm::shipped() {
         let outcome = sweep_spec(algorithm, &THREADS, &SHUFFLE_SEEDS);
         let verdict = if outcome.invariant() { "ok" } else { "FAIL" };
         println!(

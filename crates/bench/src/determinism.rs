@@ -5,7 +5,7 @@
 //! schedule, so a parallel kernel that races (accumulating in thread
 //! completion order, say) or an algorithm that aggregates in upload *arrival*
 //! order would still pass them. This module is the complementary race
-//! detector: it runs every shipped algorithm ([`SweptAlgorithm::all`]) on a
+//! detector: it runs every shipped algorithm ([`SweptAlgorithm::shipped`]) on a
 //! tiny synthetic federation and fingerprints the full trajectory (per-round
 //! metrics, communication counters, final global model bits), so callers can
 //! diff the fingerprint across rayon thread counts and permuted upload
@@ -152,7 +152,7 @@ impl From<AlgorithmSpec> for SweptAlgorithm {
 impl SweptAlgorithm {
     /// Every shipped algorithm: the registered specs followed by the four
     /// privacy/compression algorithms.
-    pub fn all() -> Vec<SweptAlgorithm> {
+    pub fn shipped() -> Vec<SweptAlgorithm> {
         let mut all: Vec<SweptAlgorithm> = AlgorithmSpec::registered()
             .into_iter()
             .map(SweptAlgorithm::from)

@@ -2,11 +2,12 @@
 
 use crate::codec::Compressor;
 use crate::feedback::ErrorFeedback;
+use fedcross::server::GlobalModel;
 use fedcross_flsim::checkpoint::{decode_u64, encode_u64, AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_flsim::streams::{RoundStreams, StreamDomain};
-use fedcross_nn::params::{add_scaled, average, difference, ParamBlock};
+use fedcross_nn::params::{add_scaled, average, difference};
 use serde::{Deserialize, Serialize};
 
 /// Name of the [`AlgorithmState`] record holding the [`UploadStats`]
@@ -65,7 +66,7 @@ impl UploadStats {
 /// counters and the per-client error-feedback residuals — is captured by
 /// [`FederatedAlgorithm::snapshot_state`].
 pub struct CompressedFedAvg {
-    global: ParamBlock,
+    global: GlobalModel,
     compressor: Box<dyn Compressor>,
     feedback: Option<ErrorFeedback>,
     stats: UploadStats,
@@ -83,7 +84,7 @@ impl CompressedFedAvg {
         seed: u64,
     ) -> Self {
         Self {
-            global: ParamBlock::from(init_params),
+            global: GlobalModel::new(init_params),
             compressor,
             feedback: if error_feedback {
                 Some(ErrorFeedback::new())
@@ -126,7 +127,7 @@ impl CompressedFedAvg {
         // alloc: bounded — cohort-sized aggregation staging, once per round
         let mut decoded_deltas = Vec::with_capacity(ordered.len());
         for update in &ordered {
-            let delta = difference(&update.params, &self.global);
+            let delta = difference(&update.params, self.global.params());
             let mut rng = round_dither.stream(update.client);
             let compressed = match self.feedback.as_mut() {
                 Some(feedback) => feedback.compress_with_feedback(
@@ -144,7 +145,7 @@ impl CompressedFedAvg {
         }
 
         let aggregate = average(&decoded_deltas);
-        add_scaled(self.global.make_mut(), &aggregate, 1.0);
+        add_scaled(self.global.params_mut(), &aggregate, 1.0);
         RoundReport::from_ordered(&ordered)
     }
 }
@@ -168,29 +169,16 @@ impl FederatedAlgorithm for CompressedFedAvg {
 
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let selected = ctx.select_clients();
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|&client| (client, self.global.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs);
+        let updates = self.global.dispatch(ctx, &selected);
         self.apply_updates(round, &updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        let mut state = AlgorithmState::single_model(self.global.clone()).with_record(
+        let mut state = self.global.snapshot().with_record(
             UPLOAD_STATS_RECORD,
             vec![
                 encode_u64(self.stats.raw_scalars),
@@ -205,8 +193,7 @@ impl FederatedAlgorithm for CompressedFedAvg {
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let dim = self.global.len();
-        let global = state.expect_single_model(dim)?.clone();
+        let dim = self.global.params().len();
         let record = state.expect_record(UPLOAD_STATS_RECORD, 3)?;
         let stats = UploadStats {
             raw_scalars: decode_u64(&record[0])?,
@@ -224,7 +211,7 @@ impl FederatedAlgorithm for CompressedFedAvg {
             Some(_) => Some(state.expect_client_table(RESIDUALS_TABLE, usize::MAX, dim)?),
             None => None,
         };
-        self.global = global;
+        self.global.restore(state)?;
         self.stats = stats;
         if let (Some(feedback), Some(table)) = (self.feedback.as_mut(), residuals) {
             feedback.restore_residuals(table);

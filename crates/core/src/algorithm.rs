@@ -1,17 +1,11 @@
 //! The FedCross federated-learning algorithm (Algorithm 1 of the paper).
 
 use crate::acceleration::Acceleration;
-use crate::aggregation::{
-    cross_aggregate_into, cross_aggregate_propellers_into, global_model, global_model_into,
-};
 use crate::selection::{mean_pairwise_similarity, SelectionStrategy, SimilarityMeasure};
+use crate::server::{Fusion, Middleware};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
-use fedcross_flsim::engine::{canonicalize_updates, FederatedAlgorithm, RoundContext, RoundReport};
+use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_nn::params::ParamBlock;
-use rayon::prelude::*;
-
-/// Minimum total scalar count (`K·d`) before the fusion step forks to rayon.
-const PAR_THRESHOLD_SCALARS: usize = 1 << 16;
 
 /// FedCross hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -46,14 +40,14 @@ impl Default for FedCrossConfig {
 /// per round (`K` in the paper); each selected client trains exactly one
 /// middleware model per round.
 ///
-/// The middleware list lives on the shared copy-on-write parameter plane
-/// ([`ParamBlock`]): dispatching the `K` models to clients is `K` reference
-/// bumps, and cross-aggregation fuses each round's uploads **into** the
-/// retired middleware buffers, so a steady-state round performs no full-model
-/// clones at all.
+/// The round is the shared [`Middleware`] skeleton with the uploads
+/// themselves as fusion candidates: dispatching the `K` models is `K`
+/// reference bumps, and cross-aggregation fuses each round's uploads
+/// **into** the retired middleware buffers, so a steady-state round performs
+/// no full-model clones at all.
 pub struct FedCross {
     config: FedCrossConfig,
-    middleware: Vec<ParamBlock>,
+    middleware: Middleware,
 }
 
 impl FedCross {
@@ -64,13 +58,7 @@ impl FedCross {
     /// The `k` models initially share one buffer (copy-on-write), so
     /// construction is `O(d)`, not `O(K·d)`.
     pub fn new(config: FedCrossConfig, init_params: Vec<f32>, k: usize) -> Self {
-        assert!(k >= 2, "FedCross needs at least two middleware models");
-        assert!(
-            (0.5..1.0).contains(&config.alpha),
-            "alpha must lie in [0.5, 1.0)"
-        );
-        let shared = ParamBlock::from(init_params);
-        let middleware = vec![shared; k];
+        let middleware = Middleware::new(init_params, k, config.alpha);
         Self { config, middleware }
     }
 
@@ -81,35 +69,18 @@ impl FedCross {
 
     /// Number of middleware models `K`.
     pub fn num_middleware(&self) -> usize {
-        self.middleware.len()
+        self.middleware.models().len()
     }
 
     /// The current middleware model list (for analysis and tests).
     pub fn middleware(&self) -> &[ParamBlock] {
-        &self.middleware
+        self.middleware.models()
     }
 
     /// Mean pairwise cosine similarity of the middleware models — the paper's
     /// argument is that this converges towards 1 as training proceeds.
     pub fn middleware_similarity(&self) -> f32 {
-        mean_pairwise_similarity(&self.middleware)
-    }
-
-    /// Selects `count` distinct propeller indices for model `i` among `k`
-    /// uploaded models using the in-order schedule (Section III-D).
-    fn propeller_indices(&self, round: usize, i: usize, count: usize, k: usize) -> Vec<usize> {
-        let base_offset = round % (k - 1) + 1;
-        // alloc: bounded — cohort-sized pick list, once per round
-        let mut picks = Vec::with_capacity(count);
-        let mut step = 0usize;
-        while picks.len() < count.min(k - 1) {
-            let j = (i + base_offset + step) % k;
-            step += 1;
-            if j != i && !picks.contains(&j) {
-                picks.push(j);
-            }
-        }
-        picks
+        mean_pairwise_similarity(self.middleware.models())
     }
 }
 
@@ -129,177 +100,46 @@ impl FederatedAlgorithm for FedCross {
     }
 
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
-        let k = self.middleware.len();
-        let selected_k = ctx.clients_per_round();
-        assert_eq!(
-            selected_k, k,
-            "FedCross requires clients_per_round ({selected_k}) to equal the number of middleware models ({k})"
-        );
-
-        // Algorithm 1 line 4–5: random selection, then shuffle so every model
-        // gets an equal chance of meeting every client.
-        let mut selected = ctx.select_clients();
-        ctx.rng_mut().shuffle(&mut selected);
-
-        // Step 1–3: dispatch middleware model i to client Lc[i], train,
-        // upload. Each job borrows its middleware block (reference bump); the
-        // only O(d) copy on the dispatch path is the client loading the
-        // parameters into its own model instance.
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            .zip(self.middleware.iter())
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|(&client, model)| (client, model.clone()))
+        let (slots, updates) = self.middleware.dispatch(ctx);
+        let report = RoundReport::from_updates(&updates);
+        // The uploads are the fusion candidates, taken by ownership (no
+        // clone). Under client dropout some slots receive no upload; their
+        // middleware models skip the round and are re-dispatched next round.
+        let uploads: Vec<ParamBlock> = updates
+            .into_iter()
+            .map(|update| update.params)
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
             .collect();
-        let mut updates = ctx.local_train_batch(&jobs);
-        drop(jobs); // release the dispatch references before fusing in place
-        // Loss reporting, partner selection and slot mapping all consume the
-        // uploads positionally, so put them in dispatch order first — a
-        // bitwise no-op on an unshuffled round, and what makes FedCross
-        // invariant to upload arrival order under the sanitizer's shuffle.
-        canonicalize_updates(&mut updates, &selected);
-        let report = RoundReport::from_updates(&updates);
-
-        // Map every upload back to the middleware slot whose model it trained,
-        // taking ownership of the uploaded parameters (no clone). Under client
-        // dropout some slots receive no upload this round; their middleware
-        // models simply skip the round (they are re-dispatched next round),
-        // which is the natural partial-participation behaviour of the
-        // multi-to-multi scheme.
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        let mut returned_slots = Vec::with_capacity(updates.len());
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        let mut uploaded: Vec<ParamBlock> = Vec::with_capacity(updates.len());
-        for update in updates {
-            let slot = selected
-                .iter()
-                .position(|&client| client == update.client)
-                .expect("every update comes from a selected client");
-            returned_slots.push(slot);
-            uploaded.push(update.params);
-        }
-
-        // Step 4: multi-model cross-aggregation over the uploads that arrived,
-        // fused directly into the retired middleware buffers (double-buffer
-        // swap between last round's middleware and this round's uploads).
-        let alpha = self.config.acceleration.alpha_at(round, self.config.alpha);
-        let propellers = self.config.acceleration.propellers_at(round);
-        let returned = uploaded.len();
-        if returned >= 2 {
-            // Per-upload collaborator set, computed before borrowing the
-            // middleware list mutably.
-            let partners: Vec<Vec<usize>> = if propellers <= 1 {
-                self.config
-                    .strategy
-                    .select_all_with(round, &uploaded, self.config.measure)
-                    .into_iter()
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    .map(|co| vec![co])
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    .collect()
-            } else {
-                (0..returned)
-                    .map(|i| self.propeller_indices(round, i, propellers, returned))
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    .collect()
-            };
-
-            // Gather the output slot for every upload. The retired middleware
-            // blocks are unique again now that the dispatch jobs are dropped,
-            // so `make_mut` reuses their buffers without copying.
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            let mut upload_of_slot = vec![usize::MAX; k];
-            for (upload, &slot) in returned_slots.iter().enumerate() {
-                upload_of_slot[slot] = upload;
-            }
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            let mut targets: Vec<(usize, &mut ParamBlock)> = Vec::with_capacity(returned);
-            for (slot, block) in self.middleware.iter_mut().enumerate() {
-                let upload = upload_of_slot[slot];
-                if upload != usize::MAX {
-                    targets.push((upload, block));
-                }
-            }
-
-            let dim = uploaded[0].len();
-            let fuse = |(upload, block): (usize, &mut ParamBlock)| {
-                let out = block.make_mut();
-                let partner_ids = &partners[upload];
-                if partner_ids.len() == 1 {
-                    cross_aggregate_into(
-                        out,
-                        uploaded[upload].as_slice(),
-                        uploaded[partner_ids[0]].as_slice(),
-                        alpha,
-                    );
-                } else {
-                    let refs: Vec<&[f32]> =
-                        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                        partner_ids.iter().map(|&j| uploaded[j].as_slice()).collect();
-                    cross_aggregate_propellers_into(
-                        out,
-                        uploaded[upload].as_slice(),
-                        &refs,
-                        alpha,
-                    );
-                }
-            };
-            if returned * dim >= PAR_THRESHOLD_SCALARS {
-                targets.into_par_iter().for_each(fuse);
-            } else {
-                targets.into_iter().for_each(fuse);
-            }
-        } else if returned == 1 {
-            // A lone survivor has no collaborative model; keep its training.
-            // Copy into the retired middleware buffer (unique again now that
-            // the dispatch jobs are dropped) rather than adopting the upload
-            // block: the upload shares its buffer with the client worker's
-            // reusable slot, and retaining it would force that worker to
-            // re-allocate its upload next round.
-            let out = self.middleware[returned_slots[0]].make_mut();
-            out.copy_from_slice(uploaded[0].as_slice());
-        }
-
+        let acceleration = self.config.acceleration;
+        let fusion = Fusion {
+            alpha: acceleration.alpha_at(round, self.config.alpha),
+            strategy: self.config.strategy,
+            measure: self.config.measure,
+            propellers: acceleration.propellers_at(round),
+        };
+        self.middleware.fuse(round, &slots, &uploads, fusion);
         report
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        global_model(&self.middleware)
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free `GlobalModelGen` for the per-round evaluation path:
-        // reuse the caller's buffer (the simulation keeps one for the whole
-        // run). Bitwise identical to `global_params` — `global_model_into`
-        // is the kernel backing both, and it zero-fills `out` itself, so a
-        // plain length adjustment suffices here.
-        out.resize(self.middleware[0].len(), 0.0);
-        global_model_into(out, &self.middleware);
+        self.middleware.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
         // The middleware list in slot order *is* the training state (the
-        // global model is derived from it on demand). Snapshotting stays on
-        // the copy-on-write plane: K reference bumps, no O(K·d) clone storm.
-        Ok(AlgorithmState::multi_model(self.middleware.clone()))
+        // global model is derived from it on demand).
+        Ok(self.middleware.snapshot())
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let k = self.middleware.len();
-        let dim = self.middleware[0].len();
-        let models = state.expect_models(k, dim)?;
-        // Reference bumps again; the first post-restore round's fusion pays
-        // one copy-on-write duplication per block, exactly like any server
-        // that retains a reader of its middleware.
-        self.middleware = models.to_vec();
-        Ok(())
+        self.middleware.restore(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::propeller_indices;
     use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
     use fedcross_data::Heterogeneity;
     use fedcross_flsim::{LocalTrainConfig, Simulation, SimulationConfig};
@@ -396,10 +236,9 @@ mod tests {
 
     #[test]
     fn propeller_indices_are_distinct_and_exclude_self() {
-        let algo = FedCross::new(FedCrossConfig::default(), vec![0.0; 2], 5);
         for round in 0..6 {
             for i in 0..5 {
-                let picks = algo.propeller_indices(round, i, 3, 5);
+                let picks = propeller_indices(round, i, 3, 5);
                 assert_eq!(picks.len(), 3);
                 assert!(!picks.contains(&i));
                 let mut sorted = picks.clone();
@@ -409,7 +248,7 @@ mod tests {
             }
         }
         // Requesting more propellers than peers caps at K-1.
-        assert_eq!(algo.propeller_indices(0, 0, 10, 5).len(), 4);
+        assert_eq!(propeller_indices(0, 0, 10, 5).len(), 4);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! Aggregation is FedAvg; only the *selection* changes, so communication
 //! overhead stays Low (Table I).
 
+use crate::server::GlobalModel;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
-use fedcross_flsim::engine::{canonicalize_updates, FederatedAlgorithm, RoundContext, RoundReport};
-use fedcross_nn::params::{cosine, difference, weighted_average_into, ParamBlock};
+use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
+use fedcross_nn::params::{cosine, difference};
 
 /// The clustered-sampling baseline.
 pub struct CluSamp {
-    global: ParamBlock,
+    global: GlobalModel,
     /// Last observed update direction (trained − dispatched) per client.
     client_updates: Vec<Option<Vec<f32>>>,
 }
@@ -20,10 +21,10 @@ pub struct CluSamp {
 impl CluSamp {
     /// Creates CluSamp for a federation of `total_clients` clients.
     pub fn new(init_params: Vec<f32>, total_clients: usize) -> Self {
-        assert!(!init_params.is_empty(), "initial parameters must not be empty");
+        let global = GlobalModel::new(init_params);
         assert!(total_clients > 0, "need at least one client");
         Self {
-            global: ParamBlock::from(init_params),
+            global,
             client_updates: vec![None; total_clients],
         }
     }
@@ -100,56 +101,25 @@ impl FederatedAlgorithm for CluSamp {
     fn run_round(&mut self, _round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let k = ctx.clients_per_round();
         let selected = self.cluster_representatives(k, ctx);
-
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|&client| (client, self.global.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let mut updates = ctx.local_train_batch(&jobs);
-        drop(jobs);
-        // Aggregate in dispatch order regardless of upload arrival order
-        // (bitwise no-op on an unshuffled round).
-        canonicalize_updates(&mut updates, &selected);
-        if updates.is_empty() {
-            // Every selected client dropped out this round (possible under an
-            // availability model); the global model simply carries over.
-            return RoundReport::default();
-        }
-
+        let updates = self.global.dispatch(ctx, &selected);
         // Remember each participant's update direction for future clustering.
         for update in &updates {
             self.client_updates[update.client] =
-                Some(difference(&update.params, &self.global));
+                Some(difference(&update.params, self.global.params()));
         }
-
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        let params: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-        let weights: Vec<f32> = updates
-            .iter()
-            .map(|u| u.num_samples.max(1) as f32)
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        weighted_average_into(self.global.make_mut(), &params, &weights);
+        self.global.weighted_mean(&updates);
         RoundReport::from_updates(&updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
         // Losing the per-client update directions would silently fall back to
         // uniform sampling after a restart (the `known.len() < k` path), so
         // the observed directions are part of the state.
-        Ok(AlgorithmState::single_model(self.global.clone()).with_client_table(
+        Ok(self.global.snapshot().with_client_table(
             "client_updates",
             self.client_updates
                 .iter()
@@ -160,11 +130,10 @@ impl FederatedAlgorithm for CluSamp {
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let dim = self.global.len();
+        let dim = self.global.params().len();
         let total_clients = self.client_updates.len();
-        let global = state.expect_single_model(dim)?;
         let table = state.expect_client_table("client_updates", total_clients, dim)?;
-        self.global = global.clone();
+        self.global.restore(state)?;
         self.client_updates = vec![None; total_clients];
         for (client, update) in table {
             self.client_updates[*client] = Some(update.clone());
@@ -231,7 +200,7 @@ mod tests {
         let _ = sim.run(&mut algo);
         // After several rounds the per-client update table holds valid vectors.
         for update in algo.client_updates.iter().flatten() {
-            assert_eq!(update.len(), algo.global.len());
+            assert_eq!(update.len(), algo.global.params().len());
             assert!(update.iter().all(|v| v.is_finite()));
         }
     }

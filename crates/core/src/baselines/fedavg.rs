@@ -1,32 +1,31 @@
 //! FedAvg (McMahan et al. 2017): the classic one-to-multi baseline.
 
+use crate::server::GlobalModel;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
-use fedcross_flsim::engine::{canonicalize_updates, FederatedAlgorithm, RoundContext, RoundReport};
-use fedcross_nn::params::{weighted_average_into, ParamBlock};
+use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 
 /// Federated Averaging: dispatch the single global model to `K` selected
 /// clients, then replace it with the sample-count-weighted average of their
 /// locally trained models.
 ///
-/// The global model lives on the copy-on-write parameter plane: dispatch is a
-/// reference bump per client, and the aggregation writes the new average into
-/// the retired global buffer in place.
+/// The round is the shared [`GlobalModel`] skeleton: dispatch is a reference
+/// bump per client, and the aggregation writes the new average into the
+/// retired global buffer in place.
 pub struct FedAvg {
-    global: ParamBlock,
+    global: GlobalModel,
 }
 
 impl FedAvg {
     /// Creates FedAvg from the initial global model parameters.
     pub fn new(init_params: Vec<f32>) -> Self {
-        assert!(!init_params.is_empty(), "initial parameters must not be empty");
         Self {
-            global: ParamBlock::from(init_params),
+            global: GlobalModel::new(init_params),
         }
     }
 
     /// The current global model parameters.
     pub fn global(&self) -> &[f32] {
-        &self.global
+        self.global.params()
     }
 }
 
@@ -38,54 +37,24 @@ impl FederatedAlgorithm for FedAvg {
 
     fn run_round(&mut self, _round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let selected = ctx.select_clients();
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|&client| (client, self.global.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let mut updates = ctx.local_train_batch(&jobs);
-        drop(jobs);
-        // Aggregate in dispatch order regardless of upload arrival order
-        // (bitwise no-op on an unshuffled round).
-        canonicalize_updates(&mut updates, &selected);
-        if updates.is_empty() {
-            // Every selected client dropped out this round (possible under an
-            // availability model); the global model simply carries over.
-            return RoundReport::default();
-        }
-
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        let params: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-        let weights: Vec<f32> = updates
-            .iter()
-            .map(|u| u.num_samples.max(1) as f32)
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        // The dispatch references are gone, so the retired global buffer is
-        // unique again and the average lands in it without an allocation.
-        weighted_average_into(self.global.make_mut(), &params, &weights);
+        let updates = self.global.dispatch(ctx, &selected);
+        // Every selected client may have dropped out (possible under an
+        // availability model); the global model then carries over.
+        self.global.weighted_mean(&updates);
         RoundReport::from_updates(&updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
         // The global model is the whole training state (reference bump).
-        Ok(AlgorithmState::single_model(self.global.clone()))
+        Ok(self.global.snapshot())
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        self.global = state.expect_single_model(self.global.len())?.clone();
-        Ok(())
+        self.global.restore(state)
     }
 }
 

@@ -16,11 +16,10 @@
 //!    sized as a configurable fraction of the model, which reproduces the
 //!    paper's "Medium" communication-overhead classification in Table I.
 
+use crate::server::GlobalModel;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
-use fedcross_flsim::engine::{
-    canonicalize_updates, FederatedAlgorithm, RoundContext, RoundReport, TrainJob,
-};
-use fedcross_nn::params::{weighted_average_into, ParamBlock};
+use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport, TrainJob};
+use fedcross_nn::params::ParamBlock;
 
 /// Configuration of the simplified FedGen baseline.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +43,7 @@ impl Default for FedGenConfig {
 
 /// The simplified FedGen baseline.
 pub struct FedGen {
-    global: ParamBlock,
+    global: GlobalModel,
     /// The previous round's ensemble model — the distillation teacher (shares
     /// the global model's buffer between rounds, copy-on-write).
     teacher: ParamBlock,
@@ -54,12 +53,11 @@ pub struct FedGen {
 impl FedGen {
     /// Creates FedGen from the initial global model parameters.
     pub fn new(init_params: Vec<f32>, config: FedGenConfig) -> Self {
-        assert!(!init_params.is_empty(), "initial parameters must not be empty");
+        let global = GlobalModel::new(init_params);
         assert!(config.distill_weight >= 0.0);
         assert!((0.0..=1.0).contains(&config.generator_fraction));
-        let global = ParamBlock::from(init_params);
         Self {
-            teacher: global.clone(),
+            teacher: global.params().clone(),
             global,
             config,
         }
@@ -87,79 +85,55 @@ impl FederatedAlgorithm for FedGen {
     fn run_round(&mut self, _round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let selected = ctx.select_clients();
         let generator_scalars =
-            (self.global.len() as f32 * self.config.generator_fraction) as usize;
+            (self.global.params().len() as f32 * self.config.generator_fraction) as usize;
         let lambda = self.config.distill_weight;
-
-        let jobs: Vec<TrainJob> = selected
-            .iter()
-            .map(|&client| {
-                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                let teacher = self.teacher.clone();
-                TrainJob {
-                    client,
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    params: self.global.clone(),
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    correction: Some(Box::new(move |i, w, g| g + lambda * (w - teacher[i]))),
-                    // The generator is broadcast alongside the model (download only).
-                    extra_download: generator_scalars,
-                    extra_upload: 0,
-                }
-            })
+        let teacher = &self.teacher;
+        let updates = self.global.dispatch_jobs(ctx, &selected, |client, model| {
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let mut updates = ctx.local_train_jobs(jobs);
-        // Aggregate in dispatch order regardless of upload arrival order
-        // (bitwise no-op on an unshuffled round).
-        canonicalize_updates(&mut updates, &selected);
+            let teacher = teacher.clone();
+            TrainJob {
+                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                correction: Some(Box::new(move |i, w, g| g + lambda * (w - teacher[i]))),
+                // The generator is broadcast alongside the model (download only).
+                extra_download: generator_scalars,
+                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                ..TrainJob::plain(client, model.clone())
+            }
+        });
         if updates.is_empty() {
             // Every selected client dropped out this round (possible under an
             // availability model); the global model simply carries over.
             return RoundReport::default();
         }
-
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        let params: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-        let weights: Vec<f32> = updates
-            .iter()
-            .map(|u| u.num_samples.max(1) as f32)
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
         // Release the teacher's reference to last round's buffer first, so
-        // `make_mut` reuses the retired global allocation instead of copying
+        // the mean reuses the retired global allocation instead of copying
         // a buffer that is about to be overwritten anyway.
         self.teacher = ParamBlock::default();
-        weighted_average_into(self.global.make_mut(), &params, &weights);
+        self.global.weighted_mean(&updates);
         // The new ensemble is both the next global model and the next
         // teacher (shared buffer, reference bump).
         // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        self.teacher = self.global.clone();
+        self.teacher = self.global.params().clone();
         RoundReport::from_updates(&updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
         // The distillation teacher (last round's ensemble — the state the
         // generator would be trained from) must survive a restart, or the
         // first resumed round would distill towards the wrong target.
-        Ok(AlgorithmState::single_model(self.global.clone())
+        Ok(self
+            .global
+            .snapshot()
             .with_aux("teacher", self.teacher.to_vec()))
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let dim = self.global.len();
-        let global = state.expect_single_model(dim)?;
-        let teacher = state.expect_aux("teacher", dim)?;
-        self.global = global.clone();
+        let teacher = state.expect_aux("teacher", self.global.params().len())?;
+        self.global.restore(state)?;
         self.teacher = ParamBlock::from(teacher);
         Ok(())
     }

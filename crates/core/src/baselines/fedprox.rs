@@ -1,16 +1,14 @@
 //! FedProx (Li et al. 2020): FedAvg with a proximal term on the local loss.
 
+use crate::server::GlobalModel;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
-use fedcross_flsim::engine::{
-    canonicalize_updates, FederatedAlgorithm, RoundContext, RoundReport, TrainJob,
-};
-use fedcross_nn::params::{weighted_average_into, ParamBlock};
+use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport, TrainJob};
 
 /// FedProx: each client minimises `f_i(w) + (μ/2)·||w - w_global||²`, which
 /// adds `μ·(w - w_global)` to every gradient. The server aggregation is the
 /// same as FedAvg, so the communication profile is identical (Table I: Low).
 pub struct FedProx {
-    global: ParamBlock,
+    global: GlobalModel,
     mu: f32,
 }
 
@@ -18,12 +16,9 @@ impl FedProx {
     /// Creates FedProx with proximal coefficient `mu` (the paper tunes μ per
     /// dataset from {0.001, 0.01, 0.1, 1.0}).
     pub fn new(init_params: Vec<f32>, mu: f32) -> Self {
-        assert!(!init_params.is_empty(), "initial parameters must not be empty");
+        let global = GlobalModel::new(init_params);
         assert!(mu >= 0.0, "mu must be non-negative");
-        Self {
-            global: ParamBlock::from(init_params),
-            mu,
-        }
+        Self { global, mu }
     }
 
     /// The proximal coefficient μ.
@@ -41,66 +36,34 @@ impl FederatedAlgorithm for FedProx {
     fn run_round(&mut self, _round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let selected = ctx.select_clients();
         let mu = self.mu;
-
         // The proximal anchor is the dispatched global model itself; sharing
         // the same ParamBlock costs one reference bump per client.
-        let jobs: Vec<TrainJob> = selected
-            .iter()
-            .map(|&client| {
+        let updates = self.global.dispatch_jobs(ctx, &selected, |client, model| {
+            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+            let anchor = model.clone();
+            TrainJob {
                 // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                let anchor = self.global.clone();
-                TrainJob {
-                    client,
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    params: self.global.clone(),
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    correction: Some(Box::new(move |i, w, g| g + mu * (w - anchor[i]))),
-                    extra_download: 0,
-                    extra_upload: 0,
-                }
-            })
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let mut updates = ctx.local_train_jobs(jobs);
-        // Aggregate in dispatch order regardless of upload arrival order
-        // (bitwise no-op on an unshuffled round).
-        canonicalize_updates(&mut updates, &selected);
-        if updates.is_empty() {
-            // Every selected client dropped out this round (possible under an
-            // availability model); the global model simply carries over.
-            return RoundReport::default();
-        }
-
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        let params: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-        let weights: Vec<f32> = updates
-            .iter()
-            .map(|u| u.num_samples.max(1) as f32)
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        weighted_average_into(self.global.make_mut(), &params, &weights);
+                correction: Some(Box::new(move |i, w, g| g + mu * (w - anchor[i]))),
+                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                ..TrainJob::plain(client, model.clone())
+            }
+        });
+        self.global.weighted_mean(&updates);
         RoundReport::from_updates(&updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
         // μ lives in the constructor (and in the name, which resume checks);
         // the global model is the whole cross-round state.
-        Ok(AlgorithmState::single_model(self.global.clone()))
+        Ok(self.global.snapshot())
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        self.global = state.expect_single_model(self.global.len())?.clone();
-        Ok(())
+        self.global.restore(state)
     }
 }
 

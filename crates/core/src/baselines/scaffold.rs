@@ -1,11 +1,10 @@
 //! SCAFFOLD (Karimireddy et al. 2020): stochastic controlled averaging with
 //! server and client control variates.
 
+use crate::server::GlobalModel;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
-use fedcross_flsim::engine::{
-    canonicalize_updates, FederatedAlgorithm, RoundContext, RoundReport, TrainJob,
-};
-use fedcross_nn::params::{add_scaled, average, average_into, difference, ParamBlock};
+use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport, TrainJob};
+use fedcross_nn::params::{add_scaled, average, average_into, difference};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -15,7 +14,7 @@ use std::sync::Arc;
 /// round, which is why Table I classifies SCAFFOLD as high communication
 /// overhead.
 pub struct Scaffold {
-    global: ParamBlock,
+    global: GlobalModel,
     server_control: Vec<f32>,
     // BTreeMap, not HashMap: snapshot_state iterates this table, and D001
     // requires every iterated map on a trajectory path to have a fixed order.
@@ -27,11 +26,11 @@ impl Scaffold {
     /// Creates SCAFFOLD from the initial global model. `total_clients` is the
     /// federation size `N`, used in the server control-variate update.
     pub fn new(init_params: Vec<f32>, total_clients: usize) -> Self {
-        assert!(!init_params.is_empty(), "initial parameters must not be empty");
-        assert!(total_clients > 0, "need at least one client");
         let dim = init_params.len();
+        let global = GlobalModel::new(init_params);
+        assert!(total_clients > 0, "need at least one client");
         Self {
-            global: ParamBlock::from(init_params),
+            global,
             server_control: vec![0.0; dim],
             client_controls: BTreeMap::new(),
             total_clients,
@@ -57,44 +56,35 @@ impl FederatedAlgorithm for Scaffold {
 
     fn run_round(&mut self, _round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let selected = ctx.select_clients();
-        let dim = self.global.len();
+        let dim = self.global.params().len();
         let local = ctx.local_config();
 
         // Build one job per client with the correction g - c_i + c.
         // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
         let server_c = Arc::new(self.server_control.clone());
-        let jobs: Vec<TrainJob> = selected
-            .iter()
-            .map(|&client| {
-                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                let c_i = Arc::new(
-                    self.client_controls
-                        .get(&client)
-                        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                        .cloned()
-                        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                        .unwrap_or_else(|| vec![0.0; dim]),
-                );
-                let c = Arc::clone(&server_c);
-                TrainJob {
-                    client,
-                    // Reference bump, not an O(d) copy.
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    params: self.global.clone(),
-                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                    correction: Some(Box::new(move |i, _w, g| g - c_i[i] + c[i])),
-                    // The control variate travels both ways alongside the model.
-                    extra_download: dim,
-                    extra_upload: dim,
-                }
-            })
+        let controls = &self.client_controls;
+        let updates = self.global.dispatch_jobs(ctx, &selected, |client, model| {
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let mut updates = ctx.local_train_jobs(jobs);
-        // Aggregate (and update control variates) in dispatch order
-        // regardless of upload arrival order (bitwise no-op on an unshuffled
-        // round).
-        canonicalize_updates(&mut updates, &selected);
+            let c_i = Arc::new(
+                controls
+                    .get(&client)
+                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                    .cloned()
+                    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                    .unwrap_or_else(|| vec![0.0; dim]),
+            );
+            let c = Arc::clone(&server_c);
+            TrainJob {
+                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                correction: Some(Box::new(move |i, _w, g| g - c_i[i] + c[i])),
+                // The control variate travels both ways alongside the model.
+                extra_download: dim,
+                extra_upload: dim,
+                // Reference bump, not an O(d) copy.
+                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                ..TrainJob::plain(client, model.clone())
+            }
+        });
 
         // Client control-variate update (option II of the paper):
         // c_i⁺ = c_i - c + (x - y_i) / (K·η_l), then Δc_i = c_i⁺ - c_i.
@@ -114,7 +104,7 @@ impl FederatedAlgorithm for Scaffold {
             let mut new_c_i = old_c_i.clone();
             // new_c_i = old_c_i - c + (x - y_i) * scale
             add_scaled(&mut new_c_i, &self.server_control, -1.0);
-            let drift = difference(&self.global, &update.params);
+            let drift = difference(self.global.params(), &update.params);
             add_scaled(&mut new_c_i, &drift, scale);
             control_deltas.push(difference(&new_c_i, &old_c_i));
             self.client_controls.insert(update.client, new_c_i);
@@ -124,7 +114,7 @@ impl FederatedAlgorithm for Scaffold {
         if !updates.is_empty() {
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
             let uploaded: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-            average_into(self.global.make_mut(), &uploaded);
+            average_into(self.global.params_mut(), &uploaded);
             let mean_delta = average(&control_deltas);
             let fraction = updates.len() as f32 / self.total_clients as f32;
             add_scaled(&mut self.server_control, &mean_delta, fraction);
@@ -132,14 +122,8 @@ impl FederatedAlgorithm for Scaffold {
         RoundReport::from_updates(&updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
@@ -148,7 +132,9 @@ impl FederatedAlgorithm for Scaffold {
         // server control and the full per-client table are part of the state
         // (BTreeMap iteration yields the table sorted by client id, so the
         // snapshot file is deterministic).
-        Ok(AlgorithmState::single_model(self.global.clone())
+        Ok(self
+            .global
+            .snapshot()
             .with_aux("server_control", self.server_control.clone())
             .with_client_table(
                 "client_controls",
@@ -160,11 +146,10 @@ impl FederatedAlgorithm for Scaffold {
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let dim = self.global.len();
-        let global = state.expect_single_model(dim)?;
+        let dim = self.global.params().len();
         let server_control = state.expect_aux("server_control", dim)?;
         let table = state.expect_client_table("client_controls", self.total_clients, dim)?;
-        self.global = global.clone();
+        self.global.restore(state)?;
         self.server_control = server_control.to_vec();
         self.client_controls = table
             .iter()

@@ -34,12 +34,13 @@
 //!   like the robust rules: a stale client must not buy weight back by
 //!   reporting a large shard.
 
-use crate::aggregation::{cross_aggregate_into, global_model, global_model_into};
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
+use crate::server::{Fusion, GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
 };
-use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
+use fedcross_flsim::client::LocalUpdate;
+use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport, UploadOutcome};
 use fedcross_flsim::faults::RoundPolicy;
 use fedcross_nn::params::ParamBlock;
 
@@ -194,6 +195,36 @@ fn restore_store(
     Ok(entries)
 }
 
+/// Sends `update` (trained on `slot`'s model `dispatched` in `round`) into
+/// `inflight` as a delta, due when the transport `outcome` delivers it. A
+/// re-dispatched client abandons its older pending upload — the invariant
+/// that keeps both stores at one entry per client.
+fn send(
+    inflight: &mut Vec<BufferedUpload>,
+    round: usize,
+    slot: usize,
+    update: LocalUpdate,
+    outcome: UploadOutcome,
+    dispatched: &[f32],
+) {
+    inflight.retain(|p| p.client != update.client);
+    // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+    let mut delta = update.params.to_vec();
+    for (d, m) in delta.iter_mut().zip(dispatched) {
+        *d -= *m;
+    }
+    inflight.push(BufferedUpload {
+        client: update.client,
+        slot,
+        train_round: round,
+        due_round: round + outcome.delay,
+        copies: outcome.copies,
+        delta,
+        num_samples: update.num_samples,
+        train_loss: update.train_loss,
+    });
+}
+
 /// Moves every due entry out of `inflight`, expanding transport copies into
 /// separate arrivals (the server half must dedupe them), and returns the
 /// arrivals.
@@ -222,7 +253,7 @@ fn collect_due(inflight: &mut Vec<BufferedUpload>, round: usize) -> Vec<Buffered
 pub struct BufferedFedAvg {
     staleness_alpha: f32,
     num_clients: usize,
-    global: ParamBlock,
+    global: GlobalModel,
     inflight: Vec<BufferedUpload>,
     buffer: Vec<BufferedUpload>,
 }
@@ -238,7 +269,6 @@ impl BufferedFedAvg {
     /// # Panics
     /// Panics on empty initial parameters or a negative/non-finite alpha.
     pub fn new(staleness_alpha: f32, init_params: Vec<f32>, num_clients: usize) -> Self {
-        assert!(!init_params.is_empty(), "initial parameters must not be empty");
         assert!(
             staleness_alpha.is_finite() && staleness_alpha >= 0.0,
             "staleness alpha must be finite and non-negative, got {staleness_alpha}"
@@ -247,7 +277,7 @@ impl BufferedFedAvg {
         Self {
             staleness_alpha,
             num_clients,
-            global: ParamBlock::from(init_params),
+            global: GlobalModel::new(init_params),
             inflight: Vec::new(),
             buffer: Vec::new(),
         }
@@ -255,7 +285,7 @@ impl BufferedFedAvg {
 
     /// The current global model parameters.
     pub fn global(&self) -> &[f32] {
-        &self.global
+        self.global.params()
     }
 
     /// Uploads currently travelling to the server.
@@ -285,7 +315,7 @@ impl BufferedFedAvg {
         max_staleness: usize,
         arrivals: Vec<BufferedUpload>,
     ) -> RoundReport {
-        let dim = self.global.len();
+        let dim = self.global.params().len();
         assert!(
             arrivals.iter().all(|a| a.delta.len() == dim),
             "arrival delta dimension mismatch"
@@ -311,7 +341,7 @@ impl BufferedFedAvg {
                 *a += w * d;
             }
         }
-        let out = self.global.make_mut();
+        let out = self.global.params_mut();
         for (g, a) in out.iter_mut().zip(&acc) {
             *g += a / weight_sum;
         }
@@ -330,62 +360,29 @@ impl FederatedAlgorithm for BufferedFedAvg {
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let (goal_k, max_staleness) = policy_params(ctx);
         let selected = ctx.select_clients();
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|&client| (client, self.global.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs); // release dispatch references before mutating the global
+        let updates = self.global.dispatch(ctx, &selected);
         let outcomes = ctx.upload_outcomes(&updates);
-
         for (update, outcome) in updates.into_iter().zip(outcomes) {
-            // A re-dispatched client abandons its older pending upload — the
-            // invariant that keeps both stores at one entry per client.
-            self.inflight.retain(|p| p.client != update.client);
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            let mut delta = update.params.to_vec();
-            for (d, g) in delta.iter_mut().zip(self.global.as_slice()) {
-                *d -= *g;
-            }
-            self.inflight.push(BufferedUpload {
-                client: update.client,
-                slot: 0,
-                train_round: round,
-                due_round: round + outcome.delay,
-                copies: outcome.copies,
-                delta,
-                num_samples: update.num_samples,
-                train_loss: update.train_loss,
-            });
+            send(&mut self.inflight, round, 0, update, outcome, self.global.params());
         }
-
         let arrivals = collect_due(&mut self.inflight, round);
         self.absorb(round, goal_k, max_staleness, arrivals)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        let state = AlgorithmState::single_model(self.global.clone());
-        let state = snapshot_store(state, "inflight", &self.inflight);
+        let state = snapshot_store(self.global.snapshot(), "inflight", &self.inflight);
         Ok(snapshot_store(state, "buffer", &self.buffer))
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let dim = self.global.len();
-        let global = state.expect_single_model(dim)?.clone();
+        let dim = self.global.params().len();
         let inflight = restore_store(state, "inflight", self.num_clients, dim, 0)?;
         let buffer = restore_store(state, "buffer", self.num_clients, dim, 0)?;
-        self.global = global;
+        self.global.restore(state)?;
         self.inflight = inflight;
         self.buffer = buffer;
         Ok(())
@@ -426,7 +423,7 @@ impl Default for BufferedFedCrossConfig {
 pub struct BufferedFedCross {
     config: BufferedFedCrossConfig,
     num_clients: usize,
-    middleware: Vec<ParamBlock>,
+    middleware: Middleware,
     inflight: Vec<BufferedUpload>,
     buffer: Vec<BufferedUpload>,
 }
@@ -445,21 +442,15 @@ impl BufferedFedCross {
         k: usize,
         num_clients: usize,
     ) -> Self {
-        assert!(k >= 2, "BufferedFedCross needs at least two middleware models");
-        assert!(
-            (0.5..1.0).contains(&config.alpha),
-            "alpha must lie in [0.5, 1.0)"
-        );
         assert!(
             config.staleness_alpha.is_finite() && config.staleness_alpha >= 0.0,
             "staleness alpha must be finite and non-negative"
         );
         assert!(num_clients >= 1, "need at least one client");
-        let shared = ParamBlock::from(init_params);
         Self {
             config,
             num_clients,
-            middleware: vec![shared; k],
+            middleware: Middleware::new(init_params, k, config.alpha),
             inflight: Vec::new(),
             buffer: Vec::new(),
         }
@@ -472,7 +463,7 @@ impl BufferedFedCross {
 
     /// The current middleware model list.
     pub fn middleware(&self) -> &[ParamBlock] {
-        &self.middleware
+        self.middleware.models()
     }
 
     /// Uploads currently travelling to the server.
@@ -497,8 +488,8 @@ impl BufferedFedCross {
         max_staleness: usize,
         arrivals: Vec<BufferedUpload>,
     ) -> RoundReport {
-        let k = self.middleware.len();
-        let dim = self.middleware[0].len();
+        let k = self.middleware.models().len();
+        let dim = self.middleware.models()[0].len();
         assert!(
             arrivals.iter().all(|a| a.delta.len() == dim && a.slot < k),
             "arrival delta dimension or slot out of range"
@@ -531,7 +522,7 @@ impl BufferedFedCross {
             .iter()
             .map(|entry| {
                 let w = entry.staleness_weight(round, self.config.staleness_alpha);
-                let anchor = self.middleware[entry.slot].as_slice();
+                let anchor = self.middleware.models()[entry.slot].as_slice();
                 anchor
                     .iter()
                     .zip(&entry.delta)
@@ -542,26 +533,15 @@ impl BufferedFedCross {
             // alloc: bounded — buffered-plane staging, buffer-bounded per flush
             .collect();
 
-        if candidates.len() >= 2 {
-            let partners =
-                self.config
-                    .strategy
-                    .select_all_with(round, &candidates, self.config.measure);
-            for (i, entry) in consumed.iter().enumerate() {
-                cross_aggregate_into(
-                    self.middleware[entry.slot].make_mut(),
-                    &candidates[i],
-                    &candidates[partners[i]],
-                    self.config.alpha,
-                );
-            }
-        } else {
-            // A lone arrival has no collaborator; keep its training.
-            self.middleware[consumed[0].slot]
-                .make_mut()
-                .copy_from_slice(&candidates[0]);
-        }
-
+        // alloc: bounded — buffered-plane staging, buffer-bounded per flush
+        let slots: Vec<usize> = consumed.iter().map(|entry| entry.slot).collect();
+        let fusion = Fusion {
+            alpha: self.config.alpha,
+            strategy: self.config.strategy,
+            measure: self.config.measure,
+            propellers: 1,
+        };
+        self.middleware.fuse(round, &slots, &candidates, fusion);
         report_from(&consumed)
     }
 }
@@ -576,76 +556,32 @@ impl FederatedAlgorithm for BufferedFedCross {
     }
 
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
-        let k = self.middleware.len();
-        let selected_k = ctx.clients_per_round();
-        assert_eq!(
-            selected_k, k,
-            "BufferedFedCross requires clients_per_round ({selected_k}) to equal the number of middleware models ({k})"
-        );
         let (goal_k, max_staleness) = policy_params(ctx);
-
-        let mut selected = ctx.select_clients();
-        ctx.rng_mut().shuffle(&mut selected);
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            .zip(self.middleware.iter())
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|(&client, model)| (client, model.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs); // release dispatch references before fusing in place
+        let (slots, updates) = self.middleware.dispatch(ctx);
         let outcomes = ctx.upload_outcomes(&updates);
-
-        for (update, outcome) in updates.into_iter().zip(outcomes) {
-            let slot = selected
-                .iter()
-                .position(|&client| client == update.client)
-                .expect("every update comes from a selected client");
-            self.inflight.retain(|p| p.client != update.client);
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            let mut delta = update.params.to_vec();
-            for (d, m) in delta.iter_mut().zip(self.middleware[slot].as_slice()) {
-                *d -= *m;
-            }
-            self.inflight.push(BufferedUpload {
-                client: update.client,
-                slot,
-                train_round: round,
-                due_round: round + outcome.delay,
-                copies: outcome.copies,
-                delta,
-                num_samples: update.num_samples,
-                train_loss: update.train_loss,
-            });
+        for ((slot, update), outcome) in slots.into_iter().zip(updates).zip(outcomes) {
+            let dispatched = self.middleware.models()[slot].as_slice();
+            send(&mut self.inflight, round, slot, update, outcome, dispatched);
         }
-
         let arrivals = collect_due(&mut self.inflight, round);
         self.absorb(round, goal_k, max_staleness, arrivals)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        global_model(&self.middleware)
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        out.resize(self.middleware[0].len(), 0.0);
-        global_model_into(out, &self.middleware);
+        self.middleware.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        let state = AlgorithmState::multi_model(self.middleware.clone());
-        let state = snapshot_store(state, "inflight", &self.inflight);
+        let state = snapshot_store(self.middleware.snapshot(), "inflight", &self.inflight);
         Ok(snapshot_store(state, "buffer", &self.buffer))
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let k = self.middleware.len();
-        let dim = self.middleware[0].len();
-        let models = state.expect_models(k, dim)?;
+        let k = self.middleware.models().len();
+        let dim = self.middleware.models()[0].len();
         let inflight = restore_store(state, "inflight", self.num_clients, dim, k - 1)?;
         let buffer = restore_store(state, "buffer", self.num_clients, dim, k - 1)?;
-        self.middleware = models.to_vec();
+        self.middleware.restore(state)?;
         self.inflight = inflight;
         self.buffer = buffer;
         Ok(())

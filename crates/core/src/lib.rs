@@ -26,6 +26,11 @@
 //! Two optional training accelerators from Section III-D are provided in
 //! [`acceleration`]: propeller models and dynamic α.
 //!
+//! Every algorithm runs on one of the two round skeletons in [`server`]:
+//! [`server::Middleware`] (Algorithm 1's `K` models) or
+//! [`server::GlobalModel`] (FedAvg's single model). An algorithm adds only
+//! its candidate transform or server rule.
+//!
 //! Beyond the paper, [`robust`] adds Byzantine-robust variants
 //! ([`robust::RobustFedAvg`], [`robust::RobustFedCross`]) built on the
 //! [`aggregation::RobustRule`] family (coordinate-wise median, trimmed mean,
@@ -86,6 +91,7 @@ pub mod buffered;
 pub mod registry;
 pub mod robust;
 pub mod selection;
+pub mod server;
 
 pub use acceleration::Acceleration;
 pub use aggregation::RobustRule;

@@ -7,9 +7,13 @@
 //! `DpFedCross` / `SecureAggFedAvg`, `fedcross-compress`'s
 //! `CompressedFedAvg`) live in crates layered *above* this one, so they
 //! cannot appear in [`AlgorithmSpec`] without a dependency cycle — construct
-//! them directly. Like every spec here, all of them implement the full
-//! resume plane (`snapshot_state`/`restore_state`): no shipped algorithm
-//! relies on the refusing defaults (see docs/CHECKPOINTING.md).
+//! them directly. The schedule-invariance sweeps still cover them:
+//! `fedcross-bench`'s `determinism::SweptAlgorithm::shipped()` lists every
+//! registered spec plus these four, and `determinism_check`, the
+//! `lint_plane` sweep and the `training_plane` fingerprint table iterate it.
+//! Like every spec here, all of them implement the full resume plane
+//! (`snapshot_state`/`restore_state`): no shipped algorithm relies on the
+//! refusing defaults (see docs/CHECKPOINTING.md).
 
 use crate::acceleration::Acceleration;
 use crate::aggregation::RobustRule;

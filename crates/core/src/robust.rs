@@ -19,8 +19,9 @@
 //! hands Byzantine clients a free amplification knob (report a huge
 //! `num_samples`), so the robust variants deliberately ignore it.
 
-use crate::aggregation::{cross_aggregate_into, global_model, global_model_into, RobustRule};
+use crate::aggregation::RobustRule;
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
+use crate::server::{slot_order, Fusion, GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
@@ -31,7 +32,7 @@ use fedcross_nn::params::{add_scaled, ParamBlock, ParamVec};
 /// with the rule's aggregate of their uploads.
 pub struct RobustFedAvg {
     rule: RobustRule,
-    global: ParamBlock,
+    global: GlobalModel,
 }
 
 impl RobustFedAvg {
@@ -40,11 +41,10 @@ impl RobustFedAvg {
     /// # Panics
     /// Panics on empty initial parameters or an invalid rule.
     pub fn new(rule: RobustRule, init_params: Vec<f32>) -> Self {
-        assert!(!init_params.is_empty(), "initial parameters must not be empty");
         rule.validate();
         Self {
             rule,
-            global: ParamBlock::from(init_params),
+            global: GlobalModel::new(init_params),
         }
     }
 
@@ -55,7 +55,7 @@ impl RobustFedAvg {
 
     /// The current global model parameters.
     pub fn global(&self) -> &[f32] {
-        &self.global
+        self.global.params()
     }
 
     /// The server half of a round: sorts `updates` into canonical client-id
@@ -77,9 +77,9 @@ impl RobustFedAvg {
         // The norm-bounding rule clips against the dispatched model, which is
         // about to be overwritten in place — copy the anchor out first.
         // alloc: bounded — cohort-sized aggregation staging, once per round
-        let anchor: ParamVec = self.global.to_vec();
+        let anchor: ParamVec = self.global.params().to_vec();
         self.rule
-            .aggregate_into(self.global.make_mut(), &anchor, &uploads);
+            .aggregate_into(self.global.params_mut(), &anchor, &uploads);
         report
     }
 }
@@ -92,33 +92,20 @@ impl FederatedAlgorithm for RobustFedAvg {
 
     fn run_round(&mut self, _round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let selected = ctx.select_clients();
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|&client| (client, self.global.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs); // release dispatch references before aggregating in place
+        let updates = self.global.dispatch(ctx, &selected);
         self.apply_updates(updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        Ok(AlgorithmState::single_model(self.global.clone()))
+        Ok(self.global.snapshot())
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        self.global = state.expect_single_model(self.global.len())?.clone();
-        Ok(())
+        self.global.restore(state)
     }
 }
 
@@ -171,7 +158,7 @@ impl Default for RobustFedCrossConfig {
 /// the middleware average.
 pub struct RobustFedCross {
     config: RobustFedCrossConfig,
-    middleware: Vec<ParamBlock>,
+    middleware: Middleware,
 }
 
 impl RobustFedCross {
@@ -182,16 +169,10 @@ impl RobustFedCross {
     /// Panics if `k < 2`, `alpha` is outside `[0.5, 1)` or the rule is
     /// invalid.
     pub fn new(config: RobustFedCrossConfig, init_params: Vec<f32>, k: usize) -> Self {
-        assert!(k >= 2, "RobustFedCross needs at least two middleware models");
-        assert!(
-            (0.5..1.0).contains(&config.alpha),
-            "alpha must lie in [0.5, 1.0)"
-        );
         config.rule.validate();
-        let shared = ParamBlock::from(init_params);
         Self {
             config,
-            middleware: vec![shared; k],
+            middleware: Middleware::new(init_params, k, config.alpha),
         }
     }
 
@@ -202,7 +183,7 @@ impl RobustFedCross {
 
     /// The current middleware model list (for analysis and tests).
     pub fn middleware(&self) -> &[ParamBlock] {
-        &self.middleware
+        self.middleware.models()
     }
 
     /// The server half of a round: maps `updates` back to the middleware
@@ -219,37 +200,38 @@ impl RobustFedCross {
         selected: &[usize],
         updates: Vec<LocalUpdate>,
     ) -> RoundReport {
-        // Canonical slot order: the round result must be a function of the
-        // upload set, not of upload arrival order.
-        let mut arrived: Vec<(usize, LocalUpdate)> = updates
-            .into_iter()
-            .map(|update| {
-                let slot = selected
-                    .iter()
-                    .position(|&client| client == update.client)
-                    .expect("every update comes from a selected client");
-                (slot, update)
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-        arrived.sort_by_key(|(slot, _)| *slot);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let ordered: Vec<&LocalUpdate> = arrived.iter().map(|(_, u)| u).collect();
-        let report = RoundReport::from_ordered(&ordered);
-        if arrived.is_empty() {
+        let (slots, updates) = slot_order(selected, updates);
+        self.sanitize_and_fuse(round, &slots, &updates)
+    }
+
+    /// Sanitizes slot-ordered uploads into candidates rebuilt on their own
+    /// middleware anchors, then cross-aggregates the candidates.
+    fn sanitize_and_fuse(
+        &mut self,
+        round: usize,
+        slots: &[usize],
+        updates: &[LocalUpdate],
+    ) -> RoundReport {
+        let report = RoundReport::from_updates(updates);
+        if updates.is_empty() {
             return report;
         }
 
-        let dim = self.middleware[0].len();
-        // Per-slot deltas against the model each slot dispatched this round.
-        let deltas: Vec<ParamVec> = arrived
+        let dim = self.middleware.models()[0].len();
+        let anchors: Vec<&[f32]> = slots
             .iter()
-            .map(|(slot, update)| {
-                let anchor = self.middleware[*slot].as_slice();
+            .map(|&slot| self.middleware.models()[slot].as_slice())
+            // alloc: bounded — cohort-sized aggregation staging, once per round
+            .collect();
+        // Per-slot deltas against the model each slot dispatched this round.
+        let deltas: Vec<ParamVec> = updates
+            .iter()
+            .zip(&anchors)
+            .map(|(update, anchor)| {
                 update
                     .params
                     .iter()
-                    .zip(anchor)
+                    .zip(*anchor)
                     .map(|(u, a)| u - a)
                     // alloc: bounded — cohort-sized aggregation staging, once per round
                     .collect()
@@ -265,10 +247,10 @@ impl RobustFedCross {
                 // already anchor-relative.
                 // alloc: bounded — cohort-sized aggregation staging, once per round
                 let zero = vec![0f32; dim];
-                arrived
+                anchors
                     .iter()
                     .zip(&deltas)
-                    .map(|((slot, _), delta)| {
+                    .map(|(anchor, delta)| {
                         // alloc: bounded — cohort-sized aggregation staging, once per round
                         let mut clipped = vec![0f32; dim];
                         self.config.rule.aggregate_into(
@@ -277,7 +259,7 @@ impl RobustFedCross {
                             std::slice::from_ref(delta),
                         );
                         // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut model = self.middleware[*slot].to_vec();
+                        let mut model = anchor.to_vec();
                         add_scaled(&mut model, &clipped, 1.0);
                         model
                     })
@@ -297,11 +279,11 @@ impl RobustFedCross {
                     rule.aggregate_into(&mut out, &[], &deltas);
                     out
                 };
-                arrived
+                anchors
                     .iter()
-                    .map(|(slot, _)| {
+                    .map(|anchor| {
                         // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut model = self.middleware[*slot].to_vec();
+                        let mut model = anchor.to_vec();
                         add_scaled(&mut model, &consensus, 1.0);
                         model
                     })
@@ -310,28 +292,13 @@ impl RobustFedCross {
             }
         };
 
-        // Cross-aggregation over the sanitized models, fused into the retired
-        // middleware buffers (slots without an upload carry over, exactly as
-        // in plain FedCross).
-        if sanitized.len() >= 2 {
-            let partners = self
-                .config
-                .strategy
-                .select_all_with(round, &sanitized, self.config.measure);
-            for (i, (slot, _)) in arrived.iter().enumerate() {
-                cross_aggregate_into(
-                    self.middleware[*slot].make_mut(),
-                    &sanitized[i],
-                    &sanitized[partners[i]],
-                    self.config.alpha,
-                );
-            }
-        } else {
-            // A lone sanitized survivor has no collaborator; keep it.
-            let slot = arrived[0].0;
-            self.middleware[slot].make_mut().copy_from_slice(&sanitized[0]);
-        }
-
+        let fusion = Fusion {
+            alpha: self.config.alpha,
+            strategy: self.config.strategy,
+            measure: self.config.measure,
+            propellers: 1,
+        };
+        self.middleware.fuse(round, slots, &sanitized, fusion);
         report
     }
 }
@@ -348,44 +315,20 @@ impl FederatedAlgorithm for RobustFedCross {
     }
 
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
-        let k = self.middleware.len();
-        let selected_k = ctx.clients_per_round();
-        assert_eq!(
-            selected_k, k,
-            "RobustFedCross requires clients_per_round ({selected_k}) to equal the number of middleware models ({k})"
-        );
-        let mut selected = ctx.select_clients();
-        ctx.rng_mut().shuffle(&mut selected);
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            .zip(self.middleware.iter())
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|(&client, model)| (client, model.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs); // release dispatch references before fusing in place
-        self.apply_updates(round, &selected, updates)
-    }
-
-    fn global_params(&self) -> Vec<f32> {
-        global_model(&self.middleware)
+        let (slots, updates) = self.middleware.dispatch(ctx);
+        self.sanitize_and_fuse(round, &slots, &updates)
     }
 
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        out.resize(self.middleware[0].len(), 0.0);
-        global_model_into(out, &self.middleware);
+        self.middleware.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        Ok(AlgorithmState::multi_model(self.middleware.clone()))
+        Ok(self.middleware.snapshot())
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let k = self.middleware.len();
-        let dim = self.middleware[0].len();
-        self.middleware = state.expect_models(k, dim)?.to_vec();
-        Ok(())
+        self.middleware.restore(state)
     }
 }
 

@@ -887,20 +887,19 @@ pub trait FederatedAlgorithm {
 
     /// The parameter vector of the model that would be deployed right now
     /// (FedCross generates it on demand from the middleware models; FedAvg
-    /// simply returns its global model).
-    fn global_params(&self) -> Vec<f32>;
-
-    /// Writes the deployed parameter vector into `out` (cleared first),
-    /// reusing its capacity — the allocation-free form the simulation's
-    /// evaluation loop uses every round. Must produce exactly the bytes of
-    /// [`FederatedAlgorithm::global_params`]; the default falls back to the
-    /// allocating form, so algorithms only override it when they can generate
-    /// the global model into a caller buffer (FedCross and FedAvg do).
-    fn global_params_into(&self, out: &mut Vec<f32>) {
-        let params = self.global_params();
-        out.clear();
-        out.extend_from_slice(&params);
+    /// simply returns its global model). The allocating convenience form of
+    /// [`FederatedAlgorithm::global_params_into`].
+    fn global_params(&self) -> Vec<f32> {
+        // alloc: cold — allocating convenience read; the per-round evaluation uses global_params_into
+        let mut out = Vec::new();
+        self.global_params_into(&mut out);
+        out
     }
+
+    /// Writes the deployed parameter vector into `out`, replacing its
+    /// contents and reusing its capacity — the allocation-free form the
+    /// simulation's evaluation loop uses every round.
+    fn global_params_into(&self, out: &mut Vec<f32>);
 
     /// Captures the algorithm's **complete** training state for a
     /// [`Checkpoint`] — everything a fresh instance needs to continue the
@@ -1722,8 +1721,9 @@ mod tests {
             RoundReport::from_updates(&updates)
         }
 
-        fn global_params(&self) -> Vec<f32> {
-            self.global.to_vec()
+        fn global_params_into(&self, out: &mut Vec<f32>) {
+            out.clear();
+            out.extend_from_slice(&self.global);
         }
 
         fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
@@ -2153,8 +2153,8 @@ mod tests {
             fn run_round(&mut self, _round: usize, _ctx: &mut RoundContext<'_>) -> RoundReport {
                 RoundReport::default()
             }
-            fn global_params(&self) -> Vec<f32> {
-                vec![0.0]
+            fn global_params_into(&self, out: &mut Vec<f32>) {
+                *out = vec![0.0];
             }
         }
         let mut algo = NoRestore;

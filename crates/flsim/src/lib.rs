@@ -62,7 +62,7 @@
 //!         self.global = average(&updates.iter().map(|u| u.params.clone()).collect::<Vec<_>>());
 //!         RoundReport::from_updates(&updates)
 //!     }
-//!     fn global_params(&self) -> Vec<f32> { self.global.clone() }
+//!     fn global_params_into(&self, out: &mut Vec<f32>) { out.clone_from(&self.global) }
 //! }
 //!
 //! let mut rng = SeededRng::new(0);

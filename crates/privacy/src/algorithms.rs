@@ -24,8 +24,8 @@
 use crate::accountant::RdpAccountant;
 use crate::mechanism::{privatize_aggregate, privatize_client_delta, DpConfig};
 use crate::secure_agg::{aggregate_masked, PairwiseMasker};
-use fedcross::aggregation::{cross_aggregate_all, global_model, global_model_into};
 use fedcross::selection::{SelectionStrategy, SimilarityMeasure};
+use fedcross::server::{slot_order, Fusion, GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
 };
@@ -48,6 +48,14 @@ fn accountant_record(accountant: &RdpAccountant) -> Vec<String> {
     ];
     record.extend(accountant.spent_rdp().iter().copied().map(encode_f64));
     record
+}
+
+/// Adds `accountant`'s record to `state` once the first round has created it.
+fn with_accountant(state: AlgorithmState, accountant: &Option<RdpAccountant>) -> AlgorithmState {
+    match accountant {
+        Some(accountant) => state.with_record(ACCOUNTANT_RECORD, accountant_record(accountant)),
+        None => state,
+    }
 }
 
 /// Restores an accountant from [`accountant_record`]'s encoding. `Ok(None)`
@@ -89,7 +97,7 @@ fn restore_accountant(
 /// state is the global model plus the accountant's spent budget, both
 /// captured by [`FederatedAlgorithm::snapshot_state`].
 pub struct DpFedAvg {
-    global: ParamBlock,
+    global: GlobalModel,
     config: DpConfig,
     client_noise: RoundStreams,
     central_noise: RoundStreams,
@@ -103,7 +111,7 @@ impl DpFedAvg {
     /// sampling).
     pub fn new(init_params: Vec<f32>, config: DpConfig, noise_seed: u64) -> Self {
         Self {
-            global: ParamBlock::from(init_params),
+            global: GlobalModel::new(init_params),
             config,
             client_noise: RoundStreams::new(StreamDomain::DpClientNoise, noise_seed),
             central_noise: RoundStreams::new(StreamDomain::DpCentralNoise, noise_seed),
@@ -164,7 +172,7 @@ impl DpFedAvg {
         let deltas: Vec<Vec<f32>> = ordered
             .iter()
             .map(|update| {
-                let mut delta = difference(&update.params, &self.global);
+                let mut delta = difference(&update.params, self.global.params());
                 let mut rng = round_noise.stream(update.client);
                 privatize_client_delta(&mut delta, &self.config, &mut rng);
                 delta
@@ -178,7 +186,7 @@ impl DpFedAvg {
         let mut aggregate = average(&deltas);
         let mut central_rng = self.central_noise.round(round).server();
         privatize_aggregate(&mut aggregate, &self.config, deltas.len(), &mut central_rng);
-        add_scaled(self.global.make_mut(), &aggregate, 1.0);
+        add_scaled(self.global.params_mut(), &aggregate, 1.0);
 
         if let Some(accountant) = self.accountant.as_mut() {
             accountant.step_with_rate(ordered.len() as f64 / num_clients.max(1) as f64);
@@ -205,41 +213,22 @@ impl FederatedAlgorithm for DpFedAvg {
 
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         self.ensure_accountant(ctx.clients_per_round(), ctx.num_clients());
-
         let selected = ctx.select_clients();
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|&client| (client, self.global.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs);
+        let updates = self.global.dispatch(ctx, &selected);
         self.apply_updates(round, ctx.num_clients(), &updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        let mut state = AlgorithmState::single_model(self.global.clone());
-        if let Some(accountant) = &self.accountant {
-            state = state.with_record(ACCOUNTANT_RECORD, accountant_record(accountant));
-        }
-        Ok(state)
+        Ok(with_accountant(self.global.snapshot(), &self.accountant))
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let global = state.expect_single_model(self.global.len())?.clone();
         let accountant = restore_accountant(state, self.config.noise_multiplier)?;
-        self.global = global;
+        self.global.restore(state)?;
         self.accountant = accountant;
         Ok(())
     }
@@ -284,7 +273,7 @@ impl Default for DpFedCrossConfig {
 /// that actually **returned** (dropout shrinks both), not the configured `K`.
 pub struct DpFedCross {
     config: DpFedCrossConfig,
-    middleware: Vec<ParamBlock>,
+    middleware: Middleware,
     client_noise: RoundStreams,
     central_noise: RoundStreams,
     accountant: Option<RdpAccountant>,
@@ -294,15 +283,9 @@ impl DpFedCross {
     /// Creates DP-FedCross with `k` middleware models initialised from the
     /// shared initial parameters.
     pub fn new(config: DpFedCrossConfig, init_params: Vec<f32>, k: usize, noise_seed: u64) -> Self {
-        assert!(k >= 2, "FedCross needs at least two middleware models");
-        assert!(
-            (0.5..1.0).contains(&config.alpha),
-            "alpha must lie in [0.5, 1.0)"
-        );
-        let shared = ParamBlock::from(init_params);
         Self {
             config,
-            middleware: vec![shared; k],
+            middleware: Middleware::new(init_params, k, config.alpha),
             client_noise: RoundStreams::new(StreamDomain::DpClientNoise, noise_seed),
             central_noise: RoundStreams::new(StreamDomain::DpCentralNoise, noise_seed),
             accountant: None,
@@ -311,7 +294,7 @@ impl DpFedCross {
 
     /// The current middleware models (for analysis and tests).
     pub fn middleware(&self) -> &[ParamBlock] {
-        &self.middleware
+        self.middleware.models()
     }
 
     /// The (ε, δ)-DP guarantee spent so far, or `None` before the first round.
@@ -351,76 +334,65 @@ impl DpFedCross {
         selected: &[usize],
         updates: &[LocalUpdate],
     ) -> RoundReport {
-        if updates.is_empty() {
+        let (slots, ordered) = slot_order(selected, updates);
+        self.privatize_and_fuse(round, num_clients, &slots, &ordered)
+    }
+
+    /// Privatises slot-ordered uploads against the models their slots
+    /// dispatched, cross-aggregates them and advances the accountant.
+    /// Missing slots (dropped clients) simply skip the round.
+    fn privatize_and_fuse(
+        &mut self,
+        round: usize,
+        num_clients: usize,
+        slots: &[usize],
+        ordered: &[&LocalUpdate],
+    ) -> RoundReport {
+        if ordered.is_empty() {
             return RoundReport::default();
         }
-        // Canonical order: sort returned uploads by middleware slot. Missing
-        // slots (dropped clients) simply skip the round.
-        let mut ordered: Vec<(usize, &LocalUpdate)> = updates
-            .iter()
-            .map(|update| {
-                let slot = selected
-                    .iter()
-                    .position(|&client| client == update.client)
-                    .expect("every update comes from a selected client");
-                (slot, update)
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-        ordered.sort_by_key(|(slot, _)| *slot);
-
         // Privatise each uploaded middleware model against the version that
         // was dispatched to its client, each from its own (round, slot)
         // stream.
         let participants = ordered.len();
         let round_client_noise = self.client_noise.round(round);
         let round_central_noise = self.central_noise.round(round);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let mut returned_slots = Vec::with_capacity(participants);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let mut uploaded = Vec::with_capacity(participants);
-        for &(slot, update) in &ordered {
-            let dispatched = &self.middleware[slot];
-            let mut delta = difference(&update.params, dispatched);
-            let mut rng = round_client_noise.stream(slot);
-            privatize_client_delta(&mut delta, &self.config.dp, &mut rng);
-            // Central placement: each *returned* middleware stream receives
-            // noise of std z·C/participants, so the released global model
-            // (the average of the updated middleware models) carries the
-            // same perturbation magnitude as central DP-FedAvg over the same
-            // participants. Calibrating to the configured K when clients
-            // dropped out would under-noise the release.
-            let mut rng = round_central_noise.stream(slot);
-            privatize_aggregate(&mut delta, &self.config.dp, participants, &mut rng);
-            // Reconstruct dispatched + delta in the delta buffer itself
-            // (addition commutes), avoiding a full-model clone per upload.
-            add_scaled(&mut delta, dispatched.as_slice(), 1.0);
-            returned_slots.push(slot);
-            uploaded.push(delta);
-        }
-
-        if uploaded.len() >= 2 {
-            let collaborators =
-                self.config
-                    .strategy
-                    .select_all_with(round, &uploaded, self.config.measure);
-            let fused = cross_aggregate_all(&uploaded, &collaborators, self.config.alpha);
-            for (&slot, params) in returned_slots.iter().zip(fused) {
-                self.middleware[slot] = ParamBlock::from(params);
-            }
-        } else if let (Some(&slot), Some(params)) =
-            (returned_slots.first(), uploaded.into_iter().next())
-        {
-            self.middleware[slot] = ParamBlock::from(params);
-        }
+        let candidates: Vec<Vec<f32>> = slots
+            .iter()
+            .zip(ordered)
+            .map(|(&slot, update)| {
+                let dispatched = &self.middleware.models()[slot];
+                let mut delta = difference(&update.params, dispatched);
+                let mut rng = round_client_noise.stream(slot);
+                privatize_client_delta(&mut delta, &self.config.dp, &mut rng);
+                // Central placement: each *returned* middleware stream
+                // receives noise of std z·C/participants, so the released
+                // global model (the average of the updated middleware
+                // models) carries the same perturbation magnitude as central
+                // DP-FedAvg over the same participants. Calibrating to the
+                // configured K when clients dropped out would under-noise
+                // the release.
+                let mut rng = round_central_noise.stream(slot);
+                privatize_aggregate(&mut delta, &self.config.dp, participants, &mut rng);
+                // Reconstruct dispatched + delta in the delta buffer itself
+                // (addition commutes), avoiding a full-model clone per upload.
+                add_scaled(&mut delta, dispatched.as_slice(), 1.0);
+                delta
+            })
+            // alloc: bounded — cohort-sized aggregation staging, once per round
+            .collect();
+        let fusion = Fusion {
+            alpha: self.config.alpha,
+            strategy: self.config.strategy,
+            measure: self.config.measure,
+            propellers: 1,
+        };
+        self.middleware.fuse(round, slots, &candidates, fusion);
 
         if let Some(accountant) = self.accountant.as_mut() {
             accountant.step_with_rate(participants as f64 / num_clients.max(1) as f64);
         }
-        let ordered_updates: Vec<&LocalUpdate> =
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            ordered.iter().map(|&(_, update)| update).collect();
-        RoundReport::from_ordered(&ordered_updates)
+        RoundReport::from_ordered(ordered)
     }
 }
 
@@ -441,53 +413,24 @@ impl FederatedAlgorithm for DpFedCross {
     }
 
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
-        let k = self.middleware.len();
-        assert_eq!(
-            ctx.clients_per_round(),
-            k,
-            "DP-FedCross requires clients_per_round to equal the number of middleware models"
-        );
-        self.ensure_accountant(k, ctx.num_clients());
-
-        let mut selected = ctx.select_clients();
-        ctx.rng_mut().shuffle(&mut selected);
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            .zip(self.middleware.iter())
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|(&client, model)| (client, model.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs);
-        self.apply_updates(round, ctx.num_clients(), &selected, &updates)
-    }
-
-    fn global_params(&self) -> Vec<f32> {
-        global_model(&self.middleware)
+        self.ensure_accountant(self.middleware.models().len(), ctx.num_clients());
+        let (slots, updates) = self.middleware.dispatch(ctx);
+        // alloc: bounded — cohort-sized aggregation staging, once per round
+        let ordered: Vec<&LocalUpdate> = updates.iter().collect();
+        self.privatize_and_fuse(round, ctx.num_clients(), &slots, &ordered)
     }
 
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free `GlobalModelGen` for the per-round evaluation path
-        // (the kernel zero-fills `out` itself).
-        out.resize(self.middleware[0].len(), 0.0);
-        global_model_into(out, &self.middleware);
+        self.middleware.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        let mut state = AlgorithmState::multi_model(self.middleware.clone());
-        if let Some(accountant) = &self.accountant {
-            state = state.with_record(ACCOUNTANT_RECORD, accountant_record(accountant));
-        }
-        Ok(state)
+        Ok(with_accountant(self.middleware.snapshot(), &self.accountant))
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let models = state
-            .expect_models(self.middleware.len(), self.middleware[0].len())?
-            .to_vec();
         let accountant = restore_accountant(state, self.config.dp.noise_multiplier)?;
-        self.middleware = models;
+        self.middleware.restore(state)?;
         self.accountant = accountant;
         Ok(())
     }
@@ -509,7 +452,7 @@ impl FederatedAlgorithm for DpFedCross {
 /// the additive derivation carry the old algorithm name and are **rejected
 /// by design** — resuming them would splice two different mask sequences.
 pub struct SecureAggFedAvg {
-    global: ParamBlock,
+    global: GlobalModel,
     mask_scale: f32,
     mask_streams: RoundStreams,
 }
@@ -520,7 +463,7 @@ impl SecureAggFedAvg {
     /// `mask_seed` roots the round-derived mask-seed stream.
     pub fn new(init_params: Vec<f32>, mask_scale: f32, mask_seed: u64) -> Self {
         Self {
-            global: ParamBlock::from(init_params),
+            global: GlobalModel::new(init_params),
             mask_scale,
             mask_streams: RoundStreams::new(StreamDomain::SecureAggMask, mask_seed),
         }
@@ -544,14 +487,9 @@ impl FederatedAlgorithm for SecureAggFedAvg {
 
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         let selected = ctx.select_clients();
-        let jobs: Vec<(usize, ParamBlock)> = selected
-            .iter()
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .map(|&client| (client, self.global.clone()))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
-        let updates = ctx.local_train_batch(&jobs);
-        drop(jobs);
+        // Dispatch order fixes every client's mask position, so the masked
+        // sum cannot depend on upload arrival order.
+        let updates = self.global.dispatch(ctx, &selected);
         if updates.is_empty() {
             return RoundReport::default();
         }
@@ -559,7 +497,7 @@ impl FederatedAlgorithm for SecureAggFedAvg {
         // Client side: compute deltas and mask them pairwise.
         let deltas: Vec<Vec<f32>> = updates
             .iter()
-            .map(|update| difference(&update.params, &self.global))
+            .map(|update| difference(&update.params, self.global.params()))
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
             .collect();
         let masker =
@@ -569,27 +507,20 @@ impl FederatedAlgorithm for SecureAggFedAvg {
         // Server side: only the masked uploads are visible; their sum is exact.
         let sum = aggregate_masked(&masked);
         let scale = 1.0 / masked.len() as f32;
-        add_scaled(self.global.make_mut(), &sum, scale);
+        add_scaled(self.global.params_mut(), &sum, scale);
         RoundReport::from_updates(&updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
-    }
-
     fn global_params_into(&self, out: &mut Vec<f32>) {
-        // Allocation-free deployment read for the per-round evaluation path.
-        out.clear();
-        out.extend_from_slice(&self.global);
+        self.global.read_into(out);
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        Ok(AlgorithmState::single_model(self.global.clone()))
+        Ok(self.global.snapshot())
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        self.global = state.expect_single_model(self.global.len())?.clone();
-        Ok(())
+        self.global.restore(state)
     }
 }
 
@@ -783,8 +714,8 @@ mod tests {
                 self.global = average(&params);
                 RoundReport::from_updates(&updates)
             }
-            fn global_params(&self) -> Vec<f32> {
-                self.global.clone()
+            fn global_params_into(&self, out: &mut Vec<f32>) {
+                out.clone_from(&self.global);
             }
         }
 

@@ -7,17 +7,19 @@
 //!   calls outside `bench`, every `SeededRng::fork` audited, no FMA or
 //!   unordered parallel float reductions in kernel files, every `unsafe`
 //!   justified, every `*_into` kernel paired (see docs/LINTS.md).
-//! * **Runtime** — every registered [`AlgorithmSpec`] produces a bitwise
-//!   identical trajectory at rayon threads ∈ {1, 2, 4} and under permuted
-//!   upload arrival order, and its training state round-trips through
-//!   snapshot/restore bitwise while shape-mismatched state is rejected.
+//! * **Runtime** — every shipped algorithm (the registered [`AlgorithmSpec`]s
+//!   plus the DP, compression and secure-aggregation algorithms) produces a
+//!   bitwise identical trajectory at rayon threads ∈ {1, 2, 4} and under
+//!   permuted upload arrival order, and every registered algorithm's training
+//!   state round-trips through snapshot/restore bitwise while shape-mismatched
+//!   state is rejected.
 //!
 //! The runtime half is deliberately non-vacuous: one test proves the upload
 //! shuffle really permutes arrival order, so the invariance tests cannot
 //! pass by the shuffle silently doing nothing.
 
 use fedcross::{build_algorithm, AlgorithmSpec};
-use fedcross_bench::determinism::{spec_fingerprint, sweep_spec};
+use fedcross_bench::determinism::{spec_fingerprint, sweep_spec, SweptAlgorithm};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::Heterogeneity;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
@@ -63,15 +65,16 @@ fn live_tree_passes_the_determinism_lints() {
 // Runtime half: schedule invariance.
 // ---------------------------------------------------------------------------
 
-/// The tentpole assertion: for every registered algorithm, the trajectory
-/// fingerprint (metric bits, comm counters, final model bits) is identical
-/// at 1/2/4 rayon threads and under two different upload-arrival
-/// permutations. One test fn (not one per spec) so the global rayon thread
-/// override is never raced by a sibling test.
+/// The tentpole assertion: for every shipped algorithm — the registered
+/// specs and the four privacy/compression algorithms outside the registry —
+/// the trajectory fingerprint (metric bits, comm counters, final model bits)
+/// is identical at 1/2/4 rayon threads and under two different
+/// upload-arrival permutations. One test fn (not one per spec) so the global
+/// rayon thread override is never raced by a sibling test.
 #[test]
 fn registered_algorithms_are_schedule_invariant() {
-    for spec in AlgorithmSpec::registered() {
-        let outcome = sweep_spec(spec, &[1, 2, 4], &[3, 17]);
+    for algorithm in SweptAlgorithm::shipped() {
+        let outcome = sweep_spec(algorithm, &[1, 2, 4], &[3, 17]);
         let bad: Vec<String> = outcome
             .variants
             .iter()
@@ -113,8 +116,9 @@ impl FederatedAlgorithm for OrderProbe {
         RoundReport::from_updates(&updates)
     }
 
-    fn global_params(&self) -> Vec<f32> {
-        self.global.to_vec()
+    fn global_params_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(&self.global);
     }
 }
 

@@ -432,7 +432,7 @@ const LSTM_LOCAL_TRAIN_FINGERPRINT: u64 = 0xe53afd52b8e5e469;
 
 /// Canonical trajectory fingerprint (metric bits, comm counters, final-model
 /// bits) of every shipped algorithm on the `fedcross_bench::determinism`
-/// fixture, in [`SweptAlgorithm::all`] order, recorded before the algorithms
+/// fixture, in [`SweptAlgorithm::shipped`] order, recorded before the algorithms
 /// shared one server skeleton (`fedcross::server`). SecureAgg-FedAvg's value
 /// is its dispatch-order trajectory, which it now also produces under a
 /// permuted upload arrival order.
@@ -455,7 +455,7 @@ const ALGORITHM_FINGERPRINTS: [(&str, u64); 14] = [
 
 #[test]
 fn every_algorithm_matches_its_pinned_fingerprint() {
-    let algorithms = SweptAlgorithm::all();
+    let algorithms = SweptAlgorithm::shipped();
     assert_eq!(
         algorithms.len(),
         ALGORITHM_FINGERPRINTS.len(),
