@@ -122,25 +122,45 @@ fn sanitizer_config() -> SimulationConfig {
     }
 }
 
-/// One algorithm the sweeps cover: a registered [`AlgorithmSpec`], or one of
-/// the four privacy/compression algorithms. Those live in crates layered
-/// above `fedcross`, so `AlgorithmSpec::registered()` cannot name them; this
-/// crate depends on both planes and sweeps them here with representative
-/// settings.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The DP mechanism of the swept DP algorithms.
+const DP: DpConfig = DpConfig {
+    clip_norm: 2.0,
+    noise_multiplier: 0.3,
+    placement: NoisePlacement::Central,
+};
+
+/// Builds an algorithm outside the registry from the initial parameters.
+pub type Builder = fn(Vec<f32>) -> Box<dyn FederatedAlgorithm>;
+
+/// The privacy and compression algorithms, with representative settings.
+/// They live in crates layered above `fedcross`, so
+/// `AlgorithmSpec::registered()` cannot name them; this crate depends on
+/// both planes, so the sweeps list them here.
+const UNREGISTERED: [(&str, Builder); 4] = [
+    ("DP-FedAvg", |init| Box::new(DpFedAvg::new(init, DP, 101))),
+    ("DP-FedCross", |init| {
+        let config = DpFedCrossConfig {
+            dp: DP,
+            ..Default::default()
+        };
+        Box::new(DpFedCross::new(config, init, SANITIZER_K, 105))
+    }),
+    ("Compressed-FedAvg", |init| {
+        let quantizer = Box::new(UniformQuantizer::new(4, true));
+        Box::new(CompressedFedAvg::new(init, quantizer, true, 109))
+    }),
+    ("SecureAgg-FedAvg", |init| {
+        Box::new(SecureAggFedAvg::new(init, 25.0, 113))
+    }),
+];
+
+/// One algorithm the sweeps cover.
+#[derive(Debug, Clone, Copy)]
 pub enum SweptAlgorithm {
     /// A spec from the core registry.
     Registered(AlgorithmSpec),
-    /// Central-noise DP-FedAvg (`fedcross_privacy::DpFedAvg`).
-    DpFedAvg,
-    /// Central-noise DP-FedCross (`fedcross_privacy::DpFedCross`).
-    DpFedCross,
-    /// Dithered 4-bit quantized FedAvg with error feedback
-    /// (`fedcross_compress::CompressedFedAvg`).
-    CompressedFedAvg,
-    /// Pairwise-masked secure-aggregation FedAvg
-    /// (`fedcross_privacy::SecureAggFedAvg`).
-    SecureAggFedAvg,
+    /// A privacy or compression algorithm: its label and constructor.
+    Unregistered(&'static str, Builder),
 }
 
 impl From<AlgorithmSpec> for SweptAlgorithm {
@@ -150,61 +170,29 @@ impl From<AlgorithmSpec> for SweptAlgorithm {
 }
 
 impl SweptAlgorithm {
-    /// Every shipped algorithm: the registered specs followed by the four
-    /// privacy/compression algorithms.
+    /// Every shipped algorithm: the registered specs, then the privacy and
+    /// compression algorithms.
     pub fn shipped() -> Vec<SweptAlgorithm> {
-        let mut all: Vec<SweptAlgorithm> = AlgorithmSpec::registered()
-            .into_iter()
-            .map(SweptAlgorithm::from)
-            .collect();
-        all.extend([
-            SweptAlgorithm::DpFedAvg,
-            SweptAlgorithm::DpFedCross,
-            SweptAlgorithm::CompressedFedAvg,
-            SweptAlgorithm::SecureAggFedAvg,
-        ]);
-        all
+        let registered = AlgorithmSpec::registered().into_iter().map(Self::Registered);
+        let others = UNREGISTERED.map(|(label, build)| Self::Unregistered(label, build));
+        registered.chain(others).collect()
     }
 
     /// A short display label.
     pub fn label(&self) -> &'static str {
         match self {
             SweptAlgorithm::Registered(spec) => spec.label(),
-            SweptAlgorithm::DpFedAvg => "DP-FedAvg",
-            SweptAlgorithm::DpFedCross => "DP-FedCross",
-            SweptAlgorithm::CompressedFedAvg => "Compressed-FedAvg",
-            SweptAlgorithm::SecureAggFedAvg => "SecureAgg-FedAvg",
+            SweptAlgorithm::Unregistered(label, _) => label,
         }
     }
 
     /// Builds the algorithm for the sanitizer federation.
     pub fn build(&self, init: Vec<f32>) -> Box<dyn FederatedAlgorithm> {
-        let dp = DpConfig {
-            clip_norm: 2.0,
-            noise_multiplier: 0.3,
-            placement: NoisePlacement::Central,
-        };
-        match *self {
+        match self {
             SweptAlgorithm::Registered(spec) => {
-                build_algorithm(spec, init, SANITIZER_CLIENTS, SANITIZER_K)
+                build_algorithm(*spec, init, SANITIZER_CLIENTS, SANITIZER_K)
             }
-            SweptAlgorithm::DpFedAvg => Box::new(DpFedAvg::new(init, dp, 101)),
-            SweptAlgorithm::DpFedCross => Box::new(DpFedCross::new(
-                DpFedCrossConfig {
-                    dp,
-                    ..Default::default()
-                },
-                init,
-                SANITIZER_K,
-                105,
-            )),
-            SweptAlgorithm::CompressedFedAvg => Box::new(CompressedFedAvg::new(
-                init,
-                Box::new(UniformQuantizer::new(4, true)),
-                true,
-                109,
-            )),
-            SweptAlgorithm::SecureAggFedAvg => Box::new(SecureAggFedAvg::new(init, 25.0, 113)),
+            SweptAlgorithm::Unregistered(_, build) => build(init),
         }
     }
 
@@ -218,17 +206,10 @@ impl SweptAlgorithm {
     }
 }
 
-/// Runs `spec` for [`SANITIZER_ROUNDS`] rounds and returns the trajectory
-/// fingerprint: per-round metrics bits, communication counters and the final
-/// global model bits. Shorthand for [`algorithm_fingerprint`] on a
-/// registered spec.
-pub fn spec_fingerprint(spec: AlgorithmSpec, upload_shuffle: Option<u64>) -> u64 {
-    algorithm_fingerprint(spec.into(), upload_shuffle)
-}
-
-/// Runs `algorithm` for [`SANITIZER_ROUNDS`] rounds and returns the
-/// trajectory fingerprint: per-round metrics bits, communication counters and
-/// the final global model bits.
+/// Runs `algorithm` (a registered spec or any [`SweptAlgorithm`]) for
+/// [`SANITIZER_ROUNDS`] rounds and returns the trajectory fingerprint:
+/// per-round metrics bits, communication counters and the final global model
+/// bits.
 ///
 /// With `upload_shuffle: None` the uploads arrive in dispatch order (the
 /// canonical trajectory); with `Some(seed)` every round's arrival order is
@@ -239,7 +220,8 @@ pub fn spec_fingerprint(spec: AlgorithmSpec, upload_shuffle: Option<u64>) -> u64
 /// straggling device fleet and stall faults, so their cross-round buffer —
 /// the stateful path most exposed to arrival order — actually carries
 /// entries.
-pub fn algorithm_fingerprint(algorithm: SweptAlgorithm, upload_shuffle: Option<u64>) -> u64 {
+pub fn spec_fingerprint(algorithm: impl Into<SweptAlgorithm>, upload_shuffle: Option<u64>) -> u64 {
+    let algorithm = algorithm.into();
     let (data, template) = sanitizer_setup();
     let init = template.params_flat();
     let buffered = algorithm.is_buffered();
@@ -309,17 +291,17 @@ pub fn sweep_spec(
 ) -> SweepOutcome {
     let algorithm = algorithm.into();
     rayon::set_num_threads(0);
-    let canonical = algorithm_fingerprint(algorithm, None);
+    let canonical = spec_fingerprint(algorithm, None);
     let mut variants = Vec::new();
     for &t in threads {
         rayon::set_num_threads(t);
-        variants.push((format!("threads={t}"), algorithm_fingerprint(algorithm, None)));
+        variants.push((format!("threads={t}"), spec_fingerprint(algorithm, None)));
     }
     rayon::set_num_threads(0);
     for &seed in shuffle_seeds {
         variants.push((
             format!("upload-shuffle={seed}"),
-            algorithm_fingerprint(algorithm, Some(seed)),
+            spec_fingerprint(algorithm, Some(seed)),
         ));
     }
     SweepOutcome {

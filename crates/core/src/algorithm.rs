@@ -2,7 +2,7 @@
 
 use crate::acceleration::Acceleration;
 use crate::selection::{mean_pairwise_similarity, SelectionStrategy, SimilarityMeasure};
-use crate::server::{Fusion, Middleware};
+use crate::server::Middleware;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_nn::params::ParamBlock;
@@ -58,7 +58,8 @@ impl FedCross {
     /// The `k` models initially share one buffer (copy-on-write), so
     /// construction is `O(d)`, not `O(K·d)`.
     pub fn new(config: FedCrossConfig, init_params: Vec<f32>, k: usize) -> Self {
-        let middleware = Middleware::new(init_params, k, config.alpha);
+        let middleware =
+            Middleware::new(init_params, k, config.alpha, config.strategy, config.measure);
         Self { config, middleware }
     }
 
@@ -111,13 +112,7 @@ impl FederatedAlgorithm for FedCross {
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
             .collect();
         let acceleration = self.config.acceleration;
-        let fusion = Fusion {
-            alpha: acceleration.alpha_at(round, self.config.alpha),
-            strategy: self.config.strategy,
-            measure: self.config.measure,
-            propellers: acceleration.propellers_at(round),
-        };
-        self.middleware.fuse(round, &slots, &uploads, fusion);
+        self.middleware.fuse(round, &slots, &uploads, acceleration);
         report
     }
 

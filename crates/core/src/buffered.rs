@@ -35,7 +35,8 @@
 //!   reporting a large shard.
 
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
-use crate::server::{Fusion, GlobalModel, Middleware};
+use crate::acceleration::Acceleration;
+use crate::server::{GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
 };
@@ -450,7 +451,13 @@ impl BufferedFedCross {
         Self {
             config,
             num_clients,
-            middleware: Middleware::new(init_params, k, config.alpha),
+            middleware: Middleware::new(
+                init_params,
+                k,
+                config.alpha,
+                config.strategy,
+                config.measure,
+            ),
             inflight: Vec::new(),
             buffer: Vec::new(),
         }
@@ -535,13 +542,8 @@ impl BufferedFedCross {
 
         // alloc: bounded — buffered-plane staging, buffer-bounded per flush
         let slots: Vec<usize> = consumed.iter().map(|entry| entry.slot).collect();
-        let fusion = Fusion {
-            alpha: self.config.alpha,
-            strategy: self.config.strategy,
-            measure: self.config.measure,
-            propellers: 1,
-        };
-        self.middleware.fuse(round, &slots, &candidates, fusion);
+        self.middleware
+            .fuse(round, &slots, &candidates, Acceleration::None);
         report_from(&consumed)
     }
 }

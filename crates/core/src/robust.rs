@@ -21,7 +21,8 @@
 
 use crate::aggregation::RobustRule;
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
-use crate::server::{slot_order, Fusion, GlobalModel, Middleware};
+use crate::acceleration::Acceleration;
+use crate::server::{slot_order, GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
@@ -170,10 +171,9 @@ impl RobustFedCross {
     /// invalid.
     pub fn new(config: RobustFedCrossConfig, init_params: Vec<f32>, k: usize) -> Self {
         config.rule.validate();
-        Self {
-            config,
-            middleware: Middleware::new(init_params, k, config.alpha),
-        }
+        let middleware =
+            Middleware::new(init_params, k, config.alpha, config.strategy, config.measure);
+        Self { config, middleware }
     }
 
     /// The configured hyper-parameters.
@@ -292,13 +292,8 @@ impl RobustFedCross {
             }
         };
 
-        let fusion = Fusion {
-            alpha: self.config.alpha,
-            strategy: self.config.strategy,
-            measure: self.config.measure,
-            propellers: 1,
-        };
-        self.middleware.fuse(round, slots, &sanitized, fusion);
+        self.middleware
+            .fuse(round, slots, &sanitized, Acceleration::None);
         report
     }
 }

@@ -1,24 +1,16 @@
-//! The server skeleton every algorithm shares.
+//! The two server skeletons every algorithm runs on.
 //!
-//! Algorithm 1 of the paper is one procedure: dispatch `K` middleware models
+//! [`Middleware`] is Algorithm 1 of the paper: dispatch `K` middleware models
 //! to a shuffled cohort, train, pick each upload's collaborator, fuse
-//! `α·v_i + (1-α)·v_co` and deploy the middleware mean. FedAvg's round is
-//! the single-model counterpart: dispatch one global model, train, replace it
-//! with an aggregate of the uploads. This module writes each skeleton once:
-//!
-//! * [`Middleware`] owns Algorithm 1's `K` models — validation, dispatch
-//!   with uploads returned in slot order, collaborator selection and
-//!   in-place α-fusion (propeller and lone-survivor rules included), the
-//!   middleware-mean read and snapshot/restore of the model list,
-//! * [`GlobalModel`] owns the same steps for one model — dispatch in
-//!   dispatch order (with a job-builder form for gradient corrections), the
-//!   sample-weighted mean, the read and snapshot/restore.
-//!
-//! The algorithms keep only what varies. The four FedCross variants differ in
-//! how an upload becomes a fusion candidate (identity, robust sanitize,
-//! staleness re-anchor, clip-and-noise); the single-model algorithms differ
-//! in their server rule.
+//! `α·v_i + (1-α)·v_co` and deploy the middleware mean. [`GlobalModel`] is
+//! FedAvg's round: dispatch one global model, train, aggregate. Each owns its
+//! model(s) on the copy-on-write parameter plane together with validation,
+//! dispatch, the deployed read and snapshot/restore, so an algorithm adds
+//! only what varies: a FedCross variant turns uploads into fusion candidates
+//! (identity, robust sanitize, staleness re-anchor, clip-and-noise), a
+//! single-model algorithm supplies its server rule.
 
+use crate::acceleration::Acceleration;
 use crate::aggregation::{
     cross_aggregate_all_into, cross_aggregate_propellers_into, global_model_into,
 };
@@ -29,26 +21,10 @@ use fedcross_flsim::engine::{canonicalize_updates, RoundContext, TrainJob};
 use fedcross_nn::params::{weighted_average_into, ParamBlock};
 use std::borrow::Borrow;
 
-/// How one round fuses its candidates: the cross-aggregation weight α, the
-/// collaborator rule, and how many propeller models each candidate draws
-/// (1 outside propeller acceleration).
-#[derive(Debug, Clone, Copy)]
-pub struct Fusion {
-    /// Cross-aggregation weight α ∈ [0.5, 1).
-    pub alpha: f32,
-    /// Collaborative-model selection strategy.
-    pub strategy: SelectionStrategy,
-    /// Similarity measure of the similarity strategies.
-    pub measure: SimilarityMeasure,
-    /// Propeller models per candidate; above 1 the in-order propeller
-    /// schedule replaces `strategy`.
-    pub propellers: usize,
-}
-
 /// Pairs every upload with the middleware slot that dispatched it
-/// (`selected[slot]` is the client that trained slot `slot`) and returns both
-/// in ascending slot order — the canonical order, so a round's result is a
-/// function of the upload set, never of arrival order.
+/// (`selected[slot]` trained slot `slot`) and returns both in ascending slot
+/// order — the canonical order, which makes a round a function of the upload
+/// set rather than of arrival order.
 ///
 /// # Panics
 /// Panics if an update comes from a client outside `selected`.
@@ -60,11 +36,8 @@ pub fn slot_order<U: Borrow<LocalUpdate>>(
         .into_iter()
         .map(|update| {
             let client = update.borrow().client;
-            let slot = selected
-                .iter()
-                .position(|&c| c == client)
-                .expect("every update comes from a selected client");
-            (slot, update)
+            let slot = selected.iter().position(|&c| c == client);
+            (slot.expect("every update comes from a selected client"), update)
         })
         // alloc: bounded — cohort-sized slot mapping, once per round
         .collect();
@@ -90,28 +63,42 @@ pub fn propeller_indices(round: usize, i: usize, count: usize, n: usize) -> Vec<
     picks
 }
 
-/// Algorithm 1's `K` middleware models on the copy-on-write parameter plane.
+/// Algorithm 1's `K` middleware models and their fusion rule.
 ///
-/// Dispatching the models is `K` reference bumps, and fusion writes each
-/// round's result **into** the retired middleware buffers, so a steady-state
-/// round performs no full-model clones.
+/// Dispatch is `K` reference bumps, and fusion writes each round's result
+/// **into** the retired middleware buffers, so a steady-state round performs
+/// no full-model clones.
 #[derive(Debug, Clone)]
 pub struct Middleware {
     models: Vec<ParamBlock>,
+    alpha: f32,
+    strategy: SelectionStrategy,
+    measure: SimilarityMeasure,
 }
 
 impl Middleware {
-    /// `k` middleware models, all initialised from `init_params`. They share
-    /// one buffer until first written (copy-on-write), so construction is
-    /// `O(d)`, not `O(K·d)`.
+    /// `k` middleware models initialised from `init_params`, fused with
+    /// weight `alpha` and collaborators chosen by `strategy` under
+    /// `measure`. The models share one buffer until first written, so
+    /// construction is `O(d)`, not `O(K·d)`.
     ///
     /// # Panics
     /// Panics if `k < 2` or `alpha` lies outside `[0.5, 1)`.
-    pub fn new(init_params: Vec<f32>, k: usize, alpha: f32) -> Self {
+    pub fn new(
+        init_params: Vec<f32>,
+        k: usize,
+        alpha: f32,
+        strategy: SelectionStrategy,
+        measure: SimilarityMeasure,
+    ) -> Self {
         assert!(k >= 2, "FedCross needs at least two middleware models");
         assert!((0.5..1.0).contains(&alpha), "alpha must lie in [0.5, 1.0)");
+        let models = vec![ParamBlock::from(init_params); k];
         Self {
-            models: vec![ParamBlock::from(init_params); k],
+            models,
+            alpha,
+            strategy,
+            measure,
         }
     }
 
@@ -121,9 +108,9 @@ impl Middleware {
     }
 
     /// Algorithm 1 lines 4–10: selects `K` clients, shuffles them so every
-    /// model gets an equal chance of meeting every client, dispatches model
-    /// `i` to client `i` and trains. Returns the slots that uploaded and
-    /// their uploads, both in slot order; a dropped client's slot is absent.
+    /// model meets every client with equal chance, dispatches model `i` to
+    /// client `i` and trains. Returns the slots that uploaded and their
+    /// uploads in slot order; a dropped client's slot is absent.
     ///
     /// # Panics
     /// Panics if the round's cohort size differs from `K`.
@@ -149,70 +136,61 @@ impl Middleware {
         slot_order(&selected, updates)
     }
 
-    /// Algorithm 1 lines 11–14: fuses candidate `i` with its collaborator(s)
-    /// into the retired model of slot `slots[i]` (`slots` ascending, one per
-    /// candidate). Slots without a candidate carry over; a lone candidate
-    /// has no collaborator and is kept as trained.
+    /// Algorithm 1 lines 11–14: fuses candidate `i` with its collaborator
+    /// (or, during propeller `acceleration`, its propellers) into the
+    /// retired model of slot `slots[i]`. Slots without a candidate carry
+    /// over; a lone candidate has no collaborator and is kept as trained.
     ///
     /// # Panics
-    /// Panics if `slots` is not strictly ascending, is out of range, or its
-    /// length differs from `candidates`.
+    /// Panics unless `slots` holds one strictly ascending, in-range slot per
+    /// candidate.
     pub fn fuse<V: AsRef<[f32]> + Sync>(
         &mut self,
         round: usize,
         slots: &[usize],
         candidates: &[V],
-        fusion: Fusion,
+        acceleration: Acceleration,
     ) {
-        assert_eq!(slots.len(), candidates.len(), "one slot per candidate");
+        assert!(
+            slots.len() == candidates.len() && slots.windows(2).all(|w| w[0] < w[1]),
+            "fusion needs one strictly ascending slot per candidate"
+        );
         match candidates {
             [] => return,
             [candidate] => {
                 // Copy into the retired buffer rather than adopting the
                 // candidate: an upload shares its buffer with the client
                 // worker's reusable slot, which would otherwise re-allocate.
-                self.models[slots[0]]
-                    .make_mut()
-                    .copy_from_slice(candidate.as_ref());
+                let out = self.models[slots[0]].make_mut();
+                out.copy_from_slice(candidate.as_ref());
                 return;
             }
             _ => {}
         }
         let n = candidates.len();
-        let partners = (fusion.propellers <= 1)
-            .then(|| {
-                fusion
-                    .strategy
-                    .select_all_with(round, candidates, fusion.measure)
-            });
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        let mut targets: Vec<&mut [f32]> = Vec::with_capacity(n);
-        let mut wanted = slots.iter().peekable();
-        for (slot, model) in self.models.iter_mut().enumerate() {
-            if wanted.next_if_eq(&&slot).is_some() {
-                targets.push(model.make_mut());
-            }
+        let alpha = acceleration.alpha_at(round, self.alpha);
+        let propellers = acceleration.propellers_at(round);
+        let mut targets: Vec<&mut [f32]> = self
+            .models
+            .iter_mut()
+            .enumerate()
+            .filter(|(slot, _)| slots.contains(slot))
+            .map(|(_, model)| model.make_mut().as_mut_slice())
+            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+            .collect();
+        assert_eq!(targets.len(), n, "fusion slot out of range");
+        if propellers <= 1 {
+            let partners = self.strategy.select_all_with(round, candidates, self.measure);
+            cross_aggregate_all_into(&mut targets, candidates, &partners, alpha);
+            return;
         }
-        assert_eq!(targets.len(), n, "fusion slots must be strictly ascending");
-        match partners {
-            Some(partners) => {
-                cross_aggregate_all_into(&mut targets, candidates, &partners, fusion.alpha)
-            }
-            None => {
-                for (i, target) in targets.into_iter().enumerate() {
-                    let propellers: Vec<&[f32]> = propeller_indices(round, i, fusion.propellers, n)
-                        .into_iter()
-                        .map(|j| candidates[j].as_ref())
-                        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-                        .collect();
-                    cross_aggregate_propellers_into(
-                        target,
-                        candidates[i].as_ref(),
-                        &propellers,
-                        fusion.alpha,
-                    );
-                }
-            }
+        for (i, target) in targets.into_iter().enumerate() {
+            let picks: Vec<&[f32]> = propeller_indices(round, i, propellers, n)
+                .into_iter()
+                .map(|j| candidates[j].as_ref())
+                // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+                .collect();
+            cross_aggregate_propellers_into(target, candidates[i].as_ref(), &picks, alpha);
         }
     }
 
@@ -224,16 +202,14 @@ impl Middleware {
         global_model_into(out, &self.models);
     }
 
-    /// The model list in slot order — the whole training state of plain
-    /// FedCross. `K` reference bumps, no `O(K·d)` copy.
+    /// The model list in slot order (`K` reference bumps).
     pub fn snapshot(&self) -> AlgorithmState {
         AlgorithmState::multi_model(self.models.clone())
     }
 
-    /// Restores a [`Middleware::snapshot`], rejecting a model list of the
-    /// wrong count or dimension without touching the current models. The
-    /// first fusion after a restore pays one copy-on-write duplication per
-    /// block, like any server that retains a reader of its middleware.
+    /// Restores a [`Middleware::snapshot`]; a model list of the wrong count
+    /// or dimension is rejected and leaves the models untouched. The first
+    /// fusion afterwards pays one copy-on-write duplication per block.
     pub fn restore(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
         let models = state.expect_models(self.models.len(), self.models[0].len())?;
         self.models = models.to_vec();
@@ -241,9 +217,9 @@ impl Middleware {
     }
 }
 
-/// The single global model of FedAvg-style algorithms, on the copy-on-write
-/// parameter plane: dispatch is a reference bump per client, and server
-/// rules write the next model into the retired buffer in place.
+/// The single global model of FedAvg-style algorithms. Dispatch is a
+/// reference bump per client, and server rules write the next model into the
+/// retired buffer in place.
 #[derive(Debug, Clone)]
 pub struct GlobalModel {
     model: ParamBlock,
@@ -256,9 +232,8 @@ impl GlobalModel {
     /// Panics on empty initial parameters.
     pub fn new(init_params: Vec<f32>) -> Self {
         assert!(!init_params.is_empty(), "initial parameters must not be empty");
-        Self {
-            model: ParamBlock::from(init_params),
-        }
+        let model = ParamBlock::from(init_params);
+        Self { model }
     }
 
     /// The current global model.
@@ -266,8 +241,8 @@ impl GlobalModel {
         &self.model
     }
 
-    /// Mutable access for a server rule. Dispatch references are gone by the
-    /// time a round aggregates, so this reuses the retired buffer.
+    /// Write access for a server rule; the dispatch references are gone by
+    /// the time a round aggregates, so this reuses the retired buffer.
     pub fn params_mut(&mut self) -> &mut [f32] {
         self.model.make_mut()
     }
@@ -275,10 +250,8 @@ impl GlobalModel {
     /// Dispatches the global model to `selected` as plain training jobs and
     /// returns the uploads in dispatch order.
     pub fn dispatch(&self, ctx: &mut RoundContext<'_>, selected: &[usize]) -> Vec<LocalUpdate> {
-        self.dispatch_jobs(ctx, selected, |client, model| {
-            // alloc: bounded — one reference bump per client; the model is shared, not copied
-            TrainJob::plain(client, model.clone())
-        })
+        // alloc: bounded — one reference bump per client; the model is shared, not copied
+        self.dispatch_jobs(ctx, selected, |client, model| TrainJob::plain(client, model.clone()))
     }
 
     /// Dispatches the global model to `selected` through `job`, which builds
@@ -291,19 +264,15 @@ impl GlobalModel {
         selected: &[usize],
         mut job: impl FnMut(usize, &ParamBlock) -> TrainJob,
     ) -> Vec<LocalUpdate> {
-        let jobs = selected
-            .iter()
-            .map(|&client| job(client, &self.model))
-            // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            .collect();
+        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
+        let jobs = selected.iter().map(|&client| job(client, &self.model)).collect();
         let mut updates = ctx.local_train_jobs(jobs);
         canonicalize_updates(&mut updates, selected);
         updates
     }
 
-    /// Replaces the global model with the sample-count-weighted mean of the
-    /// uploads (FedAvg's rule), in their slice order. An empty round carries
-    /// the model over.
+    /// FedAvg's rule: replaces the model with the sample-count-weighted mean
+    /// of the uploads, in slice order. An empty round carries it over.
     pub fn weighted_mean(&mut self, updates: &[LocalUpdate]) {
         if updates.is_empty() {
             return;
@@ -324,13 +293,13 @@ impl GlobalModel {
         out.extend_from_slice(&self.model);
     }
 
-    /// The global model as a checkpoint state (a reference bump).
+    /// The global model as checkpoint state (a reference bump).
     pub fn snapshot(&self) -> AlgorithmState {
         AlgorithmState::single_model(self.model.clone())
     }
 
-    /// Restores a [`GlobalModel::snapshot`], rejecting a model of the wrong
-    /// dimension without touching the current one.
+    /// Restores a [`GlobalModel::snapshot`]; a model of the wrong dimension
+    /// is rejected and leaves the current one untouched.
     pub fn restore(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
         self.model = state.expect_single_model(self.model.len())?.clone();
         Ok(())
@@ -352,13 +321,12 @@ mod tests {
         }
     }
 
-    fn in_order(alpha: f32) -> Fusion {
-        Fusion {
-            alpha,
-            strategy: SelectionStrategy::InOrder,
-            measure: SimilarityMeasure::Cosine,
-            propellers: 1,
-        }
+    fn in_order(k: usize, alpha: f32, init: Vec<f32>) -> Middleware {
+        Middleware::new(init, k, alpha, SelectionStrategy::InOrder, SimilarityMeasure::Cosine)
+    }
+
+    fn bits(model: &ParamBlock) -> Vec<u32> {
+        model.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -375,9 +343,9 @@ mod tests {
 
     #[test]
     fn fuse_writes_returned_slots_and_carries_the_rest() {
-        let mut middleware = Middleware::new(vec![9.0, 9.0], 4, 0.75);
+        let mut middleware = in_order(4, 0.75, vec![9.0, 9.0]);
         let candidates = [vec![1.0f32, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
-        middleware.fuse(0, &[0, 2, 3], &candidates, in_order(0.75));
+        middleware.fuse(0, &[0, 2, 3], &candidates, Acceleration::None);
         let partners = SelectionStrategy::InOrder.select_all(0, &candidates);
         for (i, slot) in [0usize, 2, 3].into_iter().enumerate() {
             let expected = cross_aggregate(&candidates[i], &candidates[partners[i]], 0.75);
@@ -388,41 +356,45 @@ mod tests {
 
     #[test]
     fn lone_candidate_is_kept_as_trained() {
-        let mut middleware = Middleware::new(vec![0.0], 3, 0.9);
-        middleware.fuse(4, &[1], &[vec![3.5f32]], in_order(0.9));
+        let mut middleware = in_order(3, 0.9, vec![0.0]);
+        middleware.fuse(4, &[1], &[vec![3.5f32]], Acceleration::None);
         let values: Vec<f32> = middleware.models().iter().map(|m| m[0]).collect();
         assert_eq!(values, vec![0.0, 3.5, 0.0]);
+        middleware.fuse(5, &[], &[] as &[Vec<f32>], Acceleration::None);
+        assert_eq!(middleware.models()[1][0], 3.5);
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn fuse_rejects_unsorted_slots() {
-        let mut middleware = Middleware::new(vec![0.0], 3, 0.9);
-        middleware.fuse(0, &[2, 0], &[vec![1.0f32], vec![2.0]], in_order(0.9));
+        let mut middleware = in_order(3, 0.9, vec![0.0]);
+        middleware.fuse(0, &[2, 0], &[vec![1.0f32], vec![2.0]], Acceleration::None);
     }
 
     #[test]
-    fn single_propeller_matches_plain_fusion_bitwise() {
+    fn a_single_propeller_matches_plain_fusion_bitwise() {
+        // With two candidates the propeller schedule picks the other one,
+        // so propeller fusion must reproduce plain fusion bit for bit.
         let candidates = [vec![0.3f32, -1.7, 2.9], vec![1.1, 0.2, -0.4]];
-        let mut plain = Middleware::new(vec![0.0; 3], 2, 0.9);
-        plain.fuse(1, &[0, 1], &candidates, in_order(0.9));
-        let mut propelled = Middleware::new(vec![0.0; 3], 2, 0.9);
-        propelled.fuse(1, &[0, 1], &candidates, Fusion {
+        let mut plain = in_order(2, 0.9, vec![0.0; 3]);
+        plain.fuse(1, &[0, 1], &candidates, Acceleration::None);
+        let mut propelled = in_order(2, 0.9, vec![0.0; 3]);
+        let acceleration = Acceleration::PropellerModels {
             propellers: 3,
-            ..in_order(0.9)
-        });
+            until_round: 5,
+        };
+        propelled.fuse(1, &[0, 1], &candidates, acceleration);
         for (a, b) in plain.models().iter().zip(propelled.models()) {
-            let bits = |m: &ParamBlock| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b));
         }
     }
 
     #[test]
     fn restore_rejects_a_wrong_shape_and_keeps_the_models() {
-        let mut middleware = Middleware::new(vec![1.0, 2.0], 3, 0.9);
-        let foreign = Middleware::new(vec![0.0, 0.0], 4, 0.9).snapshot();
-        assert!(middleware.restore(&foreign).is_err());
-        assert_eq!(middleware.models().len(), 3);
+        let mut middleware = in_order(3, 0.9, vec![1.0, 2.0]);
+        assert!(middleware.restore(&in_order(4, 0.9, vec![0.0; 2]).snapshot()).is_err());
+        assert!(middleware.restore(&in_order(3, 0.9, vec![0.0; 3]).snapshot()).is_err());
+        assert!(middleware.models().iter().all(|m| m.as_slice() == [1.0, 2.0]));
         let mut global = GlobalModel::new(vec![1.0]);
         assert!(global.restore(&GlobalModel::new(vec![0.0, 0.0]).snapshot()).is_err());
         assert_eq!(global.params().as_slice(), &[1.0]);

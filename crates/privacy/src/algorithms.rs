@@ -25,7 +25,8 @@ use crate::accountant::RdpAccountant;
 use crate::mechanism::{privatize_aggregate, privatize_client_delta, DpConfig};
 use crate::secure_agg::{aggregate_masked, PairwiseMasker};
 use fedcross::selection::{SelectionStrategy, SimilarityMeasure};
-use fedcross::server::{slot_order, Fusion, GlobalModel, Middleware};
+use fedcross::server::{slot_order, GlobalModel, Middleware};
+use fedcross::Acceleration;
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
 };
@@ -285,7 +286,13 @@ impl DpFedCross {
     pub fn new(config: DpFedCrossConfig, init_params: Vec<f32>, k: usize, noise_seed: u64) -> Self {
         Self {
             config,
-            middleware: Middleware::new(init_params, k, config.alpha),
+            middleware: Middleware::new(
+                init_params,
+                k,
+                config.alpha,
+                config.strategy,
+                config.measure,
+            ),
             client_noise: RoundStreams::new(StreamDomain::DpClientNoise, noise_seed),
             central_noise: RoundStreams::new(StreamDomain::DpCentralNoise, noise_seed),
             accountant: None,
@@ -381,13 +388,8 @@ impl DpFedCross {
             })
             // alloc: bounded — cohort-sized aggregation staging, once per round
             .collect();
-        let fusion = Fusion {
-            alpha: self.config.alpha,
-            strategy: self.config.strategy,
-            measure: self.config.measure,
-            propellers: 1,
-        };
-        self.middleware.fuse(round, slots, &candidates, fusion);
+        self.middleware
+            .fuse(round, slots, &candidates, Acceleration::None);
 
         if let Some(accountant) = self.accountant.as_mut() {
             accountant.step_with_rate(participants as f64 / num_clients.max(1) as f64);

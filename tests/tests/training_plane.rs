@@ -11,7 +11,7 @@
 //! trajectory fingerprint of every shipped algorithm the same way.
 
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
-use fedcross_bench::determinism::{algorithm_fingerprint, SweptAlgorithm};
+use fedcross_bench::determinism::{spec_fingerprint, SweptAlgorithm};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{Batch, Dataset, Heterogeneity};
 use fedcross_flsim::client::local_train;
@@ -466,7 +466,7 @@ fn every_algorithm_matches_its_pinned_fingerprint() {
         .zip(ALGORITHM_FINGERPRINTS)
         .filter_map(|(algorithm, (label, pinned))| {
             assert_eq!(algorithm.label(), label, "pin table order drifted");
-            let actual = algorithm_fingerprint(*algorithm, None);
+            let actual = spec_fingerprint(*algorithm, None);
             (actual != pinned).then(|| format!("{label}: {actual:016x} != pinned {pinned:016x}"))
         })
         .collect();
