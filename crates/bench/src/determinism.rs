@@ -23,10 +23,10 @@ use fedcross_flsim::{
     DeviceModel, FaultPlan, FederatedAlgorithm, LocalTrainConfig, RoundPolicy, Simulation,
     SimulationConfig,
 };
-use fedcross_privacy::algorithms::DpFedCrossConfig;
-use fedcross_privacy::{DpConfig, DpFedAvg, DpFedCross, NoisePlacement, SecureAggFedAvg};
 use fedcross_nn::models::{cnn, CnnConfig};
 use fedcross_nn::Model;
+use fedcross_privacy::algorithms::DpFedCrossConfig;
+use fedcross_privacy::{DpConfig, DpFedAvg, DpFedCross, NoisePlacement, SecureAggFedAvg};
 use fedcross_tensor::SeededRng;
 
 /// Federation size of the sanitizer task.
@@ -173,9 +173,9 @@ impl SweptAlgorithm {
     /// Every shipped algorithm: the registered specs, then the privacy and
     /// compression algorithms.
     pub fn shipped() -> Vec<SweptAlgorithm> {
-        let registered = AlgorithmSpec::registered().into_iter().map(Self::Registered);
+        let registered = AlgorithmSpec::registered().into_iter();
         let others = UNREGISTERED.map(|(label, build)| Self::Unregistered(label, build));
-        registered.chain(others).collect()
+        registered.map(Self::Registered).chain(others).collect()
     }
 
     /// A short display label.

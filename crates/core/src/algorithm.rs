@@ -58,8 +58,13 @@ impl FedCross {
     /// The `k` models initially share one buffer (copy-on-write), so
     /// construction is `O(d)`, not `O(K·d)`.
     pub fn new(config: FedCrossConfig, init_params: Vec<f32>, k: usize) -> Self {
-        let middleware =
-            Middleware::new(init_params, k, config.alpha, config.strategy, config.measure);
+        let FedCrossConfig {
+            alpha,
+            strategy,
+            measure,
+            ..
+        } = config;
+        let middleware = Middleware::new(init_params, k, alpha, strategy, measure);
         Self { config, middleware }
     }
 

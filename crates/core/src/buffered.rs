@@ -34,8 +34,8 @@
 //!   like the robust rules: a stale client must not buy weight back by
 //!   reporting a large shard.
 
-use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use crate::acceleration::Acceleration;
+use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use crate::server::{GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
@@ -363,8 +363,9 @@ impl FederatedAlgorithm for BufferedFedAvg {
         let selected = ctx.select_clients();
         let updates = self.global.dispatch(ctx, &selected);
         let outcomes = ctx.upload_outcomes(&updates);
+        let global = self.global.params();
         for (update, outcome) in updates.into_iter().zip(outcomes) {
-            send(&mut self.inflight, round, 0, update, outcome, self.global.params());
+            send(&mut self.inflight, round, 0, update, outcome, global);
         }
         let arrivals = collect_due(&mut self.inflight, round);
         self.absorb(round, goal_k, max_staleness, arrivals)

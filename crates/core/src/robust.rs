@@ -19,9 +19,9 @@
 //! hands Byzantine clients a free amplification knob (report a huge
 //! `num_samples`), so the robust variants deliberately ignore it.
 
+use crate::acceleration::Acceleration;
 use crate::aggregation::RobustRule;
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
-use crate::acceleration::Acceleration;
 use crate::server::{slot_order, GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
@@ -171,8 +171,13 @@ impl RobustFedCross {
     /// invalid.
     pub fn new(config: RobustFedCrossConfig, init_params: Vec<f32>, k: usize) -> Self {
         config.rule.validate();
-        let middleware =
-            Middleware::new(init_params, k, config.alpha, config.strategy, config.measure);
+        let RobustFedCrossConfig {
+            alpha,
+            strategy,
+            measure,
+            ..
+        } = config;
+        let middleware = Middleware::new(init_params, k, alpha, strategy, measure);
         Self { config, middleware }
     }
 
@@ -292,6 +297,8 @@ impl RobustFedCross {
             }
         };
 
+        // Cross-aggregation then runs on the sanitized models exactly as
+        // plain FedCross runs it on the uploads.
         self.middleware
             .fuse(round, slots, &sanitized, Acceleration::None);
         report

@@ -427,7 +427,8 @@ impl FederatedAlgorithm for DpFedCross {
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        Ok(with_accountant(self.middleware.snapshot(), &self.accountant))
+        let state = self.middleware.snapshot();
+        Ok(with_accountant(state, &self.accountant))
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {

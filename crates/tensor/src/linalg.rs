@@ -232,6 +232,9 @@ fn with_packed_transpose<R>(
     body: impl FnOnce(&[f32]) -> R,
 ) -> R {
     let len = rows * cols;
+    // A panic elsewhere cannot leave the list invalid — every entry is plain
+    // scratch whose contents are overwritten before use — so a poisoned lock
+    // is recovered rather than propagated.
     let mut scratch = {
         let mut free = PACK_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner);
         let fits = |b: &Vec<f32>| b.len() >= len;
