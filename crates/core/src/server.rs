@@ -69,7 +69,7 @@ pub(crate) fn propeller_indices(round: usize, i: usize, count: usize, n: usize) 
 /// Dispatch is `K` reference bumps, and fusion writes each round's result
 /// **into** the retired middleware buffers, so a steady-state round performs
 /// no full-model clones.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Middleware {
     models: Vec<ParamBlock>,
     alpha: f32,
@@ -223,7 +223,7 @@ impl Middleware {
 /// The single global model of FedAvg-style algorithms. Dispatch is a
 /// reference bump per client, and server rules write the next model into the
 /// retired buffer in place.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GlobalModel {
     model: ParamBlock,
 }
