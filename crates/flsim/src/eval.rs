@@ -74,8 +74,8 @@ pub fn evaluate_params(
 /// on each call; an `EvalWorker` pays that cost once and then evaluates with
 /// zero model constructions and zero full-activation allocations — the
 /// evaluation half of the persistent round plane. Produces bit-for-bit the
-/// numbers [`evaluate`] produces (the pooled forward/loss forms are pinned
-/// bitwise-identical to the allocating ones).
+/// numbers [`evaluate`] produces (a warm pool and a throwaway one give the
+/// same bits).
 pub struct EvalWorker {
     model: Box<dyn Model>,
     pool: TensorPool,

@@ -8,7 +8,8 @@
 //! lint: a path that might be hot is treated as hot.
 //!
 //! Two deliberate holes keep the over-approximation from swallowing the
-//! whole workspace (documented in docs/LINTS.md under "conservatism"):
+//! whole workspace (documented in docs/LINTS.md under "Hot-path roots and
+//! the call graph"):
 //!
 //! * **Constructor boundary** — edges whose callee is named `new`,
 //!   `default` or `with_capacity` are not traversed. Construction is the
@@ -18,11 +19,6 @@
 //! * **Allocation sinks** — edges into `clone`/`to_vec`/`collect`-style
 //!   callees are not traversed because those *call sites* are themselves
 //!   what rule A001 flags; their bodies add nothing.
-//! * **Fallback-twin edges** — an edge from `x_into` to a callee named `x`
-//!   is the pooled form falling back to its allocating twin (rule D006
-//!   *mandates* that twin exist; trait defaults delegate to it on the
-//!   cold/unpooled path). Traversing it would flag the documented
-//!   allocating API from its own zero-alloc counterpart.
 //!
 //! The runtime half of the plane (`fedcross_tensor::alloc_guard` under the
 //! `sanitize-alloc` feature) backstops whatever slips through these holes.
@@ -175,14 +171,8 @@ impl CallGraph {
             }
         }
         while let Some(idx) = queue.pop_front() {
-            let caller_name = &files[nodes[idx].file].parsed.fns[nodes[idx].item].name;
             for callee in &calls[idx] {
                 if boundary.contains(callee.as_str()) {
-                    continue;
-                }
-                // Fallback-twin edge: `x_into` delegating to its allocating
-                // counterpart `x` (see module docs).
-                if caller_name.strip_suffix("_into") == Some(callee.as_str()) {
                     continue;
                 }
                 if let Some(targets) = by_name.get(callee) {
@@ -321,15 +311,17 @@ mod tests {
     }
 
     #[test]
-    fn fallback_twin_edge_is_not_traversed() {
+    fn fallback_twin_edge_is_traversed() {
         let (_, g) = graph(&[(
             "nn",
             "layers.rs",
             "pub fn forward_into(d: &mut [f32]) {\n    let cold = forward(d);\n}\npub fn forward(d: &[f32]) -> Vec<f32> {\n    deep_alloc(d)\n}\nfn deep_alloc(d: &[f32]) -> Vec<f32> { d.to_vec() }\n",
         )]);
-        assert!(!g.reachable[g.nodes_named("forward")[0]], "allocating twin stays cold");
-        assert!(!g.reachable[g.nodes_named("deep_alloc")[0]]);
-        // …but an unrelated callee of the same pooled form is still traversed.
+        // A pooled form that calls its allocating twin puts the twin on the
+        // hot path like any other callee.
+        assert!(g.reachable[g.nodes_named("forward")[0]], "allocating twin is hot");
+        assert!(g.reachable[g.nodes_named("deep_alloc")[0]]);
+        // …and so is an unrelated callee of the same pooled form.
         let (_, g) = graph(&[(
             "nn",
             "layers.rs",

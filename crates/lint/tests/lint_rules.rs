@@ -116,12 +116,17 @@ fn a001_fixture_trips_through_multiple_call_hops() {
 }
 
 #[test]
-fn a001_stays_silent_on_the_pooled_fallback_pattern() {
-    // `forward_into` calling its allocating twin `forward` is the
-    // arena-miss fallback D006 mandates — the twin edge is cut, so the
-    // twin's allocations never reach the hot path.
-    let findings = lint_fixture("nn", "layer.rs", "a_pooled_ok.rs");
-    assert!(findings.is_empty(), "false positives: {findings:#?}");
+fn a001_reports_the_allocating_twin_behind_a_pooled_form() {
+    // `forward_into` calling its allocating twin `forward` puts the twin on
+    // the hot path: the call graph has no fallback-twin cut.
+    let findings = lint_fixture("nn", "layer.rs", "a_fallback_twin.rs");
+    let a001: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::A001).collect();
+    assert_eq!(a001.len(), 1, "{findings:#?}");
+    assert!(
+        a001[0].message.contains("forward_into -> forward"),
+        "twin chain missing: {a001:#?}"
+    );
+    assert_eq!(findings.len(), 1, "{findings:#?}");
 }
 
 #[test]

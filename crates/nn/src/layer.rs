@@ -34,48 +34,49 @@ impl Param {
 ///
 /// Layers cache whatever they need from the forward pass (inputs, masks,
 /// im2col matrices, per-timestep LSTM states) to compute gradients in
-/// [`Layer::backward`]. Gradients accumulate into each [`Param::grad`]; the
-/// optimizer reads and the caller clears them.
+/// [`Layer::backward_into`]. Gradients accumulate into each [`Param::grad`];
+/// the optimizer reads and the caller clears them.
+///
+/// The pooled forms are the one implementation: every transient buffer
+/// comes from a [`TensorPool`], and [`Layer::forward`] / [`Layer::backward`]
+/// run them over a throwaway pool.
 pub trait Layer: Send {
     /// Forward pass. `train` enables training-time behaviour such as dropout.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    ///
+    /// Every transient buffer (the returned activation, internal caches,
+    /// scratch matrices) is checked out of `pool` and previous caches are
+    /// recycled into it, so a steady-state training loop performs zero
+    /// full-activation allocations. The result must not depend on what the
+    /// pool holds: a warm pool and a fresh one give the same bits (pinned by
+    /// the training-plane tests).
+    fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor;
 
     /// Backward pass: receives `dL/d(output)` and returns `dL/d(input)`,
-    /// accumulating parameter gradients internally.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+    /// accumulating parameter gradients internally. Buffers come from `pool`
+    /// as in [`Layer::forward_into`]; the returned gradient is pool-owned and
+    /// should be recycled by the caller once consumed.
+    fn backward_into(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor;
 
-    /// Pooled forward pass: like [`Layer::forward`], but every transient
-    /// buffer (the returned activation, internal caches, scratch matrices) is
-    /// checked out of `pool` and previous caches are recycled into it, so a
-    /// steady-state training loop performs zero full-activation allocations.
-    ///
-    /// Must be **bitwise identical** to [`Layer::forward`] (enforced by the
-    /// training-plane equivalence tests). The default implementation falls
-    /// back to the allocating form, so external layers keep working without
-    /// changes — they just don't benefit from the arena.
-    fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor {
-        let _ = pool;
-        self.forward(input, train)
-    }
-
-    /// Pooled backward pass; see [`Layer::forward_into`]. The returned
-    /// gradient is pool-owned and should be recycled by the caller once
-    /// consumed.
-    fn backward_into(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor {
-        let _ = pool;
-        self.backward(grad_output)
-    }
-
-    /// Pooled backward pass for a chain's **first** layer: parameter
-    /// gradients are accumulated exactly as in [`Layer::backward_into`], but
-    /// the caller never reads `dL/d(input)`, so layers whose input gradient
-    /// is expensive (matmul + col2im for convolutions, a matmul for linear)
+    /// Backward pass for a chain's **first** layer: parameter gradients are
+    /// accumulated exactly as in [`Layer::backward_into`], but the caller
+    /// never reads `dL/d(input)`, so layers whose input gradient is
+    /// expensive (matmul + col2im for convolutions, a matmul for linear)
     /// override this to skip computing it entirely. Parameter gradients —
     /// the only observable output — are bit-for-bit those of the full
     /// backward pass.
     fn backward_into_discard(&mut self, grad_output: &Tensor, pool: &mut TensorPool) {
         let grad = self.backward_into(grad_output, pool);
         pool.recycle(grad);
+    }
+
+    /// [`Layer::forward_into`] over a throwaway pool.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_into(input, train, &mut TensorPool::new())
+    }
+
+    /// [`Layer::backward_into`] over a throwaway pool.
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_into(grad_output, &mut TensorPool::new())
     }
 
     /// Immutable access to this layer's parameters (possibly empty).

@@ -17,16 +17,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.mask = Some(input.relu_mask());
-        input.relu()
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("backward called before forward");
-        grad_output.mul(mask)
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         if let Some(old) = self.mask.take() {
             pool.recycle(old);
@@ -83,18 +73,6 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.tanh();
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self.output.as_ref().expect("backward called before forward");
-        // d tanh(x)/dx = 1 - tanh(x)^2
-        grad_output.zip_map(out, |g, y| g * (1.0 - y * y))
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         if let Some(old) = self.output.take() {
             pool.recycle(old);
@@ -150,18 +128,6 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.sigmoid();
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self.output.as_ref().expect("backward called before forward");
-        // dσ(x)/dx = σ(x)(1 - σ(x))
-        grad_output.zip_map(out, |g, y| g * y * (1.0 - y))
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         if let Some(old) = self.output.take() {
             pool.recycle(old);

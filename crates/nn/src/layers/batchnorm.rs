@@ -69,21 +69,24 @@ impl BatchNorm2d {
         let var = ((sum_sq / m as f64) - (sum / m as f64).powi(2)).max(0.0) as f32;
         (mean, var)
     }
+}
 
-    /// Computes the per-channel statistics (updating the running buffers in
-    /// train mode) and fills `xhat` / `out`; the one forward body shared by
-    /// the allocating and pooled forms.
-    fn forward_impl(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        means: &mut Vec<f32>,
-        vars: &mut Vec<f32>,
-        xhat: &mut Tensor,
-        out: &mut Tensor,
-    ) {
+impl Layer for BatchNorm2d {
+    fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor {
+        assert_eq!(input.rank(), 4, "BatchNorm2d expects [N, C, H, W] input");
+        assert_eq!(input.dims()[1], self.channels, "channel count mismatch");
+        if let Some(old) = self.cached_input.take() {
+            pool.recycle(old);
+        }
+        if let Some(old) = self.cached_xhat.take() {
+            pool.recycle(old);
+        }
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let mut xhat = pool.take_uninit(dims);
+        let mut out = pool.take_uninit(dims);
+        // The per-channel stat vectors keep their capacity across steps.
+        let (means, vars) = (&mut self.cached_mean, &mut self.cached_var);
         means.clear();
         means.resize(c, 0.0);
         vars.clear();
@@ -104,10 +107,6 @@ impl BatchNorm2d {
             vars.copy_from_slice(self.running_var.value.data());
         }
 
-        assert_eq!(xhat.numel(), input.numel(), "wrong xhat buffer size");
-        assert_eq!(out.numel(), input.numel(), "wrong output buffer size");
-        xhat.reshape_in_place(dims);
-        out.reshape_in_place(dims);
         let xd = input.data();
         let xh = xhat.data_mut();
         let od = out.data_mut();
@@ -124,11 +123,13 @@ impl BatchNorm2d {
                 }
             }
         }
+        self.cached_input = Some(pool.take_copy(input));
+        self.cached_xhat = Some(xhat);
+        self.used_batch_stats = train;
+        out
     }
 
-    /// The one backward body shared by the allocating and pooled forms;
-    /// `grad_input` is fully overwritten.
-    fn backward_impl(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
@@ -138,8 +139,7 @@ impl BatchNorm2d {
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let m = (n * h * w) as f32;
 
-        assert_eq!(grad_input.numel(), input.numel(), "wrong grad buffer size");
-        grad_input.reshape_in_place(&[n, c, h, w]);
+        let mut grad_input = pool.take_uninit(dims);
         let gi = grad_input.data_mut();
         let dy = grad_output.data();
         let xh = xhat.data();
@@ -180,69 +180,6 @@ impl BatchNorm2d {
                 }
             }
         }
-    }
-}
-
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.rank(), 4, "BatchNorm2d expects [N, C, H, W] input");
-        assert_eq!(input.dims()[1], self.channels, "channel count mismatch");
-        let mut means = Vec::new();
-        let mut vars = Vec::new();
-        let mut xhat = Tensor::zeros_like(input);
-        let mut out = Tensor::zeros_like(input);
-        self.forward_impl(input, train, &mut means, &mut vars, &mut xhat, &mut out);
-        self.cached_input = Some(input.clone());
-        self.cached_mean = means;
-        self.cached_var = vars;
-        self.cached_xhat = Some(xhat);
-        self.used_batch_stats = train;
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::zeros_like(
-            self.cached_input
-                .as_ref()
-                .expect("backward called before forward"),
-        );
-        self.backward_impl(grad_output, &mut grad_input);
-        grad_input
-    }
-
-    fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor {
-        assert_eq!(input.rank(), 4, "BatchNorm2d expects [N, C, H, W] input");
-        assert_eq!(input.dims()[1], self.channels, "channel count mismatch");
-        if let Some(old) = self.cached_input.take() {
-            pool.recycle(old);
-        }
-        if let Some(old) = self.cached_xhat.take() {
-            pool.recycle(old);
-        }
-        // Reuse the per-channel stat vectors' capacity across steps.
-        let mut means = std::mem::take(&mut self.cached_mean);
-        let mut vars = std::mem::take(&mut self.cached_var);
-        let mut xhat = pool.take_uninit(input.dims());
-        let mut out = pool.take_uninit(input.dims());
-        self.forward_impl(input, train, &mut means, &mut vars, &mut xhat, &mut out);
-        self.cached_input = Some(pool.take_copy(input));
-        self.cached_mean = means;
-        self.cached_var = vars;
-        self.cached_xhat = Some(xhat);
-        self.used_batch_stats = train;
-        out
-    }
-
-    fn backward_into(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor {
-        let mut grad_input = {
-            let input = self
-                .cached_input
-                .as_ref()
-                .expect("backward called before forward");
-            let d = input.dims();
-            pool.take_uninit(&[d[0], d[1], d[2], d[3]])
-        };
-        self.backward_impl(grad_output, &mut grad_input);
         grad_input
     }
 

@@ -1,7 +1,7 @@
 //! 2-D convolution layer implemented with `im2col`.
 
 use crate::layer::{Layer, Param};
-use fedcross_tensor::conv::{col2im, col2im_into, im2col, im2col_into, im2col_shape, Conv2dGeom};
+use fedcross_tensor::conv::{col2im_into, im2col_into, im2col_shape, Conv2dGeom};
 use fedcross_tensor::linalg::transpose_into;
 use fedcross_tensor::{init, SeededRng, Tensor, TensorPool};
 
@@ -60,12 +60,6 @@ impl Conv2d {
     /// layout `[N, OC, OH, OW]`: one tiled `[OH*OW, OC] -> [OC, OH*OW]`
     /// transpose per image (pure data movement, cache-blocked on both sides
     /// instead of the seed's strided scatter).
-    fn cols_to_images(mat: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
-        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-        Self::cols_to_images_into(mat, n, oc, oh, ow, &mut out);
-        out
-    }
-
     fn cols_to_images_into(
         mat: &Tensor,
         n: usize,
@@ -91,14 +85,6 @@ impl Conv2d {
 
     /// Converts an image-layout gradient `[N, OC, OH, OW]` back into the
     /// column-major layout `[N*OH*OW, OC]` (the inverse tiled transpose).
-    fn images_to_cols(img: &Tensor) -> Tensor {
-        let dims = img.dims();
-        let (n, oc, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
-        let mut out = Tensor::zeros(&[n * oh * ow, oc]);
-        Self::images_to_cols_into(img, &mut out);
-        out
-    }
-
     fn images_to_cols_into(img: &Tensor, out: &mut Tensor) {
         let dims = img.dims();
         let (n, oc, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
@@ -119,8 +105,7 @@ impl Conv2d {
 
     /// Accumulates dW and db from `grad_output`, returning the pooled
     /// column-layout gradient `[N*OH*OW, OC]` for the caller's input-gradient
-    /// step (shared by the pooled backward forms; bitwise identical to the
-    /// allocating backward).
+    /// step (shared by both backward forms).
     fn accumulate_param_grads(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor {
         let cols = self
             .cached_cols
@@ -137,8 +122,8 @@ impl Conv2d {
         self.weight.grad.add_assign(&grad_w);
         pool.recycle(grad_w);
 
-        // db = column sums of dY, via a zeroed scratch to keep the summation
-        // order of the allocating form.
+        // db = column sums of dY, via a zeroed scratch added once, so the
+        // rounding order is the pinned one.
         let oc = self.out_channels;
         let mut grad_b = pool.take_zeroed(&[oc]);
         for row in grad_mat.data().chunks(oc) {
@@ -153,59 +138,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W] input");
-        assert_eq!(
-            input.dims()[1],
-            self.in_channels,
-            "Conv2d input channel mismatch"
-        );
-        let dims = input.dims().to_vec();
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let oh = self.geom.out_size(h);
-        let ow = self.geom.out_size(w);
-
-        let cols = im2col(input, self.geom);
-        // [N*OH*OW, CKK] x [OC, CKK]^T -> [N*OH*OW, OC]
-        let mut mat = cols.matmul_a_bt(&self.weight.value);
-        mat = mat.add_row_broadcast(&self.bias.value);
-
-        self.cached_cols = Some(cols);
-        self.cached_input_dims = Some(dims);
-        Self::cols_to_images(&mat, n, self.out_channels, oh, ow)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cols = self
-            .cached_cols
-            .as_ref()
-            .expect("backward called before forward");
-        let input_dims = self
-            .cached_input_dims
-            .as_ref()
-            .expect("backward called before forward");
-
-        let grad_mat = Self::images_to_cols(grad_output); // [N*OH*OW, OC]
-
-        // dW = dY^T · cols  -> [OC, CKK]
-        let grad_w = grad_mat.matmul_at_b(cols);
-        self.weight.grad.add_assign(&grad_w);
-
-        // db = column sums of dY
-        let oc = self.out_channels;
-        let mut grad_b = vec![0f32; oc];
-        for row in grad_mat.data().chunks(oc) {
-            for (g, &v) in grad_b.iter_mut().zip(row) {
-                *g += v;
-            }
-        }
-        self.bias.grad.add_assign(&Tensor::from_vec(grad_b, &[oc]));
-
-        // dCols = dY · W  -> [N*OH*OW, CKK], then fold back to image space.
-        let grad_cols = grad_mat.matmul(&self.weight.value);
-        col2im(&grad_cols, input_dims, self.geom)
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W] input");
         assert_eq!(

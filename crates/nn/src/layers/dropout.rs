@@ -37,29 +37,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let mut mask = Tensor::zeros_like(input);
-        for m in mask.data_mut() {
-            *m = if self.rng.uniform() < keep { scale } else { 0.0 };
-        }
-        let out = input.mul(&mask);
-        self.mask = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        match &self.mask {
-            Some(mask) => grad_output.mul(mask),
-            None => grad_output.clone(),
-        }
-    }
-
     fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor {
         if let Some(old) = self.mask.take() {
             pool.recycle(old);

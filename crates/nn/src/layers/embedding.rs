@@ -42,32 +42,10 @@ impl Embedding {
     pub fn dim(&self) -> usize {
         self.dim
     }
-}
 
-impl Layer for Embedding {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.rank(), 2, "Embedding expects [N, T] token ids");
-        let (n, t) = (input.dims()[0], input.dims()[1]);
-        let mut ids = Vec::with_capacity(n * t);
-        let mut out = vec![0f32; n * t * self.dim];
-        for (pos, &raw) in input.data().iter().enumerate() {
-            let id = raw.round() as usize;
-            assert!(
-                id < self.vocab,
-                "token id {id} out of range for vocab {}",
-                self.vocab
-            );
-            ids.push(id);
-            let src = &self.weight.value.data()[id * self.dim..(id + 1) * self.dim];
-            out[pos * self.dim..(pos + 1) * self.dim].copy_from_slice(src);
-        }
-        self.cached_ids = Some(ids);
-        self.cached_batch = n;
-        self.cached_steps = t;
-        Tensor::from_vec(out, &[n, t, self.dim])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    /// Scatter-adds each position's output gradient into the table row of
+    /// the token cached by the last forward pass.
+    fn accumulate_weight_grad(&mut self, grad_output: &Tensor) {
         let ids = self
             .cached_ids
             .as_ref()
@@ -85,10 +63,10 @@ impl Layer for Embedding {
                 *d += g;
             }
         }
-        // Token ids are not differentiable; return a zero gradient of the input shape.
-        Tensor::zeros(&[self.cached_batch, self.cached_steps])
     }
+}
 
+impl Layer for Embedding {
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         assert_eq!(input.rank(), 2, "Embedding expects [N, T] token ids");
         let (n, t) = (input.dims()[0], input.dims()[1]);
@@ -116,48 +94,15 @@ impl Layer for Embedding {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor {
-        let ids = self
-            .cached_ids
-            .as_ref()
-            .expect("backward called before forward");
-        assert_eq!(
-            grad_output.dims(),
-            &[self.cached_batch, self.cached_steps, self.dim],
-            "grad shape mismatch"
-        );
-        let gw = self.weight.grad.data_mut();
-        for (pos, &id) in ids.iter().enumerate() {
-            let grad_row = &grad_output.data()[pos * self.dim..(pos + 1) * self.dim];
-            let dst = &mut gw[id * self.dim..(id + 1) * self.dim];
-            for (d, &g) in dst.iter_mut().zip(grad_row) {
-                *d += g;
-            }
-        }
+        self.accumulate_weight_grad(grad_output);
         // Token ids are not differentiable; return a zero gradient of the input shape.
         pool.take_zeroed(&[self.cached_batch, self.cached_steps])
     }
 
-    fn backward_into_discard(&mut self, grad_output: &Tensor, pool: &mut TensorPool) {
+    fn backward_into_discard(&mut self, grad_output: &Tensor, _pool: &mut TensorPool) {
         // First-layer form: skip materialising the all-zero token-id
         // gradient; only the embedding-table gradient matters.
-        let _ = pool;
-        let ids = self
-            .cached_ids
-            .as_ref()
-            .expect("backward called before forward");
-        assert_eq!(
-            grad_output.dims(),
-            &[self.cached_batch, self.cached_steps, self.dim],
-            "grad shape mismatch"
-        );
-        let gw = self.weight.grad.data_mut();
-        for (pos, &id) in ids.iter().enumerate() {
-            let grad_row = &grad_output.data()[pos * self.dim..(pos + 1) * self.dim];
-            let dst = &mut gw[id * self.dim..(id + 1) * self.dim];
-            for (d, &g) in dst.iter_mut().zip(grad_row) {
-                *d += g;
-            }
-        }
+        self.accumulate_weight_grad(grad_output);
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -17,22 +17,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert!(input.rank() >= 1, "Flatten requires rank >= 1 input");
-        self.input_dims = Some(input.dims().to_vec());
-        let batch = input.dims()[0];
-        let rest: usize = input.dims()[1..].iter().product();
-        input.reshape(&[batch, rest])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward called before forward");
-        grad_output.reshape(dims)
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         assert!(input.rank() >= 1, "Flatten requires rank >= 1 input");
         match &mut self.input_dims {

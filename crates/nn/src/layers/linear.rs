@@ -42,8 +42,8 @@ impl Linear {
         self.out_features
     }
 
-    /// Accumulates dW and db from `grad_output` (shared by the pooled
-    /// backward forms; bitwise identical to the allocating backward).
+    /// Accumulates dW and db from `grad_output` (shared by both backward
+    /// forms).
     fn accumulate_param_grads(&mut self, grad_output: &Tensor, pool: &mut TensorPool) {
         let input = self
             .cached_input
@@ -54,8 +54,8 @@ impl Linear {
         input.matmul_at_b_into(grad_output, &mut grad_w);
         self.weight.grad.add_assign(&grad_w);
         pool.recycle(grad_w);
-        // db = column sums of dY, accumulated into a zeroed scratch first so
-        // the summation order matches the allocating form exactly.
+        // db = column sums of dY, accumulated into a zeroed scratch first and
+        // added once, so the rounding order is the pinned one.
         let cols = grad_output.dims()[1];
         let mut grad_b = pool.take_zeroed(&[cols]);
         for row in grad_output.data().chunks(cols) {
@@ -69,38 +69,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.rank(), 2, "Linear expects [batch, features] input");
-        assert_eq!(
-            input.dims()[1],
-            self.in_features,
-            "Linear input feature mismatch"
-        );
-        self.cached_input = Some(input.clone());
-        input.matmul(&self.weight.value).add_row_broadcast(&self.bias.value)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        // dW = x^T · dY
-        let grad_w = input.matmul_at_b(grad_output);
-        self.weight.grad.add_assign(&grad_w);
-        // db = column sums of dY
-        let cols = grad_output.dims()[1];
-        let mut grad_b = vec![0f32; cols];
-        for row in grad_output.data().chunks(cols) {
-            for (g, &v) in grad_b.iter_mut().zip(row) {
-                *g += v;
-            }
-        }
-        self.bias.grad.add_assign(&Tensor::from_vec(grad_b, &[cols]));
-        // dX = dY · W^T
-        grad_output.matmul_a_bt(&self.weight.value)
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         assert_eq!(input.rank(), 2, "Linear expects [batch, features] input");
         assert_eq!(

@@ -61,39 +61,7 @@ impl Lstm {
         self.hidden_dim
     }
 
-    /// Extracts gate block `block` (0..4) from a `[N, 4H]` pre-activation.
-    fn gate_block(pre: &Tensor, block: usize, hidden: usize) -> Tensor {
-        let n = pre.dims()[0];
-        let mut out = vec![0f32; n * hidden];
-        for row in 0..n {
-            let src = &pre.data()[row * 4 * hidden + block * hidden..row * 4 * hidden + (block + 1) * hidden];
-            out[row * hidden..(row + 1) * hidden].copy_from_slice(src);
-        }
-        Tensor::from_vec(out, &[n, hidden])
-    }
-
-    /// Assembles four `[N, H]` gate gradients into a `[N, 4H]` tensor.
-    fn assemble_gates(blocks: [&Tensor; 4], hidden: usize) -> Tensor {
-        let n = blocks[0].dims()[0];
-        let mut out = vec![0f32; n * 4 * hidden];
-        for (b, block) in blocks.iter().enumerate() {
-            for row in 0..n {
-                let dst = &mut out[row * 4 * hidden + b * hidden..row * 4 * hidden + (b + 1) * hidden];
-                dst.copy_from_slice(&block.data()[row * hidden..(row + 1) * hidden]);
-            }
-        }
-        Tensor::from_vec(out, &[n, 4 * hidden])
-    }
-
-    /// Extracts timestep `t` from a `[N, T, D]` tensor as `[N, D]`.
-    fn timestep(input: &Tensor, t: usize) -> Tensor {
-        let dims = input.dims();
-        let (n, d) = (dims[0], dims[2]);
-        let mut out = Tensor::zeros(&[n, d]);
-        Self::timestep_fill(input, t, &mut out);
-        out
-    }
-
+    /// Copies timestep `t` of a `[N, T, D]` tensor into `out` as `[N, D]`.
     fn timestep_fill(input: &Tensor, t: usize, out: &mut Tensor) {
         let dims = input.dims();
         let (n, steps, d) = (dims[0], dims[1], dims[2]);
@@ -107,7 +75,7 @@ impl Lstm {
 
     /// Extracts gate block `block` (0..4) from a `[N, 4H]` pre-activation
     /// into a pooled buffer.
-    fn gate_block_pooled(pre: &Tensor, block: usize, hidden: usize, pool: &mut TensorPool) -> Tensor {
+    fn gate_block(pre: &Tensor, block: usize, hidden: usize, pool: &mut TensorPool) -> Tensor {
         let n = pre.dims()[0];
         let mut out = pool.take_uninit(&[n, hidden]);
         let od = out.data_mut();
@@ -120,7 +88,7 @@ impl Lstm {
     }
 
     /// Writes a `[N, H]` gate tensor into block `block` of the `[N, 4H]`
-    /// pre-activation layout (the inverse of [`Lstm::gate_block_pooled`]).
+    /// pre-activation layout (the inverse of [`Lstm::gate_block`]).
     fn scatter_gate(dgates: &mut [f32], src: &[f32], block: usize, hidden: usize, n: usize) {
         for row in 0..n {
             let dst = &mut dgates
@@ -145,107 +113,6 @@ impl Lstm {
 }
 
 impl Layer for Lstm {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.rank(), 3, "Lstm expects [N, T, D] input");
-        let dims = input.dims();
-        let (n, steps, d) = (dims[0], dims[1], dims[2]);
-        assert_eq!(d, self.input_dim, "Lstm input dimension mismatch");
-        assert!(steps > 0, "Lstm requires at least one timestep");
-
-        let h_dim = self.hidden_dim;
-        let mut h = Tensor::zeros(&[n, h_dim]);
-        let mut c = Tensor::zeros(&[n, h_dim]);
-        self.caches.clear();
-        self.caches.reserve(steps);
-
-        for t in 0..steps {
-            let x_t = Self::timestep(input, t);
-            // pre = x W_ih + h W_hh + b
-            let mut pre = x_t.matmul(&self.w_ih.value);
-            pre.add_assign(&h.matmul(&self.w_hh.value));
-            let pre = pre.add_row_broadcast(&self.bias.value);
-
-            let i = Self::gate_block(&pre, 0, h_dim).sigmoid();
-            let f = Self::gate_block(&pre, 1, h_dim).sigmoid();
-            let g = Self::gate_block(&pre, 2, h_dim).tanh();
-            let o = Self::gate_block(&pre, 3, h_dim).sigmoid();
-
-            let c_new = f.mul(&c).add(&i.mul(&g));
-            let h_new = o.mul(&c_new.tanh());
-
-            self.caches.push(StepCache {
-                x: x_t,
-                h_prev: h,
-                c_prev: c,
-                i,
-                f,
-                g,
-                o,
-                c: c_new.clone(),
-            });
-            h = h_new;
-            c = c_new;
-        }
-        h
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(!self.caches.is_empty(), "backward called before forward");
-        let h_dim = self.hidden_dim;
-        let steps = self.caches.len();
-        let n = grad_output.dims()[0];
-        let d = self.input_dim;
-
-        let mut grad_input = Tensor::zeros(&[n, steps, d]);
-        let mut dh_next = grad_output.clone();
-        let mut dc_next = Tensor::zeros(&[n, h_dim]);
-
-        for t in (0..steps).rev() {
-            let cache = &self.caches[t];
-            let tanh_c = cache.c.tanh();
-
-            // dL/do, dL/dc
-            let do_gate = dh_next.mul(&tanh_c);
-            let dc = dc_next.add(&dh_next.mul(&cache.o).zip_map(&tanh_c, |g, th| g * (1.0 - th * th)));
-
-            let di = dc.mul(&cache.g);
-            let df = dc.mul(&cache.c_prev);
-            let dg = dc.mul(&cache.i);
-
-            // Pre-activation gradients through the gate nonlinearities.
-            let di_pre = di.zip_map(&cache.i, |g, y| g * y * (1.0 - y));
-            let df_pre = df.zip_map(&cache.f, |g, y| g * y * (1.0 - y));
-            let dg_pre = dg.zip_map(&cache.g, |g, y| g * (1.0 - y * y));
-            let do_pre = do_gate.zip_map(&cache.o, |g, y| g * y * (1.0 - y));
-
-            let dgates = Self::assemble_gates([&di_pre, &df_pre, &dg_pre, &do_pre], h_dim);
-
-            // Parameter gradients.
-            self.w_ih.grad.add_assign(&cache.x.matmul_at_b(&dgates));
-            self.w_hh.grad.add_assign(&cache.h_prev.matmul_at_b(&dgates));
-            let cols = 4 * h_dim;
-            let mut db = vec![0f32; cols];
-            for row in dgates.data().chunks(cols) {
-                for (b, &v) in db.iter_mut().zip(row) {
-                    *b += v;
-                }
-            }
-            self.bias.grad.add_assign(&Tensor::from_vec(db, &[cols]));
-
-            // Propagate to input and previous hidden / cell state.
-            let dx = dgates.matmul_a_bt(&self.w_ih.value);
-            for row in 0..n {
-                let src = &dx.data()[row * d..(row + 1) * d];
-                let dst_start = (row * steps + t) * d;
-                let dst = &mut grad_input.data_mut()[dst_start..dst_start + d];
-                dst.copy_from_slice(src);
-            }
-            dh_next = dgates.matmul_a_bt(&self.w_hh.value);
-            dc_next = dc.mul(&cache.f);
-        }
-        grad_input
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         assert_eq!(input.rank(), 3, "Lstm expects [N, T, D] input");
         let dims = input.dims();
@@ -271,13 +138,13 @@ impl Layer for Lstm {
             pool.recycle(h_proj);
             pre.add_row_broadcast_assign(&self.bias.value);
 
-            let mut i = Self::gate_block_pooled(&pre, 0, h_dim, pool);
+            let mut i = Self::gate_block(&pre, 0, h_dim, pool);
             i.sigmoid_in_place();
-            let mut f = Self::gate_block_pooled(&pre, 1, h_dim, pool);
+            let mut f = Self::gate_block(&pre, 1, h_dim, pool);
             f.sigmoid_in_place();
-            let mut g = Self::gate_block_pooled(&pre, 2, h_dim, pool);
+            let mut g = Self::gate_block(&pre, 2, h_dim, pool);
             g.tanh_in_place();
-            let mut o = Self::gate_block_pooled(&pre, 3, h_dim, pool);
+            let mut o = Self::gate_block(&pre, 3, h_dim, pool);
             o.sigmoid_in_place();
             pool.recycle(pre);
 

@@ -2,8 +2,7 @@
 
 use crate::layer::{Layer, Param};
 use fedcross_tensor::conv::{
-    global_avg_pool2d, global_avg_pool2d_backward, global_avg_pool2d_backward_into,
-    global_avg_pool2d_into, max_pool2d, max_pool2d_backward, max_pool2d_backward_into,
+    global_avg_pool2d_backward_into, global_avg_pool2d_into, max_pool2d_backward_into,
     max_pool2d_into, Conv2dGeom,
 };
 use fedcross_tensor::{SeededRng, Tensor, TensorPool};
@@ -34,23 +33,8 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let result = max_pool2d(input, self.geom);
-        self.argmax = Some(result.argmax);
-        self.input_dims = Some(input.dims().to_vec());
-        result.output
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let argmax = self.argmax.as_ref().expect("backward called before forward");
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward called before forward");
-        max_pool2d_backward(grad_output, argmax, dims)
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
+        assert_eq!(input.rank(), 4, "MaxPool2d expects [N, C, H, W] input");
         let dims = input.dims();
         let oh = self.geom.out_size(dims[2]);
         let ow = self.geom.out_size(dims[3]);
@@ -124,19 +108,6 @@ impl GlobalAvgPool2d {
 }
 
 impl Layer for GlobalAvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.input_dims = Some(input.dims().to_vec());
-        global_avg_pool2d(input)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward called before forward");
-        global_avg_pool2d_backward(grad_output, dims)
-    }
-
     fn forward_into(&mut self, input: &Tensor, _train: bool, pool: &mut TensorPool) -> Tensor {
         match &mut self.input_dims {
             Some(cached) => {

@@ -64,52 +64,6 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.conv1.forward(input, train);
-        let out = self.bn1.forward(&out, train);
-        self.relu1_mask = Some(out.relu_mask());
-        let out = out.relu();
-        let out = self.conv2.forward(&out, train);
-        let out = self.bn2.forward(&out, train);
-
-        let skip = match &mut self.downsample {
-            Some((conv, bn)) => {
-                let s = conv.forward(input, train);
-                bn.forward(&s, train)
-            }
-            None => input.clone(),
-        };
-        let sum = out.add(&skip);
-        self.final_relu_mask = Some(sum.relu_mask());
-        sum.relu()
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let final_mask = self
-            .final_relu_mask
-            .as_ref()
-            .expect("backward called before forward");
-        let grad_sum = grad_output.mul(final_mask);
-
-        // Main branch: bn2 -> conv2 -> relu1 -> bn1 -> conv1.
-        let g = self.bn2.backward(&grad_sum);
-        let g = self.conv2.backward(&g);
-        let relu1_mask = self.relu1_mask.as_ref().expect("missing relu1 mask");
-        let g = g.mul(relu1_mask);
-        let g = self.bn1.backward(&g);
-        let grad_main = self.conv1.backward(&g);
-
-        // Skip branch.
-        let grad_skip = match &mut self.downsample {
-            Some((conv, bn)) => {
-                let g = bn.backward(&grad_sum);
-                conv.backward(&g)
-            }
-            None => grad_sum,
-        };
-        grad_main.add(&grad_skip)
-    }
-
     fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor {
         if let Some(old) = self.relu1_mask.take() {
             pool.recycle(old);
@@ -140,8 +94,7 @@ impl Layer for ResidualBlock {
             }
             None => pool.take_copy(input),
         };
-        // sum = out + skip, then the final ReLU in place (same values as the
-        // allocating `out.add(&skip)` / `sum.relu()` chain).
+        // sum = out + skip, then the final ReLU in place.
         let mut sum = out;
         sum.add_assign(&skip);
         pool.recycle(skip);
@@ -184,8 +137,7 @@ impl Layer for ResidualBlock {
             }
             None => grad_sum,
         };
-        // grad_main + grad_skip, reusing grad_main's buffer (same values as
-        // the allocating `grad_main.add(&grad_skip)`).
+        // grad_main + grad_skip, reusing grad_main's buffer.
         grad_main.add_assign(&grad_skip);
         pool.recycle(grad_skip);
         grad_main

@@ -81,28 +81,25 @@ pub trait Model: Send {
     /// Runs the forward pass, returning logits of shape `[batch, classes]`.
     ///
     /// `train` toggles training-time behaviour (dropout, batch-norm batch
-    /// statistics).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// statistics). Every transient activation is checked out of `pool` and
+    /// reused across steps, so steady-state training performs zero
+    /// full-activation allocations; the returned logits are pool-owned and
+    /// should be recycled by the caller once consumed.
+    fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor;
 
     /// Runs the backward pass given the gradient of the loss w.r.t. the
-    /// logits, accumulating parameter gradients internally.
-    fn backward(&mut self, grad_logits: &Tensor);
+    /// logits, accumulating parameter gradients internally; buffers come from
+    /// `pool` as in [`Model::forward_into`].
+    fn backward_into(&mut self, grad_logits: &Tensor, pool: &mut TensorPool);
 
-    /// Pooled forward pass: every transient activation is checked out of
-    /// `pool` and reused across steps, so steady-state training performs zero
-    /// full-activation allocations. Must be bitwise identical to
-    /// [`Model::forward`]; the returned logits are pool-owned and should be
-    /// recycled by the caller once consumed. The default falls back to the
-    /// allocating form so external models keep working.
-    fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor {
-        let _ = pool;
-        self.forward(input, train)
+    /// [`Model::forward_into`] over a throwaway pool.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_into(input, train, &mut TensorPool::new())
     }
 
-    /// Pooled backward pass; see [`Model::forward_into`].
-    fn backward_into(&mut self, grad_logits: &Tensor, pool: &mut TensorPool) {
-        let _ = pool;
-        self.backward(grad_logits);
+    /// [`Model::backward_into`] over a throwaway pool.
+    fn backward(&mut self, grad_logits: &Tensor) {
+        self.backward_into(grad_logits, &mut TensorPool::new())
     }
 
     /// Total number of scalar parameters.
@@ -126,24 +123,27 @@ pub trait Model: Send {
         fnv1a_mix(FNV_OFFSET, &self.param_count().to_le_bytes())
     }
 
-    /// Returns all parameters concatenated into one flat vector.
-    fn params_flat(&self) -> Vec<f32>;
+    /// Writes all parameters, concatenated into one flat vector, into `out`
+    /// (cleared first), reusing its capacity — the allocation-free form the
+    /// optimizer's step scratch and the upload path use.
+    fn read_params_into(&self, out: &mut Vec<f32>);
 
-    /// Writes all parameters into `out` (cleared first), reusing its
-    /// capacity. The allocation-free form the optimizer's step scratch uses;
-    /// must produce exactly the bytes of [`Model::params_flat`]. The default
-    /// falls back to the allocating form.
-    fn read_params_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        // alloc: cold — trait-default fallback; Sequential overrides the pooled form
-        out.extend_from_slice(&self.params_flat());
+    /// Writes all accumulated gradients into `out` (cleared first), in the
+    /// same order as [`Model::read_params_into`].
+    fn read_grads_into(&self, out: &mut Vec<f32>);
+
+    /// [`Model::read_params_into`] into a fresh vector.
+    fn params_flat(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.param_count());
+        self.read_params_into(&mut out);
+        out
     }
 
-    /// Writes all gradients into `out` (cleared first), reusing its capacity;
-    /// see [`Model::read_params_into`].
-    fn read_grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(&self.grads_flat());
+    /// [`Model::read_grads_into`] into a fresh vector.
+    fn grads_flat(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.param_count());
+        self.read_grads_into(&mut out);
+        out
     }
 
     /// Visits every parameter (value + gradient pair) in [`Model::params_flat`]
@@ -158,10 +158,6 @@ pub trait Model: Send {
     /// Overwrites all parameters from a flat vector produced by
     /// [`Model::params_flat`] (of this or an architecturally identical model).
     fn set_params_flat(&mut self, flat: &[f32]);
-
-    /// Returns all accumulated gradients concatenated into one flat vector,
-    /// in the same order as [`Model::params_flat`].
-    fn grads_flat(&self) -> Vec<f32>;
 
     /// Resets all accumulated gradients to zero.
     fn zero_grads(&mut self);

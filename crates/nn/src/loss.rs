@@ -2,40 +2,24 @@
 
 use fedcross_tensor::{Tensor, TensorPool};
 
+/// Softmax cross-entropy over a batch: [`softmax_cross_entropy_into`] over a
+/// throwaway pool.
+pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    softmax_cross_entropy_into(logits, labels, &mut TensorPool::new())
+}
+
 /// Softmax cross-entropy over a batch.
 ///
 /// `logits` has shape `[batch, classes]`; `labels[i]` is the target class of
 /// sample `i`. Returns the mean loss over the batch and the gradient of that
 /// mean loss with respect to the logits (shape `[batch, classes]`), i.e.
-/// `(softmax(logits) - onehot(labels)) / batch`.
+/// `(softmax(logits) - onehot(labels)) / batch`. The gradient tensor is
+/// checked out of `pool` (recycle it once consumed), so a steady-state
+/// training step allocates nothing here.
 ///
 /// # Panics
 /// Panics if `logits` is not rank-2, the label count differs from the batch
 /// size, or a label is out of range.
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-    assert_eq!(logits.rank(), 2, "logits must be [batch, classes]");
-    let batch = logits.dims()[0];
-    let classes = logits.dims()[1];
-    assert_eq!(labels.len(), batch, "one label per sample is required");
-
-    let log_probs = logits.log_softmax_rows();
-    let mut grad = log_probs.map(f32::exp); // softmax probabilities
-    let mut loss = 0f32;
-    let inv_batch = 1.0 / batch as f32;
-    for (i, &label) in labels.iter().enumerate() {
-        assert!(label < classes, "label {label} out of range for {classes} classes");
-        loss -= log_probs.get(&[i, label]);
-        let current = grad.get(&[i, label]);
-        grad.set(&[i, label], current - 1.0);
-    }
-    grad.scale(inv_batch);
-    (loss * inv_batch, grad)
-}
-
-/// Pooled form of [`softmax_cross_entropy`]: the returned gradient tensor is
-/// checked out of `pool` (recycle it once consumed), so a steady-state
-/// training step allocates nothing here. Bitwise identical to the allocating
-/// form.
 pub fn softmax_cross_entropy_into(
     logits: &Tensor,
     labels: &[usize],

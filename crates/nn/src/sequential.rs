@@ -57,18 +57,6 @@ impl Sequential {
     pub fn boxed(self) -> Box<dyn Model> {
         Box::new(self)
     }
-
-    fn read_params_into_impl(&self, out: &mut Vec<f32>) {
-        for layer in &self.layers {
-            layer.visit_params(&mut |p| out.extend_from_slice(p.value.data()));
-        }
-    }
-
-    fn read_grads_into_impl(&self, out: &mut Vec<f32>) {
-        for layer in &self.layers {
-            layer.visit_params(&mut |p| out.extend_from_slice(p.grad.data()));
-        }
-    }
 }
 
 impl Clone for Sequential {
@@ -81,21 +69,6 @@ impl Clone for Sequential {
 }
 
 impl Model for Sequential {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut current = input.clone();
-        for layer in &mut self.layers {
-            current = layer.forward(&current, train);
-        }
-        current
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let mut grad = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-    }
-
     fn forward_into(&mut self, input: &Tensor, train: bool, pool: &mut TensorPool) -> Tensor {
         let mut current: Option<Tensor> = None;
         for layer in &mut self.layers {
@@ -157,15 +130,18 @@ impl Model for Sequential {
         hash
     }
 
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.read_params_into_impl(&mut out);
-        out
-    }
-
     fn read_params_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        self.read_params_into_impl(out);
+        for layer in &self.layers {
+            layer.visit_params(&mut |p| out.extend_from_slice(p.value.data()));
+        }
+    }
+
+    fn read_grads_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        for layer in &self.layers {
+            layer.visit_params(&mut |p| out.extend_from_slice(p.grad.data()));
+        }
     }
 
     fn set_params_flat(&mut self, flat: &[f32]) {
@@ -184,18 +160,6 @@ impl Model for Sequential {
                 offset += n;
             });
         }
-    }
-
-    fn grads_flat(&self) -> Vec<f32> {
-        // alloc: cold — allocating accessor; the step scratch uses read_grads_into
-        let mut out = Vec::with_capacity(self.param_count());
-        self.read_grads_into_impl(&mut out);
-        out
-    }
-
-    fn read_grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        self.read_grads_into_impl(out);
     }
 
     fn visit_params_for_step(&mut self, f: &mut dyn FnMut(&mut crate::layer::Param)) -> bool {

@@ -1,7 +1,9 @@
-//! Equivalence tests for the zero-allocation training plane: the pooled
-//! `forward_into` / `backward_into` layer forms, the pooled loss, the
-//! in-place optimizer step and the reused minibatch gather buffers must all
-//! be **bitwise** indistinguishable from the historical allocating pipeline.
+//! Pins for the zero-allocation training plane. Every layer, the loss and a
+//! model chain must reproduce, pass by pass, the hashes recorded from the
+//! allocating implementations they replaced — both on a fresh pool per call
+//! and on one warm pool whose buffers are reused. The in-place optimizer
+//! step and the reused minibatch gather buffers must be **bitwise**
+//! indistinguishable from the historical allocating pipeline.
 //!
 //! The final section pins whole fixed-seed training trajectories against
 //! FNV-1a fingerprints recorded from the pre-refactor (PR 1) pipeline via
@@ -44,7 +46,7 @@ fn fnv1a(values: &[f32]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Per-layer pins: forward/backward and forward_into/backward_into
+// Per-layer pins: a fresh pool per call and one warm shared pool
 // ---------------------------------------------------------------------------
 
 /// FNV-1a hashes of one pass: the forward output, the input gradient and the
@@ -267,43 +269,44 @@ fn param_grads(layer: &dyn Layer) -> Vec<f32> {
     grads
 }
 
-/// Runs `inputs` through two clones of `layer`: one with `forward`/`backward`
-/// and one with `forward_into`/`backward_into` on a single shared pool, so
-/// every pass after the first runs on recycled buffers. Each pass of both
-/// must match the case's pins bit for bit.
+/// Runs `inputs` through two clones of `layer`: one with `forward`/`backward`,
+/// which take a fresh pool per call, and one with
+/// `forward_into`/`backward_into` on a single warm pool, so every pass after
+/// the first runs on recycled buffers. Each pass of both must match the
+/// case's pins bit for bit.
 fn assert_layer_matches_pins(case: &str, layer: &dyn Layer, inputs: &[Tensor], train: bool) {
     let pins = pins(case);
     assert_eq!(pins.len(), inputs.len(), "{case}: one pin per pass");
-    let mut plain = layer.clone_layer();
-    let mut pooled = layer.clone_layer();
+    let mut fresh = layer.clone_layer();
+    let mut warm = layer.clone_layer();
     let mut pool = TensorPool::new();
     for (pass, (input, pin)) in inputs.iter().zip(pins).enumerate() {
-        let out_a = plain.forward(input, train);
-        let out_p = pooled.forward_into(input, train, &mut pool);
-        assert_eq!(out_a.dims(), out_p.dims(), "{case}: forward dims (pass {pass})");
+        let out_f = fresh.forward(input, train);
+        let out_w = warm.forward_into(input, train, &mut pool);
+        assert_eq!(out_f.dims(), out_w.dims(), "{case}: forward dims (pass {pass})");
 
         let grad_out = Tensor::from_vec(
-            (0..out_a.numel())
+            (0..out_f.numel())
                 .map(|i| ((i * 13 % 29) as f32) * 0.21 - 2.9)
                 .collect(),
-            out_a.dims(),
+            out_f.dims(),
         );
-        let gin_a = plain.backward(&grad_out);
-        let gin_p = pooled.backward_into(&grad_out, &mut pool);
-        let observed_a = [
-            fnv1a(out_a.data()),
-            fnv1a(gin_a.data()),
-            fnv1a(&param_grads(plain.as_ref())),
+        let gin_f = fresh.backward(&grad_out);
+        let gin_w = warm.backward_into(&grad_out, &mut pool);
+        let observed_f = [
+            fnv1a(out_f.data()),
+            fnv1a(gin_f.data()),
+            fnv1a(&param_grads(fresh.as_ref())),
         ];
-        let observed_p = [
-            fnv1a(out_p.data()),
-            fnv1a(gin_p.data()),
-            fnv1a(&param_grads(pooled.as_ref())),
+        let observed_w = [
+            fnv1a(out_w.data()),
+            fnv1a(gin_w.data()),
+            fnv1a(&param_grads(warm.as_ref())),
         ];
-        assert_eq!(observed_a, *pin, "{case}: forward/backward (pass {pass})");
-        assert_eq!(observed_p, *pin, "{case}: pooled forms (pass {pass})");
-        pool.recycle(out_p);
-        pool.recycle(gin_p);
+        assert_eq!(observed_f, *pin, "{case}: fresh pool per call (pass {pass})");
+        assert_eq!(observed_w, *pin, "{case}: warm shared pool (pass {pass})");
+        pool.recycle(out_w);
+        pool.recycle(gin_w);
     }
 }
 
@@ -422,55 +425,56 @@ fn residual_block_pooled_forms_match_allocating_forms() {
 
 #[test]
 fn pooled_loss_matches_allocating_loss_bitwise() {
-    // Pinned as [loss, dL/d(logits), EMPTY].
+    // Pinned as [loss, dL/d(logits), EMPTY]; `softmax_cross_entropy` takes a
+    // fresh pool per call, the `_into` form one warm pool.
     let mut pool = TensorPool::new();
     for &(batch, classes) in &[(1usize, 2usize), (7, 10), (16, 3)] {
         let logits = image_batch(&[batch, classes], 100 + batch as u64);
         let labels: Vec<usize> = (0..batch).map(|i| (i * 3 + 1) % classes).collect();
-        let (loss_a, grad_a) = softmax_cross_entropy(&logits, &labels);
-        let (loss_p, grad_p) = softmax_cross_entropy_into(&logits, &labels, &mut pool);
+        let (loss_f, grad_f) = softmax_cross_entropy(&logits, &labels);
+        let (loss_w, grad_w) = softmax_cross_entropy_into(&logits, &labels, &mut pool);
         let pin = pins(&format!("softmax_cross_entropy {batch}x{classes}"))[0];
-        assert_eq!([fnv1a(&[loss_a]), fnv1a(grad_a.data()), EMPTY], pin);
-        assert_eq!([fnv1a(&[loss_p]), fnv1a(grad_p.data()), EMPTY], pin);
-        pool.recycle(grad_p);
+        assert_eq!([fnv1a(&[loss_f]), fnv1a(grad_f.data()), EMPTY], pin);
+        assert_eq!([fnv1a(&[loss_w]), fnv1a(grad_w.data()), EMPTY], pin);
+        pool.recycle(grad_w);
     }
 }
 
 #[test]
 fn sequential_pooled_chain_matches_allocating_chain() {
-    // A model covering conv, pool, flatten, linear and relu; the pooled chain
-    // (with its first-layer input-gradient skip) must leave logits and
-    // gradients bitwise equal to the pins. Pinned per step as
-    // [logits, EMPTY, grads_flat].
+    // A model covering conv, pool, flatten, linear and relu; the chain (with
+    // its first-layer input-gradient skip) must leave logits and gradients
+    // bitwise equal to the pins, on a fresh pool per call and on a warm one.
+    // Pinned per step as [logits, EMPTY, grads_flat].
     let config = CnnConfig {
         conv_channels: (3, 6),
         fc_hidden: 12,
         kernel: 3,
     };
     let mut rng = SeededRng::new(123);
-    let mut model_a = cnn((3, 16, 16), 10, config, &mut rng);
-    let mut model_p = model_a.clone_model();
+    let mut model_f = cnn((3, 16, 16), 10, config, &mut rng);
+    let mut model_w = model_f.clone_model();
     let mut pool = TensorPool::new();
     for (step, pin) in pins("cnn chain").iter().enumerate() {
         let x = image_batch(&[4, 3, 16, 16], 200 + step as u64);
         let labels: Vec<usize> = (0..4).map(|i| (i + step) % 10).collect();
 
-        model_a.zero_grads();
-        let logits_a = model_a.forward(&x, true);
-        let (_, grad_a) = softmax_cross_entropy(&logits_a, &labels);
-        model_a.backward(&grad_a);
-        let observed_a = [fnv1a(logits_a.data()), EMPTY, fnv1a(&model_a.grads_flat())];
-        assert_eq!(observed_a, *pin, "forward/backward, step {step}");
+        model_f.zero_grads();
+        let logits_f = model_f.forward(&x, true);
+        let (_, grad_f) = softmax_cross_entropy(&logits_f, &labels);
+        model_f.backward(&grad_f);
+        let observed_f = [fnv1a(logits_f.data()), EMPTY, fnv1a(&model_f.grads_flat())];
+        assert_eq!(observed_f, *pin, "fresh pool per call, step {step}");
 
-        model_p.zero_grads();
-        let logits_p = model_p.forward_into(&x, true, &mut pool);
-        let logits_hash = fnv1a(logits_p.data());
-        let (_, grad_p) = softmax_cross_entropy_into(&logits_p, &labels, &mut pool);
-        pool.recycle(logits_p);
-        model_p.backward_into(&grad_p, &mut pool);
-        pool.recycle(grad_p);
-        let observed_p = [logits_hash, EMPTY, fnv1a(&model_p.grads_flat())];
-        assert_eq!(observed_p, *pin, "pooled forms, step {step}");
+        model_w.zero_grads();
+        let logits_w = model_w.forward_into(&x, true, &mut pool);
+        let logits_hash = fnv1a(logits_w.data());
+        let (_, grad_w) = softmax_cross_entropy_into(&logits_w, &labels, &mut pool);
+        pool.recycle(logits_w);
+        model_w.backward_into(&grad_w, &mut pool);
+        pool.recycle(grad_w);
+        let observed_w = [logits_hash, EMPTY, fnv1a(&model_w.grads_flat())];
+        assert_eq!(observed_w, *pin, "warm shared pool, step {step}");
     }
 }
 
