@@ -77,10 +77,12 @@ impl Layer for Embedding {
         let mut out = pool.take_uninit(&[n, t, self.dim]);
         let od = out.data_mut();
         for (pos, &raw) in input.data().iter().enumerate() {
-            let id = raw.round() as usize;
+            // `as usize` saturates negatives and NaN to 0 and truncates
+            // fractions, so the float itself is checked.
+            let id = raw as usize;
             assert!(
-                id < self.vocab,
-                "token id {id} out of range for vocab {}",
+                raw >= 0.0 && raw.fract() == 0.0 && id < self.vocab,
+                "token id {raw} must be an integer in [0, {})",
                 self.vocab
             );
             ids.push(id);
@@ -174,13 +176,34 @@ mod tests {
         assert_eq!(&emb.weight.grad.data()[6..8], &[1.0, 1.0]);
     }
 
+    fn embed_one(id: f32) -> Tensor {
+        let mut rng = SeededRng::new(2);
+        let mut emb = Embedding::new(3, 2, &mut rng);
+        emb.forward(&Tensor::from_vec(vec![id], &[1, 1]), true)
+    }
+
     #[test]
     #[should_panic]
     fn out_of_vocab_token_panics() {
-        let mut rng = SeededRng::new(2);
-        let mut emb = Embedding::new(3, 2, &mut rng);
-        let ids = Tensor::from_vec(vec![5.0], &[1, 1]);
-        emb.forward(&ids, true);
+        embed_one(5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "token id -1 must be an integer in [0, 3)")]
+    fn negative_token_id_panics() {
+        embed_one(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "token id NaN must be an integer in [0, 3)")]
+    fn nan_token_id_panics() {
+        embed_one(f32::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "token id 2.4 must be an integer in [0, 3)")]
+    fn fractional_token_id_panics() {
+        embed_one(2.4);
     }
 
     #[test]
