@@ -204,6 +204,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "window of 3 exceeds input of 2 padded by 0 on each side")]
+    fn maxpool_window_larger_than_the_input_is_rejected() {
+        MaxPool2d::new(3).forward(&Tensor::zeros(&[1, 1, 2, 2]), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "window of 3 exceeds input of 2 padded by 0 on each side")]
+    fn strided_maxpool_window_larger_than_the_input_is_rejected() {
+        MaxPool2d::with_stride(3, 2).forward(&Tensor::zeros(&[1, 1, 2, 2]), true);
+    }
+
+    #[test]
     fn pooling_layers_have_no_params() {
         assert_eq!(MaxPool2d::new(2).param_count(), 0);
         assert_eq!(GlobalAvgPool2d::new().param_count(), 0);

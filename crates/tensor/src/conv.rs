@@ -29,8 +29,19 @@ impl Conv2dGeom {
     }
 
     /// Output spatial size for an input of extent `size`.
+    ///
+    /// # Panics
+    /// Panics if the window is larger than the padded input
+    /// (`size + 2 * padding < kernel`).
     pub fn out_size(&self, size: usize) -> usize {
-        (size + 2 * self.padding - self.kernel) / self.stride + 1
+        let padded = size + 2 * self.padding;
+        assert!(
+            padded >= self.kernel,
+            "window of {} exceeds input of {size} padded by {} on each side",
+            self.kernel,
+            self.padding
+        );
+        (padded - self.kernel) / self.stride + 1
     }
 }
 
@@ -393,6 +404,14 @@ mod tests {
         assert_eq!(g2.out_size(8), 4);
         let g3 = Conv2dGeom::new(3, 2, 1);
         assert_eq!(g3.out_size(8), 4);
+        // Padding can make a window that is larger than the input fit.
+        assert_eq!(g3.out_size(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "window of 3 exceeds input of 2 padded by 0 on each side")]
+    fn window_larger_than_the_padded_input_is_rejected() {
+        Conv2dGeom::new(3, 1, 0).out_size(2);
     }
 
     #[test]
