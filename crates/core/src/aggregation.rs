@@ -117,7 +117,7 @@ pub fn cross_aggregate_all<V: AsRef<[f32]> + Sync>(
 /// Destination-passing [`cross_aggregate_all`]: fuses every upload into its
 /// caller-provided output buffer (`out[i] = α·uploaded[i] +
 /// (1-α)·uploaded[collaborators[i]]`), rayon-parallel over the `K` models
-/// when `K·d` crosses [`PAR_THRESHOLD_SCALARS`].
+/// when `K·d` crosses `PAR_THRESHOLD_SCALARS`.
 ///
 /// The output buffers are typically last round's retired middleware models,
 /// making the whole cross-aggregation step allocation-free.

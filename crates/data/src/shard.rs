@@ -3,7 +3,7 @@
 //! [`ShardPlane`] fronts a [`ClientDataSource`] with two mechanisms that keep
 //! a million-client federation's resident set flat:
 //!
-//! * a bounded LRU [`ShardCache`] over materialised shards — at most
+//! * a bounded LRU `ShardCache` over materialised shards — at most
 //!   `capacity` client datasets live at once, least-recently-used evicted
 //!   first (re-materialisation is free of determinism risk because shards are
 //!   pure functions of the client id, see [`crate::source`]);

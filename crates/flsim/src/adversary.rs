@@ -10,7 +10,7 @@
 //! out simply never gets to attack that round.
 //!
 //! Everything stochastic about the adversary derives from
-//! [`RoundStreams`](crate::streams::RoundStreams), never from a consumed RNG:
+//! [`RoundStreams`], never from a consumed RNG:
 //!
 //! * **membership** — which clients are compromised — is a pure function of
 //!   `(AdversaryMembership domain, adversary seed, federation size)`, fixed

@@ -104,9 +104,9 @@ impl std::error::Error for StateError {}
 /// are stored in this shape.
 pub type ClientTable = Vec<(usize, Vec<f32>)>;
 
-/// The complete server-side training state of a [`FederatedAlgorithm`]
-/// (`crate::engine::FederatedAlgorithm`), in a shape every method of the
-/// paper fits into:
+/// The complete server-side training state of a
+/// [`FederatedAlgorithm`](crate::engine::FederatedAlgorithm), in a shape
+/// every method of the paper fits into:
 ///
 /// * single-model methods (FedAvg, FedProx, FedGen, CluSamp, SCAFFOLD) store
 ///   their global model as the one entry of [`AlgorithmState::models`];
@@ -469,7 +469,7 @@ impl Checkpoint {
     /// # Errors
     /// Fails with [`io::ErrorKind::InvalidData`] — without touching the
     /// filesystem — when the checkpoint contains a non-finite scalar, which
-    /// JSON cannot represent (see [`Checkpoint::first_non_finite`]'s
+    /// JSON cannot represent (see `Checkpoint::first_non_finite`'s
     /// rationale): a diverged run must not overwrite its last good
     /// checkpoint with an unloadable file.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {

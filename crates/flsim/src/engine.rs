@@ -1187,7 +1187,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Simulates a compromised federation: the configured fraction of clients
-    /// mounts the configured [`Attack`](crate::adversary::Attack) every round
+    /// mounts the configured [`Attack`] every round
     /// (default: every client is honest). Orthogonal to
     /// [`Simulation::with_availability`].
     ///

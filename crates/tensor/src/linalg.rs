@@ -4,7 +4,7 @@
 //! reproduction (fully-connected layers directly, convolutions via `im2col`,
 //! LSTM gate projections). All three variants (`matmul`, `matmul_at_b`,
 //! `matmul_a_bt`) share one cache-blocked, register-tiled micro-kernel
-//! ([`gemm_accum`]): the transposed operand is packed into a row-major panel
+//! (`gemm_accum`): the transposed operand is packed into a row-major panel
 //! first (tiled transpose), then a single `MR x NR` register tile streams
 //! through `KC`-sized blocks of the reduction dimension.
 //!

@@ -1,8 +1,9 @@
 //! A million-client federation on a laptop: the sharded lazy data plane.
 //!
-//! The eager [`FederatedDataset`] materialises every client's shard up
-//! front — at 10^6 clients that is gigabytes of tensors before the first
-//! round runs. This example builds the same federation as a
+//! The eager [`FederatedDataset`](fedcross_data::federated::FederatedDataset)
+//! materialises every client's shard up front — at 10^6 clients that is
+//! gigabytes of tensors before the first round runs. This example builds
+//! the same federation as a
 //! [`SynthTaskSource`] instead: every client's shard is a pure function of
 //! `(task_seed, client_id)`, materialised on demand through a bounded
 //! [`ShardPlane`] cache (here: 32 shards resident, 8 prefetch slots), so
