@@ -243,9 +243,18 @@ const PINS: &[(&str, &[PassPin])] = &[
             [0x779a851ca827f843, 0xd45811c6c07b86ad, 0xdba661300b545886],
         ],
     ),
-    ("softmax_cross_entropy 1x2", &[[0x852881d511140e43, 0xe7149bf514d76c58, EMPTY]]),
-    ("softmax_cross_entropy 7x10", &[[0x3393ad81c9eaa194, 0x399c35c0311880bc, EMPTY]]),
-    ("softmax_cross_entropy 16x3", &[[0xee1164f322222a83, 0x1800c22865f38547, EMPTY]]),
+    (
+        "softmax_cross_entropy 1x2",
+        &[[0x852881d511140e43, 0xe7149bf514d76c58, EMPTY]],
+    ),
+    (
+        "softmax_cross_entropy 7x10",
+        &[[0x3393ad81c9eaa194, 0x399c35c0311880bc, EMPTY]],
+    ),
+    (
+        "softmax_cross_entropy 16x3",
+        &[[0xee1164f322222a83, 0x1800c22865f38547, EMPTY]],
+    ),
     (
         "cnn chain",
         &[
@@ -283,7 +292,11 @@ fn assert_layer_matches_pins(case: &str, layer: &dyn Layer, inputs: &[Tensor], t
     for (pass, (input, pin)) in inputs.iter().zip(pins).enumerate() {
         let out_f = fresh.forward(input, train);
         let out_w = warm.forward_into(input, train, &mut pool);
-        assert_eq!(out_f.dims(), out_w.dims(), "{case}: forward dims (pass {pass})");
+        assert_eq!(
+            out_f.dims(),
+            out_w.dims(),
+            "{case}: forward dims (pass {pass})"
+        );
 
         let grad_out = Tensor::from_vec(
             (0..out_f.numel())
@@ -303,7 +316,10 @@ fn assert_layer_matches_pins(case: &str, layer: &dyn Layer, inputs: &[Tensor], t
             fnv1a(gin_w.data()),
             fnv1a(&param_grads(warm.as_ref())),
         ];
-        assert_eq!(observed_f, *pin, "{case}: fresh pool per call (pass {pass})");
+        assert_eq!(
+            observed_f, *pin,
+            "{case}: fresh pool per call (pass {pass})"
+        );
         assert_eq!(observed_w, *pin, "{case}: warm shared pool (pass {pass})");
         pool.recycle(out_w);
         pool.recycle(gin_w);
@@ -368,7 +384,12 @@ fn shape_layers_pooled_forms_match_allocating_forms() {
     let inputs: Vec<Tensor> = (0..2).map(|i| image_batch(&[2, 3, 6, 6], 40 + i)).collect();
     assert_layer_matches_pins("flatten", &Flatten::new(), &inputs, true);
     assert_layer_matches_pins("maxpool2d k2", &MaxPool2d::new(2), &inputs, true);
-    assert_layer_matches_pins("maxpool2d k3 s2", &MaxPool2d::with_stride(3, 2), &inputs, true);
+    assert_layer_matches_pins(
+        "maxpool2d k3 s2",
+        &MaxPool2d::with_stride(3, 2),
+        &inputs,
+        true,
+    );
     assert_layer_matches_pins("global_avg_pool2d", &GlobalAvgPool2d::new(), &inputs, true);
 }
 
