@@ -1,6 +1,10 @@
 //! Criterion micro-benchmarks of collaborative-model selection: the in-order
 //! schedule vs the similarity-based strategies (which require pairwise cosine
-//! similarities over the flat parameter vectors).
+//! similarities over the flat parameter vectors). The largest shape is the
+//! `wide_server` round of fcbench: K = 20 uploads of a 797,706-parameter MLP.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run
+//! so CI can detect kernel regressions without paying for full statistics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross::selection::{similarity_matrix, SelectionStrategy};
@@ -13,11 +17,19 @@ fn make_models(k: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        20
+    }
+}
+
 fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("collaborative_selection");
-    group.sample_size(20);
+    group.sample_size(sample_size());
 
-    for &(k, dim) in &[(10usize, 50_000usize), (20, 50_000)] {
+    for &(k, dim) in &[(10usize, 50_000usize), (20, 50_000), (20, 797_706)] {
         let models = make_models(k, dim, 3);
         let id = format!("k{k}_d{dim}");
 

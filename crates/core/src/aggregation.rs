@@ -12,7 +12,8 @@
 //! [`cross_aggregate_all_into`] parallelises over the `K` middleware models
 //! with rayon once the total work is large enough to amortise the fork/join.
 
-use fedcross_nn::params::{average, average_into, interpolate_into, squared_distance, ParamVec};
+use fedcross_nn::params::{average, average_into, interpolate_into, ParamVec};
+use fedcross_tensor::stats::{pairwise_matrix, Pairwise};
 use rayon::prelude::*;
 
 /// Minimum total scalar count (`K·d`) before the whole-round kernels switch
@@ -336,34 +337,8 @@ pub fn multi_krum_select<V: AsRef<[f32]> + Sync>(uploads: &[V], f: usize, m: usi
     let n = uploads.len();
     assert!(n >= 2, "Krum needs at least two uploads, got {n}");
     assert!(m >= 1 && m <= n, "must select between 1 and {n} uploads, got {m}");
-    // alloc: bounded — cohort-sized robust-selection scratch, once per round
-    let views: Vec<&[f32]> = uploads.iter().map(|v| v.as_ref()).collect();
-    let dim = views[0].len();
-    for view in &views {
-        assert_eq!(view.len(), dim, "upload lengths must match");
-    }
     let neighbours = n.saturating_sub(f + 2).clamp(1, n - 1);
-    let score = |i: usize| -> f32 {
-        let mut distances: Vec<f32> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| squared_distance(views[i], views[j]))
-            // alloc: bounded — cohort-sized robust-selection scratch, once per round
-            .collect();
-        distances.sort_unstable_by(f32::total_cmp);
-        distances[..neighbours].iter().sum()
-    };
-    let scores: Vec<f32> = if n * n * dim >= PAR_THRESHOLD_SCALARS {
-        // alloc: bounded — cohort-sized robust-selection scratch, once per round
-        let mut scores = vec![0f32; n];
-        scores
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, s)| *s = score(i));
-        scores
-    } else {
-        // alloc: bounded — cohort-sized robust-selection scratch, once per round
-        (0..n).map(score).collect()
-    };
+    let scores = krum_scores(uploads, neighbours);
     // alloc: bounded — cohort-sized robust-selection scratch, once per round
     let mut order: Vec<usize> = (0..n).collect();
     // Deterministic tie-break: equal scores prefer the lower canonical index.
@@ -372,6 +347,26 @@ pub fn multi_krum_select<V: AsRef<[f32]> + Sync>(uploads: &[V], f: usize, m: usi
     let mut selected = order[..m].to_vec();
     selected.sort_unstable();
     selected
+}
+
+/// Every upload's Krum score: the sum of its `neighbours` smallest squared
+/// distances to the other uploads, in ascending sorted order. Each distance
+/// is one [`pairwise_matrix`] entry cast to `f32`, bitwise equal to
+/// `fedcross_nn::params::squared_distance` of the pair.
+fn krum_scores<V: AsRef<[f32]> + Sync>(uploads: &[V], neighbours: usize) -> Vec<f32> {
+    let n = uploads.len();
+    let matrix = pairwise_matrix(uploads, Pairwise::SquaredDistance);
+    // alloc: bounded — cohort-sized robust-selection scratch, once per round
+    let mut distances = Vec::with_capacity(n - 1);
+    (0..n)
+        .map(|i| {
+            distances.clear();
+            distances.extend((0..n).filter(|&j| j != i).map(|j| matrix[i * n + j] as f32));
+            distances.sort_unstable_by(f32::total_cmp);
+            distances[..neighbours].iter().sum()
+        })
+        // alloc: bounded — cohort-sized robust-selection scratch, once per round
+        .collect()
 }
 
 /// Norm-bounded mean around an `anchor` (the model the server dispatched):
@@ -564,7 +559,7 @@ impl RobustRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedcross_nn::params::l2_norm;
+    use fedcross_nn::params::{l2_norm, squared_distance};
 
     #[test]
     fn cross_aggregate_is_a_convex_combination() {
@@ -809,6 +804,49 @@ mod tests {
         let uploads = vec![vec![1.0f32], vec![1.0], vec![1.0], vec![1.0]];
         assert_eq!(krum_select(&uploads, 1), 0);
         assert_eq!(multi_krum_select(&uploads, 1, 2), vec![0, 1]);
+    }
+
+    #[test]
+    fn krum_scores_match_per_pair_distances_above_the_parallel_threshold() {
+        // n²·d ≥ 2¹⁸ makes the pairwise kernel split its tiles across rayon
+        // at two threads; d is neither a lane nor a block multiple.
+        let (n, dim, f) = (6usize, 8_191usize, 1usize);
+        let uploads: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                let outlier_shift = if i == 4 { 3.0 } else { 0.0 };
+                (0..dim)
+                    .map(|j| ((i * 31 + j * 17) % 97) as f32 * 0.21 - 10.0 + outlier_shift)
+                    .collect()
+            })
+            .collect();
+        let neighbours = n - f - 2;
+        let reference: Vec<f32> = (0..n)
+            .map(|i| {
+                let mut distances: Vec<f32> = (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| squared_distance(&uploads[i], &uploads[j]))
+                    .collect();
+                distances.sort_unstable_by(f32::total_cmp);
+                distances[..neighbours].iter().sum()
+            })
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2] {
+            rayon::set_num_threads(threads);
+            assert_eq!(bits(&krum_scores(&uploads, neighbours)), bits(&reference));
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| reference[a].total_cmp(&reference[b]).then(a.cmp(&b)));
+            for m in 1..=n {
+                let mut expected = order[..m].to_vec();
+                expected.sort_unstable();
+                assert_eq!(
+                    multi_krum_select(&uploads, f, m),
+                    expected,
+                    "threads {threads}, m {m}"
+                );
+            }
+        }
+        rayon::set_num_threads(0);
     }
 
     #[test]

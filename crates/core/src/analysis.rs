@@ -14,7 +14,7 @@
 //!   models "eventually become similar" (Section III-A).
 
 use crate::selection::mean_pairwise_similarity;
-use fedcross_nn::params::{cosine, difference, l2_norm};
+use fedcross_nn::params::{difference, l2_norm};
 use serde::{Deserialize, Serialize};
 
 /// Mean pairwise cosine similarity between client update directions
@@ -36,18 +36,7 @@ pub fn update_conflict(dispatched: &[Vec<f32>], uploaded: &[Vec<f32>]) -> f32 {
         .zip(uploaded)
         .map(|(d, u)| difference(u, d))
         .collect();
-    if updates.len() < 2 {
-        return 1.0;
-    }
-    let mut total = 0f32;
-    let mut count = 0usize;
-    for i in 0..updates.len() {
-        for j in (i + 1)..updates.len() {
-            total += cosine(&updates[i], &updates[j]);
-            count += 1;
-        }
-    }
-    total / count as f32
+    mean_pairwise_similarity(&updates)
 }
 
 /// One recorded round of middleware statistics.

@@ -21,13 +21,8 @@
 //! `ablation_similarity_measure` harness binary).
 
 use fedcross_nn::params::{cosine, euclidean};
-use fedcross_tensor::stats::{cosine_from_parts, dot_f64, norm_sq};
-use rayon::prelude::*;
+use fedcross_tensor::stats::{cosine_from_parts, pairwise_matrix, Pairwise};
 use serde::{Deserialize, Serialize};
-
-/// Minimum total scalar count (`K²·d` pairwise work) before the similarity
-/// strategies fan the per-model searches out to rayon.
-const PAR_THRESHOLD_SCALARS: usize = 1 << 18;
 
 /// How the similarity between two uploaded models is measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -55,6 +50,25 @@ impl SimilarityMeasure {
         match self {
             SimilarityMeasure::Cosine => "cosine",
             SimilarityMeasure::Euclidean => "euclidean",
+        }
+    }
+
+    /// The pairwise reduction this measure is computed from.
+    fn pairwise(self) -> Pairwise {
+        match self {
+            SimilarityMeasure::Cosine => Pairwise::Dot,
+            SimilarityMeasure::Euclidean => Pairwise::SquaredDistance,
+        }
+    }
+
+    /// The similarity of models `i` and `j` read from this measure's `K × K`
+    /// [`pairwise_matrix`]; bitwise equal to
+    /// [`SimilarityMeasure::similarity`] on the two models.
+    fn pair_similarity(self, matrix: &[f64], k: usize, i: usize, j: usize) -> f32 {
+        let at = |r: usize, c: usize| matrix[r * k + c];
+        match self {
+            SimilarityMeasure::Cosine => cosine_from_parts(at(i, j), at(i, i), at(j, j)),
+            SimilarityMeasure::Euclidean => -(at(i, j).sqrt() as f32),
         }
     }
 }
@@ -97,6 +111,10 @@ impl SelectionStrategy {
 
     /// Like [`SelectionStrategy::select`] but with an explicit similarity
     /// measure (the paper's future-work extension).
+    ///
+    /// Compares model `i` with every other model, one pair at a time. This
+    /// is the reference that [`SelectionStrategy::select_all_with`] is
+    /// tested against.
     pub fn select_with<V: AsRef<[f32]>>(
         &self,
         round: usize,
@@ -104,7 +122,9 @@ impl SelectionStrategy {
         models: &[V],
         measure: SimilarityMeasure,
     ) -> usize {
-        self.select_cached(round, i, models, measure, None)
+        self.pick(round, i, models.len(), |j| {
+            measure.similarity(models[i].as_ref(), models[j].as_ref())
+        })
     }
 
     /// Selects the collaborative model for every uploaded model at once.
@@ -114,15 +134,16 @@ impl SelectionStrategy {
 
     /// Like [`SelectionStrategy::select_all`] with an explicit measure.
     ///
-    /// The similarity strategies compare all `K·(K-1)` pairs (`O(K²·d)` —
-    /// the dominant server-side cost beyond the fusion kernels), so the
-    /// per-model searches run on rayon once the pairwise work is large
-    /// enough to amortise the fork/join. Under the cosine measure each
-    /// model's L2 norm is computed **once** up front instead of `K-1` times
-    /// inside the pairwise loop (the fused pass recomputed both operands'
-    /// norms per pair), leaving one dot product per pair — the combined
-    /// similarities are bitwise identical to the fused pass, so selection
-    /// decisions (and training trajectories) are unchanged.
+    /// The similarity strategies need every pair of the `K` models
+    /// (`O(K²·d)`, the server's only quadratic step). They read all pairs
+    /// from one [`pairwise_matrix`] pass, which computes each unordered pair
+    /// once and reads every model from memory once per worker: the dot
+    /// products and squared norms under cosine, the squared distances under
+    /// Euclidean. Every similarity is bitwise equal to the per-pair one, and
+    /// the candidates are compared in the same order with the same
+    /// non-finite fallback, so each choice equals
+    /// [`SelectionStrategy::select_with`]'s and training trajectories are
+    /// unchanged.
     pub fn select_all_with<V: AsRef<[f32]> + Sync>(
         &self,
         round: usize,
@@ -130,80 +151,34 @@ impl SelectionStrategy {
         measure: SimilarityMeasure,
     ) -> Vec<usize> {
         let k = models.len();
-        let dim = models.first().map_or(0, |m| m.as_ref().len());
-        let uses_similarity = !matches!(self, SelectionStrategy::InOrder);
-        let norms: Option<Vec<f64>> = if uses_similarity && measure == SimilarityMeasure::Cosine {
-            // alloc: bounded — cohort-sized selection scratch, once per round
-            Some(models.iter().map(|m| norm_sq(m.as_ref())).collect())
-        } else {
-            None
+        let matrix = match self {
+            SelectionStrategy::InOrder => None,
+            _ => Some(pairwise_matrix(models, measure.pairwise())),
         };
-        let norms = norms.as_deref();
-        if uses_similarity && k.saturating_mul(k).saturating_mul(dim) >= PAR_THRESHOLD_SCALARS {
-            (0..k)
-                .into_par_iter()
-                .map(|i| self.select_cached(round, i, models, measure, norms))
-                // alloc: bounded — cohort-sized selection scratch, once per round
-                .collect()
-        } else {
-            (0..k)
-                .map(|i| self.select_cached(round, i, models, measure, norms))
-                // alloc: bounded — cohort-sized selection scratch, once per round
-                .collect()
-        }
+        // The in-order schedule never reads a similarity.
+        let matrix = matrix.as_deref().unwrap_or_default();
+        (0..k)
+            .map(|i| self.pick(round, i, k, |j| measure.pair_similarity(matrix, k, i, j)))
+            // alloc: bounded — cohort-sized selection scratch, once per round
+            .collect()
     }
 
-    fn select_cached<V: AsRef<[f32]>>(
-        &self,
-        round: usize,
-        i: usize,
-        models: &[V],
-        measure: SimilarityMeasure,
-        norms: Option<&[f64]>,
-    ) -> usize {
-        let k = models.len();
+    /// The collaborator of model `i` among `k`, with `similarity(j)` the
+    /// similarity of models `i` and `j`.
+    fn pick(&self, round: usize, i: usize, k: usize, similarity: impl Fn(usize) -> f32) -> usize {
         assert!(k >= 2, "collaborative selection needs at least two models");
         assert!(i < k, "model index {i} out of range for {k} models");
-        match self {
-            SelectionStrategy::InOrder => {
-                // The paper's schedule: offset cycles through 1..K-1 so that in
-                // every window of K-1 rounds each model meets every other model.
-                let offset = round % (k - 1) + 1;
-                (i + offset) % k
-            }
-            SelectionStrategy::HighestSimilarity => {
-                self.extreme_similarity(i, models, true, measure, norms)
-            }
-            SelectionStrategy::LowestSimilarity => {
-                self.extreme_similarity(i, models, false, measure, norms)
-            }
-        }
-    }
-
-    fn extreme_similarity<V: AsRef<[f32]>>(
-        &self,
-        i: usize,
-        models: &[V],
-        highest: bool,
-        measure: SimilarityMeasure,
-        norms: Option<&[f64]>,
-    ) -> usize {
+        let highest = match self {
+            // The paper's schedule: offset cycles through 1..K-1 so that in
+            // every window of K-1 rounds each model meets every other model.
+            SelectionStrategy::InOrder => return (i + round % (k - 1) + 1) % k,
+            SelectionStrategy::HighestSimilarity => true,
+            SelectionStrategy::LowestSimilarity => false,
+        };
         let mut best_idx = usize::MAX;
         let mut best_sim = if highest { f32::NEG_INFINITY } else { f32::INFINITY };
-        for (j, candidate) in models.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            let sim = match norms {
-                // Cached cosine path: one dot product per pair, norms
-                // precomputed once per model.
-                Some(norms) => cosine_from_parts(
-                    dot_f64(models[i].as_ref(), candidate.as_ref()),
-                    norms[i],
-                    norms[j],
-                ),
-                None => measure.similarity(models[i].as_ref(), candidate.as_ref()),
-            };
+        for j in (0..k).filter(|&j| j != i) {
+            let sim = similarity(j);
             let better = if highest { sim > best_sim } else { sim < best_sim };
             if better {
                 best_sim = sim;
@@ -215,7 +190,7 @@ impl SelectionStrategy {
             // uploaded parameters have diverged, e.g. under heavy privacy
             // noise); fall back to the in-order neighbour so aggregation can
             // proceed instead of panicking downstream.
-            best_idx = (i + 1) % models.len();
+            best_idx = (i + 1) % k;
         }
         best_idx
     }
@@ -224,33 +199,35 @@ impl SelectionStrategy {
 /// The full pairwise cosine-similarity matrix of the uploaded models. Used by
 /// the analysis harness to show middleware models converging towards each
 /// other over training (Section III-A).
-pub fn similarity_matrix<V: AsRef<[f32]>>(models: &[V]) -> Vec<Vec<f32>> {
+pub fn similarity_matrix<V: AsRef<[f32]> + Sync>(models: &[V]) -> Vec<Vec<f32>> {
     let k = models.len();
-    let mut matrix = vec![vec![0f32; k]; k];
-    for i in 0..k {
-        // The matrix is symmetric; compute each pair once.
-        matrix[i][i] = 1.0;
-        for j in (i + 1)..k {
-            let sim = cosine(models[i].as_ref(), models[j].as_ref());
-            matrix[i][j] = sim;
-            matrix[j][i] = sim;
+    let dots = pairwise_matrix(models, Pairwise::Dot);
+    // Both halves hold the (lower, higher) pair's similarity.
+    let entry = |i: usize, j: usize| {
+        if i == j {
+            1.0
+        } else {
+            SimilarityMeasure::Cosine.pair_similarity(&dots, k, i.min(j), i.max(j))
         }
-    }
-    matrix
+    };
+    (0..k)
+        .map(|i| (0..k).map(|j| entry(i, j)).collect())
+        .collect()
 }
 
 /// Mean pairwise cosine similarity between distinct uploaded models — a
 /// scalar view of how unified the middleware models currently are.
-pub fn mean_pairwise_similarity<V: AsRef<[f32]>>(models: &[V]) -> f32 {
+pub fn mean_pairwise_similarity<V: AsRef<[f32]> + Sync>(models: &[V]) -> f32 {
     let k = models.len();
     if k < 2 {
         return 1.0;
     }
+    let dots = pairwise_matrix(models, Pairwise::Dot);
     let mut total = 0f32;
     let mut count = 0usize;
     for i in 0..k {
         for j in (i + 1)..k {
-            total += cosine(models[i].as_ref(), models[j].as_ref());
+            total += SimilarityMeasure::Cosine.pair_similarity(&dots, k, i, j);
             count += 1;
         }
     }
@@ -260,6 +237,7 @@ pub fn mean_pairwise_similarity<V: AsRef<[f32]>>(models: &[V]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedcross_tensor::SeededRng;
 
     fn toy_models() -> Vec<Vec<f32>> {
         vec![
@@ -429,33 +407,54 @@ mod tests {
     }
 
     #[test]
-    fn cached_norm_selection_matches_per_pair_selection() {
-        // select_all_with (norms computed once per model) must agree with
-        // select_with (fused per-pair pass) on every model — the cached
-        // cosine is bitwise identical, so the argmin/argmax cannot move.
-        let mut models = Vec::new();
-        for m in 0..9 {
-            models.push(
-                (0..257)
-                    .map(|i| ((i * (m + 3) % 23) as f32) * 0.37 - 3.5)
-                    .collect::<Vec<f32>>(),
-            );
-        }
-        for strategy in [
+    fn select_all_matches_per_pair_selection_across_shapes_and_threads() {
+        // The last length per K crosses K²·d ≥ 2¹⁸, where the pairwise
+        // kernel splits its tiles across rayon; 255 and 257 straddle one
+        // 256-scalar block. Every partner must equal select_with's, also
+        // for models with NaN and ±inf entries and for all-NaN models,
+        // where every model falls back to its in-order neighbour.
+        let strategies = [
+            SelectionStrategy::InOrder,
             SelectionStrategy::HighestSimilarity,
             SelectionStrategy::LowestSimilarity,
-        ] {
-            for round in 0..3 {
-                let all = strategy.select_all_with(round, &models, SimilarityMeasure::Cosine);
-                for (i, &chosen) in all.iter().enumerate() {
-                    assert_eq!(
-                        chosen,
-                        strategy.select_with(round, i, &models, SimilarityMeasure::Cosine),
-                        "strategy {strategy}, model {i}"
-                    );
+        ];
+        let measures = [SimilarityMeasure::Cosine, SimilarityMeasure::Euclidean];
+        for threads in [1, 2] {
+            rayon::set_num_threads(threads);
+            for k in [2usize, 3, 7, 20] {
+                let par_dim = (1 << 18) / (k * k) + 1;
+                for dim in [1usize, 7, 9, 255, 257, par_dim] {
+                    let mut rng = SeededRng::new((k * 1000 + dim) as u64);
+                    let finite: Vec<Vec<f32>> = (0..k)
+                        .map(|_| (0..dim).map(|_| rng.normal()).collect())
+                        .collect();
+                    let mut mixed = finite.clone();
+                    mixed[1][0] = f32::NAN;
+                    mixed[2 % k][dim - 1] = f32::INFINITY;
+                    mixed[k - 1][dim / 2] = f32::NEG_INFINITY;
+                    let all_nan = vec![vec![f32::NAN; dim]; k];
+                    for (label, models) in
+                        [("finite", &finite), ("mixed", &mixed), ("nan", &all_nan)]
+                    {
+                        for strategy in strategies {
+                            for measure in measures {
+                                let all = strategy.select_all_with(3, models, measure);
+                                for (i, &chosen) in all.iter().enumerate() {
+                                    assert_eq!(
+                                        chosen,
+                                        strategy.select_with(3, i, models, measure),
+                                        "threads {threads}, K {k}, d {dim}, {label}, \
+                                         {strategy}, {}, model {i}",
+                                        measure.label()
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
+        rayon::set_num_threads(0);
     }
 
     #[test]

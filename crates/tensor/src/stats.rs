@@ -6,6 +6,7 @@
 //! cloud server holds.
 
 use crate::Tensor;
+use rayon::prelude::*;
 
 impl Tensor {
     /// Sum of all elements.
@@ -195,51 +196,167 @@ pub fn squared_distance_slices(x: &[f32], y: &[f32]) -> f64 {
     acc.iter().sum()
 }
 
-/// Squared L2 norm of a slice in `f64`, with exactly the lane structure the
-/// `nx` accumulator of [`dot_and_norms`] uses — so a cached norm combined via
-/// [`cosine_from_parts`] is bitwise identical to a fresh
-/// [`cosine_similarity`] call. This is what lets similarity-based selection
-/// compute each model's norm once instead of `K-1` times per round.
-pub fn norm_sq(x: &[f32]) -> f64 {
-    let mut acc = [0f64; KERNEL_LANES];
-    let mut chunks = x.chunks_exact(KERNEL_LANES);
-    for xc in &mut chunks {
-        for lane in 0..KERNEL_LANES {
-            let a = xc[lane] as f64;
-            acc[lane] += a * a;
-        }
-    }
-    for (lane, &a) in chunks.remainder().iter().enumerate() {
-        let a = a as f64;
-        acc[lane] += a * a;
-    }
-    acc.iter().sum()
+/// The per-pair reduction [`pairwise_matrix`] accumulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pairwise {
+    /// `<x_i, x_j>`, the `dot` of [`dot_and_norms`]. The diagonal holds each
+    /// model's squared norm, its `nx`.
+    Dot,
+    /// [`squared_distance_slices`]. The diagonal is zero for finite models.
+    SquaredDistance,
 }
 
-/// Dot product of two slices in `f64`, with exactly the lane structure the
-/// `dot` accumulator of [`dot_and_norms`] uses (see [`norm_sq`]).
+/// Scalars per block of [`pairwise_matrix`]: every model's block (1 KiB)
+/// stays cache-resident while a worker runs all its tiles over it. A
+/// multiple of [`KERNEL_LANES`], so no block boundary splits a lane chunk.
+const PAIR_BLOCK: usize = 32 * KERNEL_LANES;
+
+/// Models per side of a register tile of [`pairwise_matrix`].
+const TILE: usize = 2;
+
+/// Minimum `K²·d` before [`pairwise_matrix`] splits its tiles across rayon.
+const PAR_THRESHOLD_SCALARS: usize = 1 << 18;
+
+/// The lane accumulators of one tile, row-major over its `TILE × TILE`
+/// pairs.
+type TileLanes = [[f64; KERNEL_LANES]; TILE * TILE];
+
+/// The symmetric `K × K` matrix (row-major) of one pairwise reduction over
+/// `models`, e.g. the dot products and squared norms cosine selection needs.
+///
+/// Entry `(i, j)` with `i <= j` is bitwise equal to
+/// `dot_and_norms(x_i, x_j).0` or `squared_distance_slices(x_i, x_j)`, and
+/// `(j, i)` holds the same value: lane `l` accumulates the terms at
+/// positions `≡ l (mod KERNEL_LANES)` in increasing order, and the lanes are
+/// summed as the per-pair kernels sum them. A NaN entry is NaN wherever the
+/// per-pair kernel's is; Rust leaves the sign and payload of a NaN
+/// unspecified.
+///
+/// One blocked pass over `d` fills the whole upper triangle: the pairs are
+/// grouped into 2×2 register tiles, and a worker runs all its tiles over one
+/// block of every model before moving on, so it reads each model from
+/// memory once rather than once per pair. Above `K²·d ≥ 2¹⁸` scalars the
+/// tiles are split into one contiguous run per rayon thread; work is split
+/// by pairs, never along `d`, so the result does not depend on the thread
+/// count.
 ///
 /// # Panics
-/// Panics if the slices differ in length.
-pub fn dot_f64(x: &[f32], y: &[f32]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot_f64: lengths differ");
-    let mut acc = [0f64; KERNEL_LANES];
-    let mut x_chunks = x.chunks_exact(KERNEL_LANES);
-    let mut y_chunks = y.chunks_exact(KERNEL_LANES);
-    for (xc, yc) in (&mut x_chunks).zip(&mut y_chunks) {
-        for lane in 0..KERNEL_LANES {
-            acc[lane] += (xc[lane] as f64) * (yc[lane] as f64);
+/// Panics if the models differ in length.
+pub fn pairwise_matrix<V: AsRef<[f32]> + Sync>(models: &[V], kind: Pairwise) -> Vec<f64> {
+    match kind {
+        Pairwise::Dot => pairwise_with(models, |a, b| a as f64 * b as f64),
+        Pairwise::SquaredDistance => pairwise_with(models, |a, b| {
+            let d = (a - b) as f64;
+            d * d
+        }),
+    }
+}
+
+fn pairwise_with<V, F>(models: &[V], term: F) -> Vec<f64>
+where
+    V: AsRef<[f32]> + Sync,
+    F: Fn(f32, f32) -> f64 + Copy + Sync,
+{
+    let k = models.len();
+    let dim = models.first().map_or(0, |m| m.as_ref().len());
+    for model in models {
+        assert_eq!(model.as_ref().len(), dim, "pairwise_matrix: lengths differ");
+    }
+    // Models are grouped in bands of TILE. The last band of an odd K
+    // repeats its model, so its tiles recompute an entry they already hold.
+    let member = |band: usize, t: usize| (band * TILE + t).min(k.saturating_sub(1));
+    let bands = k.div_ceil(TILE);
+    let tiles: Vec<(usize, usize)> = (0..bands)
+        .flat_map(|r| (r..bands).map(move |c| (r, c)))
+        // alloc: bounded — O(K²) tile list, once per pairwise pass
+        .collect();
+    let parts = if k.saturating_mul(k).saturating_mul(dim) >= PAR_THRESHOLD_SCALARS {
+        rayon::current_num_threads().min(tiles.len())
+    } else {
+        1
+    };
+    let sweep = |tiles: &[(usize, usize)]| -> Vec<TileLanes> {
+        // alloc: bounded — O(K²) lane accumulators, once per pairwise pass
+        let mut lanes = vec![[[0f64; KERNEL_LANES]; TILE * TILE]; tiles.len()];
+        let mut start = 0;
+        while start < dim {
+            // Every block but the last is whole chunks; the last carries
+            // the remainder into lanes 0.., as the per-pair kernels do.
+            let end = dim.min(start + PAIR_BLOCK);
+            for (&(r, c), acc) in tiles.iter().zip(&mut lanes) {
+                let rows = std::array::from_fn(|t| &models[member(r, t)].as_ref()[start..end]);
+                let cols = std::array::from_fn(|t| &models[member(c, t)].as_ref()[start..end]);
+                accumulate_tile(acc, rows, cols, term);
+            }
+            start = end;
+        }
+        lanes
+    };
+    let n = tiles.len();
+    let per_part: Vec<Vec<TileLanes>> = (0..parts)
+        .into_par_iter()
+        .map(|p| sweep(&tiles[p * n / parts..(p + 1) * n / parts]))
+        // alloc: bounded — one accumulator list per rayon part, once per pairwise pass
+        .collect();
+    // alloc: bounded — the K×K result matrix, once per pairwise pass
+    let mut matrix = vec![0f64; k * k];
+    let accumulators = per_part.iter().flat_map(|part| part.iter());
+    for (&(r, c), acc) in tiles.iter().zip(accumulators) {
+        for (pair, lanes) in acc.iter().enumerate() {
+            let (i, j) = (member(r, pair / TILE), member(c, pair % TILE));
+            // Diagonal tiles also hold the mirrored pair; the upper one
+            // keeps the operand order of the per-pair kernels.
+            if i <= j {
+                let sum = lanes.iter().sum();
+                matrix[i * k + j] = sum;
+                matrix[j * k + i] = sum;
+            }
         }
     }
-    for (lane, (&a, &b)) in x_chunks.remainder().iter().zip(y_chunks.remainder()).enumerate() {
-        acc[lane] += (a as f64) * (b as f64);
+    matrix
+}
+
+/// Adds one block of a `TILE × TILE` tile's terms into its lane
+/// accumulators, in the lane order of [`dot_and_norms`]. One accumulator
+/// array per pair, updated in one lane loop, is the shape that vectorises.
+#[inline(always)]
+fn accumulate_tile<F: Fn(f32, f32) -> f64>(
+    acc: &mut TileLanes,
+    [r0, r1]: [&[f32]; TILE],
+    [c0, c1]: [&[f32]; TILE],
+    term: F,
+) {
+    let [mut s0, mut s1, mut s2, mut s3] = *acc;
+    let mut x0 = r0.chunks_exact(KERNEL_LANES);
+    let mut x1 = r1.chunks_exact(KERNEL_LANES);
+    let mut y0 = c0.chunks_exact(KERNEL_LANES);
+    let mut y1 = c1.chunks_exact(KERNEL_LANES);
+    for (((p, q), u), v) in (&mut x0).zip(&mut x1).zip(&mut y0).zip(&mut y1) {
+        for lane in 0..KERNEL_LANES {
+            s0[lane] += term(p[lane], u[lane]);
+            s1[lane] += term(p[lane], v[lane]);
+            s2[lane] += term(q[lane], u[lane]);
+            s3[lane] += term(q[lane], v[lane]);
+        }
     }
-    acc.iter().sum()
+    let (p, q, u, v) = (
+        x0.remainder(),
+        x1.remainder(),
+        y0.remainder(),
+        y1.remainder(),
+    );
+    for lane in 0..p.len() {
+        s0[lane] += term(p[lane], u[lane]);
+        s1[lane] += term(p[lane], v[lane]);
+        s2[lane] += term(q[lane], u[lane]);
+        s3[lane] += term(q[lane], v[lane]);
+    }
+    *acc = [s0, s1, s2, s3];
 }
 
 /// Combines a dot product and two squared norms into the clamped cosine
 /// similarity — the one definition shared by [`cosine_similarity`] and the
-/// cached-norm selection path.
+/// [`pairwise_matrix`] selection path.
 pub fn cosine_from_parts(dot: f64, nx: f64, ny: f64) -> f32 {
     let denom = nx.sqrt() * ny.sqrt();
     if denom <= f64::MIN_POSITIVE {
@@ -400,23 +517,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_norm_parts_are_bitwise_identical_to_fused_pass() {
-        // The whole point of norm_sq/dot_f64: splitting the fused pass into
-        // cached pieces must not change a single similarity bit, or cached
-        // selection would alter training trajectories.
-        for n in [0usize, 1, 7, 8, 9, 65, 1000] {
-            let x: Vec<f32> = (0..n).map(|i| ((i % 19) as f32) * 0.4 - 3.0).collect();
-            let y: Vec<f32> = (0..n).map(|i| ((i % 11) as f32) * -0.6 + 2.0).collect();
-            let (dot, nx, ny) = super::dot_and_norms(&x, &y);
-            assert_eq!(super::dot_f64(&x, &y).to_bits(), dot.to_bits());
-            assert_eq!(super::norm_sq(&x).to_bits(), nx.to_bits());
-            assert_eq!(super::norm_sq(&y).to_bits(), ny.to_bits());
-            assert_eq!(
-                super::cosine_from_parts(dot, nx, ny).to_bits(),
-                super::cosine_similarity(&x, &y).to_bits()
-            );
+    /// Bitwise equality, except that any NaN matches any NaN: Rust leaves
+    /// the sign and payload of a NaN unspecified.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_pairwise_matches_per_pair_kernels(models: &[Vec<f32>], case: &str) {
+        let k = models.len();
+        let dot = pairwise_matrix(models, Pairwise::Dot);
+        let dist = pairwise_matrix(models, Pairwise::SquaredDistance);
+        assert_eq!((dot.len(), dist.len()), (k * k, k * k), "{case}");
+        for i in 0..k {
+            for j in i..k {
+                let (d, ni, nj) = super::dot_and_norms(&models[i], &models[j]);
+                let sd = squared_distance_slices(&models[i], &models[j]);
+                let at = |i: usize, j: usize| i * k + j;
+                assert!(same_bits(dot[at(i, j)], d), "{case}: dot ({i}, {j})");
+                assert!(same_bits(dot[at(i, i)], ni), "{case}: norm {i}");
+                assert!(same_bits(dot[at(j, j)], nj), "{case}: norm {j}");
+                assert!(same_bits(dist[at(i, j)], sd), "{case}: distance ({i}, {j})");
+                assert_eq!(dot[at(j, i)].to_bits(), dot[at(i, j)].to_bits(), "{case}");
+                assert_eq!(dist[at(j, i)].to_bits(), dist[at(i, j)].to_bits(), "{case}");
+            }
         }
+    }
+
+    #[test]
+    fn pairwise_matrix_entries_are_bitwise_equal_to_the_per_pair_kernels() {
+        // Lengths straddle the lane width and the 256-scalar block; the last
+        // length per K crosses the parallel threshold, which the thread
+        // counts below switch between one and two rayon parts.
+        let value = |m: usize, i: usize| ((i * (m + 3) + 7 * m) % 29) as f32 * 0.37 - 5.0;
+        for threads in [1, 2] {
+            rayon::set_num_threads(threads);
+            for k in [0usize, 1, 2, 3, 5] {
+                let par_dim = (1 << 18) / (k * k).max(1) + 9;
+                for dim in [0usize, 1, 7, 8, 9, 255, 256, 257, 1000, par_dim] {
+                    let finite: Vec<Vec<f32>> = (0..k)
+                        .map(|m| (0..dim).map(|i| value(m, i)).collect())
+                        .collect();
+                    let case = format!("threads {threads}, K {k}, d {dim}");
+                    assert_pairwise_matches_per_pair_kernels(&finite, &case);
+                    if dim == 0 {
+                        continue;
+                    }
+                    let mut mixed = finite.clone();
+                    for (m, model) in mixed.iter_mut().enumerate() {
+                        model[(13 * m) % dim] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][m % 3];
+                    }
+                    assert_pairwise_matches_per_pair_kernels(&mixed, &format!("{case}, mixed"));
+                    for fill in [f32::NAN, f32::INFINITY] {
+                        let all = vec![vec![fill; dim]; k];
+                        assert_pairwise_matches_per_pair_kernels(
+                            &all,
+                            &format!("{case}, all {fill}"),
+                        );
+                    }
+                }
+            }
+        }
+        rayon::set_num_threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairwise_matrix: lengths differ")]
+    fn pairwise_matrix_rejects_ragged_models() {
+        pairwise_matrix(&[vec![1.0, 2.0], vec![1.0]], Pairwise::Dot);
     }
 
     #[test]
