@@ -20,6 +20,9 @@
 //! 3. **Eviction is a bitwise no-op.** A shard checked out after eviction is
 //!    a fresh allocation with identical bits.
 //!
+//! A second test pins `Simulation::config_fingerprint` on the equivalence
+//! task for both backends, since checkpoints resume only under an equal one.
+//!
 //! Shards in the scale phase are sized to cross [`LARGE_BYTES`] (24 samples
 //! x 3x16x16 f32 = 72 KiB) while the tiny model, its activations and all
 //! engine bookkeeping stay below it, so the live-byte counter sees shard
@@ -27,7 +30,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Allocations at or above this size count toward the live-byte pin. One
 /// scale-phase shard's feature tensor (24 x 3 x 16 x 16 f32 = 73 728 B) is
@@ -75,6 +78,14 @@ unsafe impl GlobalAlloc for LiveBytesAllocator {
 
 #[global_allocator]
 static COUNTER: LiveBytesAllocator = LiveBytesAllocator;
+
+/// Every test in this binary holds this lock for its whole body, so no
+/// concurrent test thread can pollute the global allocation counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 use fedcross::{build_algorithm, AlgorithmSpec};
 use fedcross_bench::determinism::Fnv1a;
@@ -208,10 +219,9 @@ fn run_fingerprint(spec: AlgorithmSpec, mut sim: Simulation<'_>) -> u64 {
     hash.finish()
 }
 
-// NOTE: this binary contains exactly one #[test] so no concurrent test
-// thread can pollute the global allocation counters.
 #[test]
 fn population_scale_runs_flat_and_bitwise_match_eager() {
+    let _serial = serial();
     // ------------------------------------------------------------------
     // Phase 1: 100k-client run under the live-byte pin.
     // ------------------------------------------------------------------
@@ -357,5 +367,25 @@ fn population_scale_runs_flat_and_bitwise_match_eager() {
     assert!(
         evicting_total > 0,
         "equivalence phase never evicted; the evicting runs were vacuous"
+    );
+}
+
+/// A checkpoint resumes only under an equal `config_fingerprint`, so a
+/// change that moves either value orphans every checkpoint saved on that
+/// backend.
+#[test]
+fn config_fingerprints_are_pinned_per_backend() {
+    let _serial = serial();
+    let source = equivalence_source();
+    let eager = source.materialize_all();
+    let sharded = ShardPlane::with_default_config(Arc::new(source));
+    assert_eq!(
+        Simulation::new(equivalence_config(), &eager, equivalence_model()).config_fingerprint(),
+        "fnv1a:9f3788001ebf0c88"
+    );
+    assert_eq!(
+        Simulation::new_sharded(equivalence_config(), &sharded, equivalence_model())
+            .config_fingerprint(),
+        "fnv1a:66ab5b312de6c149"
     );
 }
