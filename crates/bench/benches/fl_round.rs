@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross::AlgorithmSpec;
 use fedcross_bench::{build_model, build_task, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::{ClientWorkerPool, CommTracker, LocalTrainConfig};
 use fedcross_tensor::SeededRng;

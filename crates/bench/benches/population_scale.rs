@@ -97,7 +97,7 @@ fn bench_population_scale(c: &mut Criterion) {
                 let rng = master.fork(round); // fork: construction-seed
                 let mut comm = CommTracker::new();
                 let mut ctx =
-                    RoundContext::new_sharded(&plane, template.as_ref(), local, K, rng, &mut comm)
+                    RoundContext::new(&plane, template.as_ref(), local, K, rng, &mut comm)
                         .with_worker_pool(&mut pool);
                 black_box(algorithm.run_round(round as usize, &mut ctx));
             })

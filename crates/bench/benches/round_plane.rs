@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fedcross::{FedCross, FedCrossConfig};
 use fedcross_bench::{build_model, build_task, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::{
     ClientWorkerPool, CommTracker, EvalWorker, FederatedAlgorithm, LocalTrainConfig,

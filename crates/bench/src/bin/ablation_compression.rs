@@ -14,7 +14,7 @@
 use fedcross_bench::report::{print_header, print_row, write_json};
 use fedcross_bench::{build_model, build_task, Args, ExperimentConfig, ModelSpec, TaskSpec};
 use fedcross_compress::{CompressedFedAvg, Compressor, Identity, RandK, TopK, UniformQuantizer};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{Simulation, SimulationConfig};
 
 fn main() {

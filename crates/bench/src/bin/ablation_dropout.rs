@@ -14,7 +14,7 @@
 use fedcross::{build_algorithm, AlgorithmSpec};
 use fedcross_bench::report::{format_mean_std, print_header, print_row, write_json};
 use fedcross_bench::{build_model, build_task, scaled_fedcross, Args, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{AvailabilityModel, Simulation, SimulationConfig};
 
 fn main() {

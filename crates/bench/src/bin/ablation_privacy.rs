@@ -15,7 +15,7 @@
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy};
 use fedcross_bench::report::{print_header, print_row, write_json};
 use fedcross_bench::{build_model, build_task, Args, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{FederatedAlgorithm, Simulation, SimulationConfig};
 use fedcross_privacy::mechanism::{DpConfig, NoisePlacement};
 use fedcross_privacy::algorithms::{DpFedAvg, DpFedCross, DpFedCrossConfig};

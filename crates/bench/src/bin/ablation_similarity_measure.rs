@@ -13,7 +13,7 @@
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
 use fedcross_bench::report::{format_mean_std, print_header, print_row, write_json};
 use fedcross_bench::{build_model, build_task, Args, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{Simulation, SimulationConfig};
 
 fn main() {

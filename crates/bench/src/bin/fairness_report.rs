@@ -14,7 +14,7 @@
 use fedcross::build_algorithm;
 use fedcross_bench::report::{print_header, print_row, write_json};
 use fedcross_bench::{build_model, build_task, scaled_lineup, Args, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{per_client_fairness, Simulation, SimulationConfig};
 
 fn main() {

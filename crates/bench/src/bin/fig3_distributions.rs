@@ -11,7 +11,7 @@
 use fedcross_bench::report::{ascii_distribution_row, write_json};
 use fedcross_bench::{build_task, Args, ExperimentConfig, TaskSpec};
 use fedcross_data::partition::skew_score;
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_tensor::SeededRng;
 
 fn main() {

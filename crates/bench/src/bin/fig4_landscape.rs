@@ -14,7 +14,7 @@
 use fedcross::AlgorithmSpec;
 use fedcross_bench::report::write_json;
 use fedcross_bench::{build_model, build_task, Args, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::landscape::{loss_surface_2d, sharpness};
 use fedcross_flsim::{Simulation, SimulationConfig};
 use fedcross_tensor::SeededRng;

@@ -11,7 +11,7 @@
 use fedcross::AlgorithmSpec;
 use fedcross_bench::report::{format_curve, write_json};
 use fedcross_bench::{build_model, build_task, run_method_on, Args, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 
 fn main() {
     let args = Args::from_env();

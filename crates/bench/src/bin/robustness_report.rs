@@ -22,7 +22,7 @@
 use fedcross::{build_algorithm, AlgorithmSpec, RobustRule};
 use fedcross_bench::report::{print_header, print_row, write_json};
 use fedcross_bench::{build_model, build_task, Args, ExperimentConfig, ModelSpec, TaskSpec};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{
     AdversaryModel, Attack, DeviceModel, FaultPlan, FaultTally, RoundPolicy, Simulation,
     SimulationConfig,

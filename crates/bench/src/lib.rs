@@ -28,7 +28,7 @@ use fedcross_data::federated::{
     SynthSent140Config, SynthShakespeareConfig,
 };
 use fedcross_data::synth::images::SynthImageConfig;
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::engine::SimulationResult;
 use fedcross_flsim::{LocalTrainConfig, Simulation, SimulationConfig};
 use fedcross_nn::models::{

@@ -227,7 +227,7 @@ mod tests {
     use crate::quantize::UniformQuantizer;
     use crate::sparsify::TopK;
     use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-    use fedcross_data::Heterogeneity;
+    use fedcross_data::{ClientDataSource, Heterogeneity};
     use fedcross_flsim::{LocalTrainConfig, Simulation, SimulationConfig};
     use fedcross_nn::models::{cnn, CnnConfig};
     use fedcross_nn::Model;

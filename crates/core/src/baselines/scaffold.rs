@@ -163,6 +163,7 @@ impl FederatedAlgorithm for Scaffold {
 mod tests {
     use super::*;
     use crate::baselines::test_support::{quick_config, tiny_image_setup};
+    use fedcross_data::ClientDataSource;
     use fedcross_flsim::Simulation;
 
     #[test]

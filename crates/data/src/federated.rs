@@ -1,18 +1,22 @@
 //! Federated dataset assembly: one [`Dataset`] per client plus a global test
 //! set, for each of the five benchmark tasks of the paper.
 
+use std::sync::Arc;
+
 use crate::dataset::Dataset;
 use crate::partition::{partition, Heterogeneity};
+use crate::source::ClientDataSource;
 use crate::synth::images::{SynthImageConfig, SynthImages};
 use crate::synth::text::{NextCharConfig, SentimentConfig, SynthNextChar, SynthSentiment};
 use fedcross_tensor::SeededRng;
 
 /// A federated learning task: per-client training data and a held-out global
-/// test set used by the server for evaluation.
+/// test set used by the server for evaluation. Every shard stays resident;
+/// as a [`ClientDataSource`] it hands them out by `Arc` clone.
 #[derive(Debug, Clone)]
 pub struct FederatedDataset {
     name: String,
-    clients: Vec<Dataset>,
+    clients: Vec<Arc<Dataset>>,
     test: Dataset,
     num_classes: usize,
 }
@@ -31,28 +35,10 @@ impl FederatedDataset {
         );
         Self {
             name: name.into(),
-            clients,
+            clients: clients.into_iter().map(Arc::new).collect(),
             test,
             num_classes,
         }
-    }
-
-    /// Task name (e.g. `"synth-cifar10"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Decomposes the dataset into `(name, clients, test)`, handing ownership
-    /// of the per-client shards to the caller. Used by the eager
-    /// [`crate::source::ClientDataSource`] adapter to wrap each shard in an
-    /// `Arc` without copying it.
-    pub fn into_parts(self) -> (String, Vec<Dataset>, Dataset) {
-        (self.name, self.clients, self.test)
-    }
-
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.clients.len()
     }
 
     /// A single client's training data.
@@ -60,24 +46,9 @@ impl FederatedDataset {
         &self.clients[i]
     }
 
-    /// All clients' training data.
-    pub fn clients(&self) -> &[Dataset] {
-        &self.clients
-    }
-
-    /// The held-out global test set.
-    pub fn test_set(&self) -> &Dataset {
-        &self.test
-    }
-
-    /// Number of classes in the task.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
     /// Per-client training sample counts.
     pub fn client_sizes(&self) -> Vec<usize> {
-        self.clients.iter().map(Dataset::len).collect()
+        self.clients.iter().map(|c| c.len()).collect()
     }
 
     /// Total number of training samples across all clients.
@@ -240,6 +211,47 @@ impl FederatedDataset {
         let test_refs: Vec<&Dataset> = test_parts.iter().collect();
         let test = Dataset::concat(&test_refs);
         Self::from_parts("synth-sent140", clients, test)
+    }
+}
+
+impl ClientDataSource for FederatedDataset {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn num_clients(&self) -> usize {
+        self.clients.len()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.num_classes
+    }
+
+    fn test_set(&self) -> &Dataset {
+        &self.test
+    }
+
+    fn materialize(&self, client: usize) -> Dataset {
+        // alloc: cold — owned copy on request; rounds check shards out through `shard`
+        (*self.clients[client]).clone()
+    }
+
+    fn shard(&self, client: usize) -> Arc<Dataset> {
+        Arc::clone(&self.clients[client])
+    }
+
+    /// Tag 17, then the population shape: client, class and test-set
+    /// counts and every client's shard size. Contents are not hashed, so
+    /// two federations of equal shape yield equal tokens.
+    fn fingerprint_tokens(&self) -> Vec<u64> {
+        let mut tokens = vec![
+            17,
+            self.clients.len() as u64,
+            self.num_classes as u64,
+            self.test.len() as u64,
+        ];
+        tokens.extend(self.clients.iter().map(|c| c.len() as u64));
+        tokens
     }
 }
 

@@ -17,14 +17,16 @@
 //!   distribution for Shakespeare, topic/vocabulary bias for Sent140).
 //!
 //! The top-level entry point is [`federated::FederatedDataset`], which holds
-//! one [`Dataset`] per client plus a held-out global test set — the exact
-//! structure every algorithm crate consumes.
+//! one [`Dataset`] per client plus a held-out global test set. Every
+//! consumer reads it through the [`ClientDataSource`] trait, which the lazy
+//! [`SynthTaskSource`] and the cached [`ShardPlane`] implement too.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 //! use fedcross_data::partition::Heterogeneity;
+//! use fedcross_data::ClientDataSource;
 //! use fedcross_tensor::SeededRng;
 //!
 //! let mut rng = SeededRng::new(0);
@@ -52,4 +54,4 @@ pub use dataset::{Batch, Dataset};
 pub use federated::FederatedDataset;
 pub use partition::Heterogeneity;
 pub use shard::{ShardPlane, ShardPlaneConfig, ShardStats};
-pub use source::{ClientDataSource, EagerSource, SynthTaskSource};
+pub use source::{ClientDataSource, SynthTaskSource};

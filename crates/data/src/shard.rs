@@ -145,7 +145,8 @@ impl PlaneState {
 }
 
 /// A [`ClientDataSource`] behind a bounded LRU cache and an optional
-/// background prefetcher. This is the object the sharded engine talks to.
+/// background prefetcher, itself a [`ClientDataSource`]: the engine reads
+/// through it like any other source, and its `prefetch` hints land here.
 pub struct ShardPlane {
     source: Arc<dyn ClientDataSource>,
     config: ShardPlaneConfig,
@@ -195,71 +196,6 @@ impl ShardPlane {
     /// The plane's sizing.
     pub fn config(&self) -> ShardPlaneConfig {
         self.config
-    }
-
-    /// Number of clients in the federation.
-    pub fn num_clients(&self) -> usize {
-        self.source.num_clients()
-    }
-
-    /// Number of classes in the task.
-    pub fn num_classes(&self) -> usize {
-        self.source.num_classes()
-    }
-
-    /// The held-out global test set.
-    pub fn test_set(&self) -> &Dataset {
-        self.source.test_set()
-    }
-
-    /// Task name.
-    pub fn name(&self) -> &str {
-        self.source.name()
-    }
-
-    /// Returns client `client`'s shard, from cache, ring or on-demand
-    /// materialisation. Identical bits regardless of which path served it.
-    pub fn shard(&self, client: usize) -> Arc<Dataset> {
-        let (lock, space) = &*self.state;
-        {
-            let mut st = lock.lock().expect("shard plane poisoned");
-            Self::absorb_ring(&mut st, self.config.capacity);
-            space.notify_all();
-            if let Some(shard) = st.cache.get(client) {
-                st.stats.hits += 1;
-                return shard;
-            }
-            // Make room *before* materialising so the cache never exceeds
-            // its capacity, keeping the resident-set bound exact.
-            let evicted = st.cache.evict_to(self.config.capacity.saturating_sub(1));
-            st.stats.evictions += evicted;
-        }
-        let shard = self.source.shard(client);
-        let mut st = lock.lock().expect("shard plane poisoned");
-        st.stats.misses += 1;
-        st.cache.insert(client, Arc::clone(&shard));
-        st.note_resident();
-        shard
-    }
-
-    /// Hints that `clients` will be needed soon. No-op without a prefetcher;
-    /// already-resident or already-queued ids are skipped. Never blocks the
-    /// caller: the worker applies backpressure on its own thread.
-    pub fn prefetch(&self, clients: &[usize]) {
-        let Some(requests) = &self.requests else {
-            return;
-        };
-        let (lock, _) = &*self.state;
-        let mut st = lock.lock().expect("shard plane poisoned");
-        let tx = requests.lock().expect("request channel poisoned");
-        for &client in clients {
-            assert!(client < self.source.num_clients(), "client out of range");
-            if st.cache.contains(client) || st.in_ring(client) || st.queued.contains(&client) {
-                continue;
-            }
-            st.queued.insert(client);
-            let _ = tx.send(client);
-        }
     }
 
     /// Drains any prefetched shards into the cache and waits until every
@@ -341,6 +277,81 @@ impl ShardPlane {
                 }
             })
             .expect("failed to spawn shard prefetch worker")
+    }
+}
+
+impl ClientDataSource for ShardPlane {
+    fn name(&self) -> &str {
+        self.source.name()
+    }
+
+    fn num_clients(&self) -> usize {
+        self.source.num_clients()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.source.num_classes()
+    }
+
+    fn test_set(&self) -> &Dataset {
+        self.source.test_set()
+    }
+
+    fn materialize(&self, client: usize) -> Dataset {
+        self.source.materialize(client)
+    }
+
+    /// Returns client `client`'s shard, from cache, ring or on-demand
+    /// materialisation. Identical bits regardless of which path served it.
+    fn shard(&self, client: usize) -> Arc<Dataset> {
+        let (lock, space) = &*self.state;
+        {
+            let mut st = lock.lock().expect("shard plane poisoned");
+            Self::absorb_ring(&mut st, self.config.capacity);
+            space.notify_all();
+            if let Some(shard) = st.cache.get(client) {
+                st.stats.hits += 1;
+                return shard;
+            }
+            // Make room *before* materialising so the cache never exceeds
+            // its capacity, keeping the resident-set bound exact.
+            let evicted = st.cache.evict_to(self.config.capacity.saturating_sub(1));
+            st.stats.evictions += evicted;
+        }
+        let shard = self.source.shard(client);
+        let mut st = lock.lock().expect("shard plane poisoned");
+        st.stats.misses += 1;
+        st.cache.insert(client, Arc::clone(&shard));
+        st.note_resident();
+        shard
+    }
+
+    /// Hints that `clients` will be needed soon. No-op without a prefetcher;
+    /// already-resident or already-queued ids are skipped. Never blocks the
+    /// caller: the worker applies backpressure on its own thread.
+    fn prefetch(&self, clients: &[usize]) {
+        let Some(requests) = &self.requests else {
+            return;
+        };
+        let (lock, _) = &*self.state;
+        let mut st = lock.lock().expect("shard plane poisoned");
+        let tx = requests.lock().expect("request channel poisoned");
+        for &client in clients {
+            assert!(client < self.source.num_clients(), "client out of range");
+            if st.cache.contains(client) || st.in_ring(client) || st.queued.contains(&client) {
+                continue;
+            }
+            st.queued.insert(client);
+            let _ = tx.send(client);
+        }
+    }
+
+    /// Tag 18, then the wrapped source's tokens: cache sizing never
+    /// shapes shard contents, so it stays out.
+    fn fingerprint_tokens(&self) -> Vec<u64> {
+        let mut tokens = vec![18];
+        tokens.extend(self.source.fingerprint_tokens());
+        tokens
     }
 }
 

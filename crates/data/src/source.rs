@@ -1,25 +1,23 @@
-//! Lazily materialised client data sources.
+//! Client data sources: the one interface the engine reads client shards
+//! through.
 //!
-//! [`FederatedDataset`] materialises every client's shard up front, which caps
-//! the population at what RAM holds. This module introduces the sharded
-//! alternative: a [`ClientDataSource`] describes a federation whose shards are
-//! *pure functions of the client id* — `materialize(client)` derives a
-//! client-private RNG from the task's construction seed (`base.fork(...)`,
-//! never from consumed state), so evicting and re-materialising a shard is a
-//! bitwise no-op. That single property is what lets the engine run 10^5–10^6
-//! client federations while keeping only a bounded working set resident (see
-//! [`crate::shard::ShardPlane`]) without giving up the workspace's
-//! bitwise-trajectory guarantees.
+//! A [`ClientDataSource`] describes a federation whose shards are *pure
+//! functions of the client id*. Three implementations cover every backend:
 //!
-//! Two families of implementations live here:
-//!
-//! * [`SynthTaskSource`] — lazy versions of all five synthetic benchmark
-//!   tasks. Per-client label skew that the eager path expressed as a
-//!   global-pool Dirichlet *partition* is expressed here as a per-client
-//!   Dirichlet class *distribution*, so a shard never needs its neighbours.
-//! * [`EagerSource`] — an adapter wrapping an existing [`FederatedDataset`];
-//!   `materialize` is an `Arc` clone, making the sharded engine a strict
-//!   superset of the eager one.
+//! * [`crate::FederatedDataset`] holds every shard resident; `shard` is an
+//!   `Arc` clone.
+//! * [`SynthTaskSource`] synthesises shards on demand for all five
+//!   synthetic benchmark tasks. `materialize(client)` derives a
+//!   client-private RNG from the task's construction seed
+//!   (`base.fork(...)`, never from consumed state), so evicting and
+//!   re-materialising a shard is a bitwise no-op. Per-client label skew
+//!   that the eager path expressed as a global-pool Dirichlet *partition*
+//!   is expressed here as a per-client Dirichlet class *distribution*, so a
+//!   shard never needs its neighbours.
+//! * [`crate::shard::ShardPlane`] fronts another source with a bounded LRU
+//!   cache and a background prefetcher, which is what lets the engine run
+//!   10^5–10^6 client federations in flat memory without giving up the
+//!   workspace's bitwise-trajectory guarantees.
 //!
 //! Determinism contract: every RNG used during materialisation is forked from
 //! the *construction seed* of the source (`SeededRng::new(task_seed)`), keyed
@@ -74,13 +72,19 @@ pub trait ClientDataSource: Send + Sync {
     /// Synthesises client `client`'s shard. Pure: same id ⇒ same bits.
     fn materialize(&self, client: usize) -> Dataset;
 
-    /// Shared-ownership form of [`ClientDataSource::materialize`]. Sources
-    /// that already hold their shards (the eager adapter) override this to
-    /// hand out an `Arc` clone instead of a deep copy.
+    /// Shared-ownership form of [`ClientDataSource::materialize`]: the
+    /// engine checks every training shard out through this. Sources that
+    /// hold or cache their shards override it to hand out an `Arc` clone
+    /// instead of a fresh copy.
     fn shard(&self, client: usize) -> Arc<Dataset> {
         // alloc: pooled — shard-cache miss materialization; steady rounds hit the cache
         Arc::new(self.materialize(client))
     }
+
+    /// Hints that `clients` will be checked out through
+    /// [`ClientDataSource::shard`] soon. A no-op unless the source can
+    /// prepare shards ahead of use; it never changes what `shard` returns.
+    fn prefetch(&self, _clients: &[usize]) {}
 
     /// Tokens mixed into the simulation's config fingerprint so checkpoints
     /// refuse to resume under a different population shape. Must cover the
@@ -402,68 +406,6 @@ impl ClientDataSource for SynthTaskSource {
     }
 }
 
-/// Eager adapter: wraps a fully materialised [`FederatedDataset`] so existing
-/// tasks can ride the sharded engine unchanged. `shard()` is an `Arc` clone.
-#[derive(Debug, Clone)]
-pub struct EagerSource {
-    name: String,
-    clients: Vec<Arc<Dataset>>,
-    test: Dataset,
-    num_classes: usize,
-}
-
-impl EagerSource {
-    /// Takes ownership of `data`, wrapping each client shard in an `Arc`.
-    pub fn new(data: FederatedDataset) -> Self {
-        let num_classes = data.num_classes();
-        let (name, clients, test) = data.into_parts();
-        Self {
-            name,
-            clients: clients.into_iter().map(Arc::new).collect(),
-            test,
-            num_classes,
-        }
-    }
-}
-
-impl ClientDataSource for EagerSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_clients(&self) -> usize {
-        self.clients.len()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn test_set(&self) -> &Dataset {
-        &self.test
-    }
-
-    fn materialize(&self, client: usize) -> Dataset {
-        // alloc: pooled — shard-cache miss materialization; steady rounds hit the cache
-        (*self.clients[client]).clone()
-    }
-
-    fn shard(&self, client: usize) -> Arc<Dataset> {
-        Arc::clone(&self.clients[client])
-    }
-
-    fn fingerprint_tokens(&self) -> Vec<u64> {
-        let mut tokens = vec![
-            0, // kind tag: eager adapter
-            self.clients.len() as u64,
-            self.num_classes as u64,
-            self.test.len() as u64,
-        ];
-        tokens.extend(self.clients.iter().map(|c| c.len() as u64));
-        tokens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,7 +557,7 @@ mod tests {
     #[test]
     fn materialize_all_round_trips_through_eager_source() {
         let source = small_source();
-        let eager = EagerSource::new(source.materialize_all());
+        let eager = source.materialize_all();
         assert_eq!(eager.num_clients(), source.num_clients());
         assert_eq!(eager.num_classes(), source.num_classes());
         for client in 0..source.num_clients() {

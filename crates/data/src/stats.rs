@@ -7,6 +7,7 @@
 //! and a compact [`HeterogeneityReport`].
 
 use crate::federated::FederatedDataset;
+use crate::source::ClientDataSource;
 
 /// Shannon entropy (nats) of a label-count histogram.
 ///

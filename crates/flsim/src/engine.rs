@@ -19,7 +19,7 @@ use crate::eval::EvalWorker;
 use crate::faults::{FaultPlan, FaultTally, RoundPolicy};
 use crate::history::{RoundRecord, TrainingHistory};
 use crate::worker::ClientWorkerPool;
-use fedcross_data::{Dataset, FederatedDataset, ShardPlane};
+use fedcross_data::{ClientDataSource, Dataset};
 use fedcross_nn::params::ParamBlock;
 use fedcross_nn::Model;
 use fedcross_tensor::alloc_guard::AllocGuard;
@@ -34,82 +34,24 @@ use std::sync::Arc;
 /// and never allocate population-sized scratch.
 pub const SPARSE_SELECTION_THRESHOLD: usize = 4096;
 
+/// Draws `k` distinct clients out of `n` uniformly. Both
+/// [`RoundContext::select_clients`] and the simulation's cohort prefetch
+/// draw through here, so a prefetch hint names exactly the cohort a
+/// uniformly selecting round checks out.
+fn sample_cohort(rng: &mut SeededRng, n: usize, k: usize) -> Vec<usize> {
+    if n > SPARSE_SELECTION_THRESHOLD {
+        rng.sample_without_replacement_sparse(n, k)
+    } else {
+        rng.sample_without_replacement(n, k)
+    }
+}
+
 /// A single allocation of this many bytes or more inside a guarded
 /// steady-state region (round or eval) trips the `sanitize-alloc` runtime
 /// sanitizer. Matches the large-allocation threshold the runtime pin in
 /// tests/tests/round_alloc.rs enforces: full-model buffers sit far above
 /// it, per-round bookkeeping far below.
 pub const STEADY_LARGE_BYTES: usize = 64 * 1024;
-
-/// The client-data backend a simulation round reads shards from: either the
-/// historical fully materialised [`FederatedDataset`] or a bounded
-/// [`ShardPlane`] that synthesises shards on demand (see
-/// `fedcross_data::source`). All shard bits are identical between the two for
-/// equivalent federations — the plane only changes *when* a shard exists in
-/// memory, never what it contains.
-#[derive(Clone, Copy)]
-pub enum DataPlane<'a> {
-    /// Every client shard resident for the whole run.
-    Eager(&'a FederatedDataset),
-    /// Bounded LRU cache + prefetch over a lazy client data source.
-    Sharded(&'a ShardPlane),
-}
-
-impl<'a> DataPlane<'a> {
-    /// Total number of clients in the federation.
-    pub fn num_clients(&self) -> usize {
-        match self {
-            DataPlane::Eager(data) => data.num_clients(),
-            DataPlane::Sharded(plane) => plane.num_clients(),
-        }
-    }
-
-    /// Number of classes in the task.
-    pub fn num_classes(&self) -> usize {
-        match self {
-            DataPlane::Eager(data) => data.num_classes(),
-            DataPlane::Sharded(plane) => plane.num_classes(),
-        }
-    }
-
-    /// The held-out global test set (always resident on both backends).
-    pub fn test_set(&self) -> &'a Dataset {
-        match self {
-            DataPlane::Eager(data) => data.test_set(),
-            DataPlane::Sharded(plane) => plane.test_set(),
-        }
-    }
-
-    /// Client `client`'s training shard. Borrowed on the eager backend;
-    /// cache-served (materialising on a miss) on the sharded backend.
-    pub fn shard(&self, client: usize) -> ShardRef<'a> {
-        match self {
-            DataPlane::Eager(data) => ShardRef::Borrowed(data.client(client)),
-            DataPlane::Sharded(plane) => ShardRef::Cached(plane.shard(client)),
-        }
-    }
-}
-
-/// A round's handle on one client shard: a plain borrow from the eager
-/// dataset, or shared ownership of a cache entry (which keeps the shard alive
-/// for the duration of the training job even if the cache evicts it).
-pub enum ShardRef<'a> {
-    /// Borrowed from a resident [`FederatedDataset`].
-    Borrowed(&'a Dataset),
-    /// Checked out of a [`ShardPlane`] cache.
-    Cached(Arc<Dataset>),
-}
-
-impl std::ops::Deref for ShardRef<'_> {
-    type Target = Dataset;
-
-    fn deref(&self) -> &Dataset {
-        match self {
-            ShardRef::Borrowed(data) => data,
-            ShardRef::Cached(data) => data,
-        }
-    }
-}
 
 /// One client-training job: dispatch `params` to `client`, optionally with a
 /// per-parameter gradient correction applied during its local SGD.
@@ -202,7 +144,7 @@ impl WorkerPlane<'_> {
 
 /// Everything an algorithm can touch during one communication round.
 pub struct RoundContext<'a> {
-    data: DataPlane<'a>,
+    data: &'a dyn ClientDataSource,
     template: &'a dyn Model,
     local: LocalTrainConfig,
     clients_per_round: usize,
@@ -257,49 +199,12 @@ pub struct UploadOutcome {
 }
 
 impl<'a> RoundContext<'a> {
-    /// Creates a round context over a fully materialised dataset. Normally
-    /// done by [`Simulation`]; exposed so tests and custom harnesses can
-    /// drive algorithms round by round.
+    /// Creates a round context over any client-data source: resident
+    /// shards, a lazy source or a cached [`fedcross_data::ShardPlane`].
+    /// Normally done by [`Simulation`]; exposed so tests and custom
+    /// harnesses can drive algorithms round by round.
     pub fn new(
-        data: &'a FederatedDataset,
-        template: &'a dyn Model,
-        local: LocalTrainConfig,
-        clients_per_round: usize,
-        rng: SeededRng,
-        comm: &'a mut CommTracker,
-    ) -> Self {
-        Self::over_plane(
-            DataPlane::Eager(data),
-            template,
-            local,
-            clients_per_round,
-            rng,
-            comm,
-        )
-    }
-
-    /// Creates a round context over a sharded [`ShardPlane`] backend — the
-    /// million-client form of [`RoundContext::new`].
-    pub fn new_sharded(
-        plane: &'a ShardPlane,
-        template: &'a dyn Model,
-        local: LocalTrainConfig,
-        clients_per_round: usize,
-        rng: SeededRng,
-        comm: &'a mut CommTracker,
-    ) -> Self {
-        Self::over_plane(
-            DataPlane::Sharded(plane),
-            template,
-            local,
-            clients_per_round,
-            rng,
-            comm,
-        )
-    }
-
-    fn over_plane(
-        data: DataPlane<'a>,
+        data: &'a dyn ClientDataSource,
         template: &'a dyn Model,
         local: LocalTrainConfig,
         clients_per_round: usize,
@@ -444,25 +349,6 @@ impl<'a> RoundContext<'a> {
         self.clients_per_round
     }
 
-    /// The federated dataset (client training shards + global test set).
-    ///
-    /// # Panics
-    /// Panics on a sharded context: whole-federation slice access is exactly
-    /// what the sharded plane exists to avoid. Algorithms reach shards
-    /// through [`RoundContext::local_train_jobs`] and friends, which work on
-    /// both backends.
-    pub fn data(&self) -> &FederatedDataset {
-        match self.data {
-            DataPlane::Eager(data) => data,
-            // panic: documented API contract — whole-federation access is
-            // exactly what the sharded plane exists to prevent
-            DataPlane::Sharded(_) => panic!(
-                "RoundContext::data() is unavailable on a sharded data plane; \
-                 access shards through the training dispatch instead"
-            ),
-        }
-    }
-
     /// Number of classes in the federation's task.
     pub fn num_classes(&self) -> usize {
         self.data.num_classes()
@@ -484,20 +370,10 @@ impl<'a> RoundContext<'a> {
     }
 
     /// Samples `clients_per_round` distinct clients uniformly at random
-    /// (Algorithm 1, line 4).
-    ///
-    /// Populations up to [`SPARSE_SELECTION_THRESHOLD`] use the historical
-    /// dense Fisher–Yates prefix sampler (bitwise-preserving every existing
-    /// fingerprinted trajectory); larger populations switch to Floyd's O(k)
-    /// sampler so selection never allocates population-sized scratch.
+    /// (Algorithm 1, line 4): the dense Fisher–Yates prefix sampler up to
+    /// [`SPARSE_SELECTION_THRESHOLD`] clients, Floyd's O(k) sampler above.
     pub fn select_clients(&mut self) -> Vec<usize> {
-        let n = self.num_clients();
-        let k = self.clients_per_round();
-        if n > SPARSE_SELECTION_THRESHOLD {
-            self.rng.sample_without_replacement_sparse(n, k)
-        } else {
-            self.rng.sample_without_replacement(n, k)
-        }
+        sample_cohort(&mut self.rng, self.data.num_clients(), self.clients_per_round)
     }
 
     /// Samples clients with probability proportional to `weights` (without
@@ -625,12 +501,11 @@ impl<'a> RoundContext<'a> {
             None => Vec::new(),
         };
 
-        // Check every job's shard out of the data plane before the parallel
-        // section: on the eager backend these are plain borrows; on the
-        // sharded backend this is where cache hits/misses happen (serially,
-        // in job order — materialisation stays deterministic and the
-        // parallel workers below never touch the cache).
-        let shards: Vec<ShardRef<'_>> = prepared
+        // Check every job's shard out of the source before the parallel
+        // section, serially and in job order: a caching source counts its
+        // hits and misses here, materialisation stays deterministic, and
+        // the parallel workers below never touch the source.
+        let shards: Vec<Arc<Dataset>> = prepared
             .iter()
             .map(|(job, _)| self.data.shard(job.client))
             // alloc: bounded — cohort-sized job list, once per round
@@ -1099,11 +974,10 @@ impl SimulationResult {
     }
 }
 
-/// Drives a [`FederatedAlgorithm`] against a [`DataPlane`] — either a fully
-/// materialised [`FederatedDataset`] or a sharded [`ShardPlane`].
+/// Drives a [`FederatedAlgorithm`] against a [`ClientDataSource`].
 pub struct Simulation<'a> {
     config: SimulationConfig,
-    data: DataPlane<'a>,
+    data: &'a dyn ClientDataSource,
     template: Box<dyn Model>,
     availability: AvailabilityModel,
     adversary: Option<AdversaryModel>,
@@ -1114,28 +988,20 @@ pub struct Simulation<'a> {
 }
 
 impl<'a> Simulation<'a> {
-    /// Creates a simulation over a fully materialised dataset. `template`
-    /// defines the architecture every client and the server-side evaluation
-    /// use.
-    pub fn new(config: SimulationConfig, data: &'a FederatedDataset, template: Box<dyn Model>) -> Self {
-        Self::over_plane(config, DataPlane::Eager(data), template)
-    }
-
-    /// Creates a simulation over a sharded data plane: client shards are
-    /// materialised lazily through `plane`'s bounded cache, and each round's
-    /// predicted cohort is prefetched in the background while the previous
-    /// round trains. The trajectory is bitwise identical to
-    /// [`Simulation::new`] over the equivalently materialised federation
-    /// (pinned by `tests/tests/scale_plane.rs`).
-    pub fn new_sharded(
+    /// Creates a simulation over `data`. `template` defines the
+    /// architecture every client and the server-side evaluation use.
+    ///
+    /// Each round's cohort is predicted and handed to
+    /// [`ClientDataSource::prefetch`] while the previous round trains, so a
+    /// [`fedcross_data::ShardPlane`] materialises it in the background. The
+    /// trajectory depends only on the shards' contents: a plane over a lazy
+    /// source is bitwise identical to its materialised federation (pinned by
+    /// `tests/tests/scale_plane.rs`).
+    pub fn new(
         config: SimulationConfig,
-        plane: &'a ShardPlane,
+        data: &'a dyn ClientDataSource,
         template: Box<dyn Model>,
     ) -> Self {
-        Self::over_plane(config, DataPlane::Sharded(plane), template)
-    }
-
-    fn over_plane(config: SimulationConfig, data: DataPlane<'a>, template: Box<dyn Model>) -> Self {
         assert!(config.rounds > 0, "at least one round is required");
         assert!(config.eval_every > 0, "eval_every must be positive");
         assert!(
@@ -1159,6 +1025,16 @@ impl<'a> Simulation<'a> {
             devices: None,
             upload_shuffle: None,
         }
+    }
+
+    /// Alias of [`Simulation::new`], kept for callers written against the
+    /// former sharded-only constructor.
+    pub fn new_sharded(
+        config: SimulationConfig,
+        data: &'a dyn ClientDataSource,
+        template: Box<dyn Model>,
+    ) -> Self {
+        Self::new(config, data, template)
     }
 
     /// Permutes upload arrival order in every round with a deterministic
@@ -1366,7 +1242,7 @@ impl<'a> Simulation<'a> {
             let round_guard = (round > start_round)
                 .then(|| AllocGuard::enter("steady-round", STEADY_LARGE_BYTES));
             let report = {
-                let mut ctx = RoundContext::over_plane(
+                let mut ctx = RoundContext::new(
                     self.data,
                     self.template.as_ref(),
                     self.config.local,
@@ -1427,30 +1303,20 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Predicts and warms round `round`'s uniform selection cohort on the
-    /// sharded backend. The prediction replays exactly the first draw the
-    /// round's context will make (`master.fork(round)` followed by the
-    /// k-sample), so for uniformly selecting algorithms every hint becomes a
-    /// cache hit. Algorithms that select differently (weighted sampling, or
-    /// consuming the round RNG first) just turn the hint into a harmless
-    /// extra materialisation — prefetching can never change shard contents,
-    /// only when they are synthesised.
+    /// Hints round `round`'s uniform selection cohort to the source. The
+    /// prediction replays exactly the first draw the round's context will
+    /// make (`master.fork(round)` followed by [`sample_cohort`]), so for
+    /// uniformly selecting algorithms every hint is checked out that round.
+    /// Algorithms that select differently (weighted sampling, or consuming
+    /// the round RNG first) just turn the hint into a harmless extra
+    /// materialisation — prefetching can never change shard contents, only
+    /// when they are synthesised.
     fn prefetch_cohort(&self, round: usize, end_round: usize, master: &SeededRng) {
-        let DataPlane::Sharded(plane) = self.data else {
-            return;
-        };
-        if round >= end_round {
-            return;
+        if round < end_round {
+            let mut rng = master.fork(round as u64); // fork: construction-seed
+            let n = self.data.num_clients();
+            self.data.prefetch(&sample_cohort(&mut rng, n, self.config.clients_per_round));
         }
-        let mut rng = master.fork(round as u64); // fork: construction-seed
-        let n = plane.num_clients();
-        let k = self.config.clients_per_round;
-        let cohort = if n > SPARSE_SELECTION_THRESHOLD {
-            rng.sample_without_replacement_sparse(n, k)
-        } else {
-            rng.sample_without_replacement(n, k)
-        };
-        plane.prefetch(&cohort);
     }
 
     /// Fingerprint of everything that shapes this simulation's trajectory:
@@ -1567,29 +1433,12 @@ impl<'a> Simulation<'a> {
             }
         }
         mix(self.template.param_count() as u64);
-        // Data-plane kind + population shape (tags 17/18, after the service
-        // plane's 10–16): a checkpoint must not resume under a different
-        // backend or population shape. The eager backend hashes per-client
-        // shard sizes (O(n), populations are small by definition); the
-        // sharded backend hashes the source's own fingerprint tokens, which
-        // cover population size, per-client sample count and every knob that
-        // shapes shard contents in O(1).
-        match self.data {
-            DataPlane::Eager(data) => {
-                mix(17);
-                mix(data.num_clients() as u64);
-                mix(data.num_classes() as u64);
-                mix(data.test_set().len() as u64);
-                for size in data.client_sizes() {
-                    mix(size as u64);
-                }
-            }
-            DataPlane::Sharded(plane) => {
-                mix(18);
-                for token in plane.source().fingerprint_tokens() {
-                    mix(token);
-                }
-            }
+        // The source's own tokens lead with its backend tag (17 for resident
+        // shards, 18 for a shard plane, after the service plane's 10–16): a
+        // checkpoint must not resume under a different backend or population
+        // shape.
+        for token in self.data.fingerprint_tokens() {
+            mix(token);
         }
         format!("fnv1a:{hash:016x}")
     }

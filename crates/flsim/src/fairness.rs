@@ -9,7 +9,7 @@
 //! `fairness_report` harness compares FedAvg and FedCross on it).
 
 use crate::eval::EvalWorker;
-use fedcross_data::FederatedDataset;
+use fedcross_data::{ClientDataSource, FederatedDataset};
 use fedcross_nn::Model;
 use fedcross_tensor::stats::{mean_of, std_dev_of};
 use serde::{Deserialize, Serialize};

@@ -36,8 +36,9 @@
 //!   resumable and independent of upload arrival order,
 //! * [`engine`] — the round loop: an implementation of
 //!   [`engine::FederatedAlgorithm`] (FedCross and the five baselines live in
-//!   the `fedcross` crate) is driven round by round against a
-//!   [`fedcross_data::FederatedDataset`], with periodic evaluation.
+//!   the `fedcross` crate) is driven round by round against any
+//!   [`fedcross_data::ClientDataSource`] — resident shards, a lazy source
+//!   or a cached [`fedcross_data::ShardPlane`] — with periodic evaluation.
 //!
 //! ## Quick example
 //!
@@ -104,8 +105,8 @@ pub use client::{LocalTrainConfig, LocalUpdate};
 pub use comm::{CommOverheadClass, CommTracker};
 pub use device::DeviceModel;
 pub use engine::{
-    canonicalize_updates, DataPlane, FederatedAlgorithm, ResumeError, RoundContext, RoundReport,
-    ShardRef, Simulation, SimulationConfig, UploadOutcome, SPARSE_SELECTION_THRESHOLD,
+    canonicalize_updates, FederatedAlgorithm, ResumeError, RoundContext, RoundReport, Simulation,
+    SimulationConfig, UploadOutcome, SPARSE_SELECTION_THRESHOLD,
 };
 pub use faults::{FaultPlan, FaultTally, RoundPolicy, UploadFate};
 pub use eval::EvalWorker;

@@ -16,7 +16,7 @@
 
 use fedcross::{FedCross, FedCrossConfig};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{
     Checkpoint, DeviceModel, FederatedAlgorithm, LocalTrainConfig, RoundPolicy, Simulation,
     SimulationConfig,

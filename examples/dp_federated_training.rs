@@ -16,7 +16,7 @@
 //! ```
 
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{
     Checkpoint, FederatedAlgorithm, LocalTrainConfig, Simulation, SimulationConfig,
 };

@@ -12,7 +12,7 @@
 use fedcross::{build_algorithm, AlgorithmSpec};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::partition::skew_score;
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{LocalTrainConfig, Simulation, SimulationConfig};
 use fedcross_nn::models::{cnn, CnnConfig};
 use fedcross_tensor::SeededRng;

@@ -22,7 +22,9 @@ use std::sync::Arc;
 
 use fedcross::{FedCross, FedCrossConfig};
 use fedcross_data::federated::SynthCifar10Config;
-use fedcross_data::{Heterogeneity, ShardPlane, ShardPlaneConfig, SynthTaskSource};
+use fedcross_data::{
+    ClientDataSource, Heterogeneity, ShardPlane, ShardPlaneConfig, SynthTaskSource,
+};
 use fedcross_flsim::{
     Checkpoint, FederatedAlgorithm, LocalTrainConfig, Simulation, SimulationConfig,
 };
@@ -90,7 +92,7 @@ fn main() {
         seed: 13,
     };
     let halfway = sim_config.rounds / 2;
-    let sim = Simulation::new_sharded(sim_config, &plane, template.clone_model());
+    let sim = Simulation::new(sim_config, &plane, template.clone_model());
 
     // Reference: the full run with no interruption.
     let mut reference = FedCross::new(fed_config, template.params_flat(), K);

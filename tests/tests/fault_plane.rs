@@ -19,7 +19,7 @@
 use fedcross::buffered::{BufferedFedAvg, BufferedFedCross, BufferedFedCrossConfig, BufferedUpload};
 use fedcross::{build_algorithm, AlgorithmSpec};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{
     DeviceModel, FaultPlan, FederatedAlgorithm, LocalTrainConfig, RoundPolicy, Simulation,
     SimulationConfig,

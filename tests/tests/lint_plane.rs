@@ -21,7 +21,7 @@
 use fedcross::{build_algorithm, AlgorithmSpec};
 use fedcross_bench::determinism::{spec_fingerprint, sweep_spec, SweptAlgorithm};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::engine::{RoundContext, RoundReport};
 use fedcross_flsim::{

@@ -14,7 +14,7 @@
 use fedcross::{build_algorithm, AlgorithmSpec, RobustRule};
 use fedcross_compress::{CompressedFedAvg, Compressor, TopK, UniformQuantizer};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::checkpoint::StateError;
 use fedcross_flsim::engine::{RoundContext, RoundReport};
 use fedcross_flsim::{

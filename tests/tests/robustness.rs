@@ -4,7 +4,7 @@
 
 use fedcross::{build_algorithm, AlgorithmSpec, FedCross, FedCrossConfig, RobustRule};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::{
     per_client_fairness, AdversaryModel, Attack, AvailabilityModel, Checkpoint, LocalTrainConfig,
     Simulation, SimulationConfig,

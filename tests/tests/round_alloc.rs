@@ -62,7 +62,7 @@ fn counts() -> (usize, usize) {
 
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::{
     ClientWorkerPool, CommTracker, EvalWorker, FederatedAlgorithm, LocalTrainConfig,

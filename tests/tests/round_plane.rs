@@ -13,7 +13,7 @@
 use fedcross::baselines::{FedAvg, FedProx};
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
-use fedcross_data::Heterogeneity;
+use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::{
     AvailabilityModel, ClientWorkerPool, CommTracker, EvalWorker, FederatedAlgorithm,

@@ -266,7 +266,7 @@ fn population_scale_runs_flat_and_bitwise_match_eager() {
     let baseline = LIVE_LARGE.load(Ordering::Relaxed);
     PEAK_LARGE.store(baseline, Ordering::Relaxed);
 
-    let result = Simulation::new_sharded(config, &plane, template).run(algorithm.as_mut());
+    let result = Simulation::new(config, &plane, template).run(algorithm.as_mut());
     assert!(!result.history.is_empty());
 
     let peak_delta = PEAK_LARGE.load(Ordering::Relaxed).saturating_sub(baseline);
@@ -333,7 +333,7 @@ fn population_scale_runs_flat_and_bitwise_match_eager() {
         );
         let fp_evicting = run_fingerprint(
             spec,
-            Simulation::new_sharded(equivalence_config(), &evicting, equivalence_model()),
+            Simulation::new(equivalence_config(), &evicting, equivalence_model()),
         );
 
         // A roomy cache never evicts and runs without a prefetch worker.
@@ -346,7 +346,7 @@ fn population_scale_runs_flat_and_bitwise_match_eager() {
         );
         let fp_roomy = run_fingerprint(
             spec,
-            Simulation::new_sharded(equivalence_config(), &roomy, equivalence_model()),
+            Simulation::new(equivalence_config(), &roomy, equivalence_model()),
         );
 
         assert_eq!(
@@ -384,8 +384,7 @@ fn config_fingerprints_are_pinned_per_backend() {
         "fnv1a:9f3788001ebf0c88"
     );
     assert_eq!(
-        Simulation::new_sharded(equivalence_config(), &sharded, equivalence_model())
-            .config_fingerprint(),
+        Simulation::new(equivalence_config(), &sharded, equivalence_model()).config_fingerprint(),
         "fnv1a:66ab5b312de6c149"
     );
 }

@@ -6,6 +6,7 @@ use fedcross::{build_algorithm, AlgorithmSpec};
 use fedcross_data::federated::{
     FederatedDataset, SynthSent140Config, SynthShakespeareConfig,
 };
+use fedcross_data::ClientDataSource;
 use fedcross_flsim::{LocalTrainConfig, Simulation, SimulationConfig};
 use fedcross_nn::models::{lstm_classifier, LstmConfig};
 use fedcross_tensor::SeededRng;
