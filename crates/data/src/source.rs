@@ -394,7 +394,7 @@ impl ClientDataSource for SynthTaskSource {
             } => (*classes_per_client as u64) << 32 | u64::from(style_strength.to_bits()),
             Generator::NextChar(_) | Generator::Sentiment(_) => 0,
         };
-        vec![
+        let mut tokens = vec![
             self.kind_tag,
             self.task_seed,
             self.num_clients as u64,
@@ -402,14 +402,36 @@ impl ClientDataSource for SynthTaskSource {
             self.num_classes as u64,
             self.test.len() as u64,
             skew_token,
-        ]
+        ];
+        // Every field of the generator's own config shapes the shards too.
+        let (counts, levels) = match &self.generator {
+            Generator::Images { gen, .. } | Generator::Femnist { gen, .. } => {
+                let c = gen.config();
+                (
+                    vec![c.num_classes, c.channels, c.size, c.prototype_grid],
+                    [c.noise_std, c.class_distinctness],
+                )
+            }
+            Generator::NextChar(corpus) => {
+                let c = corpus.config();
+                (vec![c.vocab, c.seq_len], [c.peakedness, c.persona_strength])
+            }
+            Generator::Sentiment(corpus) => {
+                let c = corpus.config();
+                (vec![c.vocab, c.seq_len], [c.signal_strength, c.persona_strength])
+            }
+        };
+        tokens.extend(counts.into_iter().map(|n| n as u64));
+        tokens.extend(levels.map(|x| u64::from(x.to_bits())));
+        tokens
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::federated::SynthCifar10Config;
+    use crate::synth::images::SynthImageConfig;
+    use crate::synth::text::{NextCharConfig, SentimentConfig};
 
     fn small_source() -> SynthTaskSource {
         SynthTaskSource::cifar10(
@@ -598,6 +620,53 @@ mod tests {
         )
         .fingerprint_tokens();
         assert_ne!(a, c, "skew must change the fingerprint");
+    }
+
+    #[test]
+    fn fingerprint_tokens_cover_the_generator_config() {
+        let cifar10 = |noise_std| {
+            let image = SynthImageConfig {
+                noise_std,
+                ..SynthImageConfig::cifar10()
+            };
+            let config = SynthCifar10Config {
+                image,
+                ..Default::default()
+            };
+            SynthTaskSource::cifar10(&config, Heterogeneity::Iid, 1)
+        };
+        let (quiet, noisy) = (cifar10(0.4), cifar10(1.5));
+        assert_ne!(
+            quiet.materialize(0).features().data(),
+            noisy.materialize(0).features().data(),
+            "the noise level shapes shard contents"
+        );
+        assert_ne!(quiet.fingerprint_tokens(), noisy.fingerprint_tokens());
+
+        let shakespeare = |peakedness| {
+            let text = NextCharConfig {
+                peakedness,
+                ..Default::default()
+            };
+            let config = SynthShakespeareConfig {
+                text,
+                ..Default::default()
+            };
+            SynthTaskSource::shakespeare(&config, 1).fingerprint_tokens()
+        };
+        assert_ne!(shakespeare(6.0), shakespeare(2.0));
+        let sent140 = |signal_strength| {
+            let text = SentimentConfig {
+                signal_strength,
+                ..Default::default()
+            };
+            let config = SynthSent140Config {
+                text,
+                ..Default::default()
+            };
+            SynthTaskSource::sent140(&config, 1).fingerprint_tokens()
+        };
+        assert_ne!(sent140(0.8), sent140(0.6));
     }
 
     #[test]

@@ -1327,18 +1327,20 @@ impl<'a> Simulation<'a> {
     /// vice versa), the round policy, fault plan and device model (a
     /// checkpoint from a faulty or deadline run must not resume under
     /// different fault/deadline settings), the template's parameter
-    /// count and the federation's shape (client count, per-client shard
-    /// sizes, class count, test-set size). Deliberately **excludes** the
-    /// total round count, so a checkpointed run may be resumed with a larger
-    /// `rounds` to train further — every completed round is still bitwise
-    /// identical.
+    /// count and the data source's
+    /// [`ClientDataSource::fingerprint_tokens`]. Deliberately **excludes**
+    /// the total round count, so a checkpointed run may be resumed with a
+    /// larger `rounds` to train further — every completed round is still
+    /// bitwise identical.
     ///
-    /// The dataset enters at shape level only: two federations with
-    /// identical shapes but different contents hash the same (hashing every
-    /// sample on each checkpoint would be `O(N·samples)`); regenerated
-    /// synthetic data is covered because its shape derives from its
-    /// generation config, but a caller swapping real datasets of identical
-    /// shape must keep that pairing straight themselves.
+    /// A lazy source's tokens cover its task seed and generation config, so
+    /// two such sources that would synthesise different shards hash apart. A
+    /// resident federation enters at shape level only (client count,
+    /// per-client shard sizes, class count, test-set size): two federations
+    /// with identical shapes but different contents hash the same (hashing
+    /// every sample on each checkpoint would be `O(N·samples)`), so a caller
+    /// swapping datasets of identical shape must keep that pairing straight
+    /// themselves.
     pub fn config_fingerprint(&self) -> String {
         // FNV-1a over the trajectory-shaping fields, rendered as hex (a u64
         // survives the JSON number representation only up to 2^53, so the

@@ -385,6 +385,6 @@ fn config_fingerprints_are_pinned_per_backend() {
     );
     assert_eq!(
         Simulation::new(equivalence_config(), &sharded, equivalence_model()).config_fingerprint(),
-        "fnv1a:66ab5b312de6c149"
+        "fnv1a:8b6f7ef8cd16464e"
     );
 }
