@@ -188,11 +188,6 @@ impl ShardPlane {
         Self::new(source, ShardPlaneConfig::default())
     }
 
-    /// The wrapped source.
-    pub fn source(&self) -> &Arc<dyn ClientDataSource> {
-        &self.source
-    }
-
     /// The plane's sizing.
     pub fn config(&self) -> ShardPlaneConfig {
         self.config
@@ -448,7 +443,7 @@ mod tests {
         let shard = plane.shard(5);
         assert_eq!(plane.stats().hits, 1);
         // Bitwise identical to a cold materialisation.
-        let cold = plane.source().materialize(5);
+        let cold = plane.materialize(5);
         assert_eq!(shard.features().data(), cold.features().data());
     }
 

@@ -349,11 +349,6 @@ impl<'a> RoundContext<'a> {
         self.clients_per_round
     }
 
-    /// Number of classes in the federation's task.
-    pub fn num_classes(&self) -> usize {
-        self.data.num_classes()
-    }
-
     /// The architecture template used to instantiate client models.
     pub fn template(&self) -> &dyn Model {
         self.template
