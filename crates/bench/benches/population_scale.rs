@@ -19,6 +19,8 @@
 //! The per-round cost is dominated by K local trainings (constant in N);
 //! the N-dependent parts — selection and shard synthesis bookkeeping — must
 //! stay negligible beside them.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run.
 
 use std::sync::Arc;
 
@@ -36,9 +38,17 @@ const K: usize = 10;
 
 const POPULATIONS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        10
+    }
+}
+
 fn bench_population_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("population_scale");
-    group.sample_size(10);
+    group.sample_size(sample_size());
 
     let local = LocalTrainConfig {
         epochs: 1,
