@@ -418,7 +418,10 @@ impl ClientDataSource for SynthTaskSource {
             }
             Generator::Sentiment(corpus) => {
                 let c = corpus.config();
-                (vec![c.vocab, c.seq_len], [c.signal_strength, c.persona_strength])
+                (
+                    vec![c.vocab, c.seq_len],
+                    [c.signal_strength, c.persona_strength],
+                )
             }
         };
         tokens.extend(counts.into_iter().map(|n| n as u64));

@@ -368,7 +368,8 @@ impl<'a> RoundContext<'a> {
     /// (Algorithm 1, line 4): the dense Fisher–Yates prefix sampler up to
     /// [`SPARSE_SELECTION_THRESHOLD`] clients, Floyd's O(k) sampler above.
     pub fn select_clients(&mut self) -> Vec<usize> {
-        sample_cohort(&mut self.rng, self.data.num_clients(), self.clients_per_round)
+        let n = self.data.num_clients();
+        sample_cohort(&mut self.rng, n, self.clients_per_round)
     }
 
     /// Samples clients with probability proportional to `weights` (without
@@ -1310,7 +1311,8 @@ impl<'a> Simulation<'a> {
         if round < end_round {
             let mut rng = master.fork(round as u64); // fork: construction-seed
             let n = self.data.num_clients();
-            self.data.prefetch(&sample_cohort(&mut rng, n, self.config.clients_per_round));
+            let cohort = sample_cohort(&mut rng, n, self.config.clients_per_round);
+            self.data.prefetch(&cohort);
         }
     }
 

@@ -113,7 +113,10 @@ fn hints_and_checkouts(spec: AlgorithmSpec, n: usize) -> Vec<(Vec<usize>, Vec<us
     let checkouts = recorder.checkouts.into_inner().expect("checkout log");
     assert_eq!(hints.len(), ROUNDS, "one hint per round");
     assert_eq!(checkouts.len(), ROUNDS * K, "K checkouts per round");
-    hints.into_iter().zip(checkouts.chunks(K).map(<[usize]>::to_vec)).collect()
+    hints
+        .into_iter()
+        .zip(checkouts.chunks(K).map(<[usize]>::to_vec))
+        .collect()
 }
 
 fn sorted(mut clients: Vec<usize>) -> Vec<usize> {
@@ -124,8 +127,9 @@ fn sorted(mut clients: Vec<usize>) -> Vec<usize> {
 #[test]
 fn fedavg_checks_out_each_hinted_cohort_in_order() {
     for n in POPULATIONS {
-        for (round, (hint, checked_out)) in
-            hints_and_checkouts(AlgorithmSpec::FedAvg, n).into_iter().enumerate()
+        for (round, (hint, checked_out)) in hints_and_checkouts(AlgorithmSpec::FedAvg, n)
+            .into_iter()
+            .enumerate()
         {
             assert_eq!(hint, checked_out, "N = {n}, round {round}");
         }
@@ -137,7 +141,9 @@ fn fedcross_checks_out_each_hinted_cohort() {
     // FedCross shuffles its cohort after drawing it, so only the set matches.
     for n in POPULATIONS {
         for (round, (hint, checked_out)) in
-            hints_and_checkouts(AlgorithmSpec::fedcross_default(), n).into_iter().enumerate()
+            hints_and_checkouts(AlgorithmSpec::fedcross_default(), n)
+                .into_iter()
+                .enumerate()
         {
             assert_eq!(sorted(hint), sorted(checked_out), "N = {n}, round {round}");
         }
