@@ -17,7 +17,7 @@ use fedcross_bench::determinism::{spec_fingerprint, SweptAlgorithm};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{Batch, Dataset, Heterogeneity};
 use fedcross_flsim::client::local_train;
-use fedcross_flsim::engine::RoundContext;
+use fedcross_flsim::engine::{RoundContext, TrainJob};
 use fedcross_flsim::{CommTracker, FederatedAlgorithm, LocalTrainConfig};
 use fedcross_nn::layers::{
     BatchNorm2d, Conv2d, Dropout, Embedding, Flatten, GlobalAvgPool2d, Linear, Lstm, MaxPool2d,
@@ -27,7 +27,7 @@ use fedcross_nn::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
 use fedcross_nn::models::{
     cnn, fedavg_cnn, lstm_classifier, mlp, resnet20_lite, CnnConfig, LstmConfig,
 };
-use fedcross_nn::{Layer, Model};
+use fedcross_nn::{Layer, Model, Sequential};
 use fedcross_tensor::{init, SeededRng, Tensor, TensorPool};
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -496,6 +496,83 @@ fn sequential_pooled_chain_matches_allocating_chain() {
         pool.recycle(grad_w);
         let observed_w = [logits_hash, EMPTY, fnv1a(&model_w.grads_flat())];
         assert_eq!(observed_w, *pin, "warm shared pool, step {step}");
+    }
+}
+
+/// Uploads of [`parameter_free_leading_layers_match_pinned_uploads`]: per
+/// chain, the FNV-1a of each of the four jobs' uploads and of the mean
+/// training loss, identical at every rayon thread count.
+const LEADING_FLATTEN_PINS: [(&str, [u64; 5]); 2] = [
+    (
+        "flatten-linear128-relu-linear10",
+        [
+            0x3a74118705c7536e,
+            0x55672db5e1808ee8,
+            0xc9146add73756fc6,
+            0x7eb4f908048535f6,
+            0xdd114ba2a9e80208,
+        ],
+    ),
+    (
+        "flatten-relu-linear10",
+        [
+            0xf24fd1fe4f9ca899,
+            0x1e0d8c74fd0fd53f,
+            0xc658bb2d72e423cf,
+            0x0ea88218ac4affe1,
+            0xa04a7170c407b2e3,
+        ],
+    ),
+];
+
+#[test]
+fn parameter_free_leading_layers_match_pinned_uploads() {
+    // Chains whose first layers carry no parameters, trained as four jobs
+    // of one round. At two threads the jobs run inside rayon workers, and
+    // the 8x768x128 forward product crosses the matmul parallel threshold.
+    let data = image_task(17, 4);
+    let local = LocalTrainConfig {
+        epochs: 2,
+        batch_size: 8,
+        lr: 0.05,
+        momentum: 0.5,
+        weight_decay: 1e-4,
+    };
+    let mut rng = SeededRng::new(19);
+    let chains = [
+        Sequential::new("flatten-linear128-relu-linear10")
+            .push(Flatten::new())
+            .push(Linear::new(3 * 16 * 16, 128, &mut rng))
+            .push(Relu::new())
+            .push(Linear::new(128, 10, &mut rng)),
+        Sequential::new("flatten-relu-linear10")
+            .push(Flatten::new())
+            .push(Relu::new())
+            .push(Linear::new(3 * 16 * 16, 10, &mut rng)),
+    ];
+    for (template, (name, pin)) in chains.iter().zip(LEADING_FLATTEN_PINS) {
+        assert_eq!(template.arch_name(), name, "pin table order drifted");
+        for threads in [1, 2] {
+            rayon::set_num_threads(threads);
+            let mut comm = CommTracker::new();
+            let mut ctx =
+                RoundContext::new(&data, template, local, 4, SeededRng::new(23), &mut comm);
+            let jobs = (0..4)
+                .map(|client| TrainJob::plain(client, template.params_flat()))
+                .collect();
+            let updates = ctx.local_train_jobs(jobs);
+            let mean_loss = updates.iter().map(|u| u.train_loss).sum::<f32>() / 4.0;
+            let mut observed = [0u64; 5];
+            for (slot, update) in observed.iter_mut().zip(&updates) {
+                *slot = fnv1a(update.params.as_slice());
+            }
+            observed[4] = fnv1a(&[mean_loss]);
+            rayon::set_num_threads(0);
+            assert_eq!(
+                observed, pin,
+                "{name} at {threads} threads: observed {observed:#018x?}"
+            );
+        }
     }
 }
 
