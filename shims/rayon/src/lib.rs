@@ -53,7 +53,8 @@ pub fn current_num_threads() -> usize {
 }
 
 std::thread_local! {
-    /// Whether the current thread is already one of this shim's workers.
+    /// This thread's index among the workers of the parallel call it serves,
+    /// or `None` outside the shim's workers.
     ///
     /// Real rayon runs nested parallel calls on its one shared pool; this
     /// shim has no pool, so a nested call from inside a worker (e.g. a
@@ -61,23 +62,32 @@ std::thread_local! {
     /// runs serially instead of spawning `workers²` threads and paying a
     /// thread-spawn per inner kernel invocation. The outer loop already
     /// saturates the cores.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static WORKER_INDEX: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// The index of the current thread among the workers of the parallel call
+/// it runs, or `None` when called outside one — real rayon's
+/// `current_thread_index`. A kernel reached from inside a worker can use it
+/// to skip splitting work that would run serially anyway.
+pub fn current_thread_index() -> Option<usize> {
+    WORKER_INDEX.with(|w| w.get())
 }
 
 /// Runs `f` over every item, distributing items dynamically across threads.
 fn drive<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
     let n = items.len();
     let threads = current_num_threads().min(n);
-    if threads <= 1 || IN_WORKER.with(|w| w.get()) {
+    if threads <= 1 || current_thread_index().is_some() {
         items.into_iter().for_each(f);
         return;
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let cursor = AtomicUsize::new(0);
+    let (slots, cursor, f) = (&slots, &cursor, &f);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
+        for index in 0..threads {
+            scope.spawn(move || {
+                WORKER_INDEX.with(|w| w.set(Some(index)));
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -99,16 +109,17 @@ fn drive<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
 fn drive_map<T: Send, U: Send, F: Fn(T) -> U + Sync>(items: Vec<T>, f: F) -> Vec<U> {
     let n = items.len();
     let threads = current_num_threads().min(n);
-    if threads <= 1 || IN_WORKER.with(|w| w.get()) {
+    if threads <= 1 || current_thread_index().is_some() {
         return items.into_iter().map(f).collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    let (slots, results, cursor, f) = (&slots, &out, &cursor, &f);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
+        for index in 0..threads {
+            scope.spawn(move || {
+                WORKER_INDEX.with(|w| w.set(Some(index)));
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -120,7 +131,7 @@ fn drive_map<T: Send, U: Send, F: Fn(T) -> U + Sync>(items: Vec<T>, f: F) -> Vec
                         .take()
                         .expect("each job slot is taken exactly once");
                     let result = f(item);
-                    *out[i].lock().expect("worker poisoned a result slot") = Some(result);
+                    *results[i].lock().expect("worker poisoned a result slot") = Some(result);
                 }
             });
         }
@@ -347,8 +358,12 @@ mod tests {
         }
     }
 
+    /// Serialises the tests that set the process-wide thread count.
+    static THREAD_COUNT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn thread_override_is_respected_and_results_stay_ordered() {
+        let _serial = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
         for threads in [1, 2, 4] {
             crate::set_num_threads(threads);
             assert_eq!(crate::current_num_threads(), threads);
@@ -358,6 +373,23 @@ mod tests {
         }
         crate::set_num_threads(0);
         assert!(crate::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn current_thread_index_names_the_worker() {
+        let _serial = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+        crate::set_num_threads(2);
+        assert_eq!(crate::current_thread_index(), None);
+        let v: Vec<usize> = (0..16).collect();
+        let indices: Vec<Option<usize>> = v
+            .par_iter()
+            .map(|_| crate::current_thread_index())
+            .collect();
+        assert_eq!(crate::current_thread_index(), None);
+        crate::set_num_threads(0);
+        for index in indices {
+            assert!(matches!(index, Some(i) if i < 2), "{index:?}");
+        }
     }
 
     #[test]
