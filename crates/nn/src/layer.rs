@@ -57,13 +57,14 @@ pub trait Layer: Send {
     /// should be recycled by the caller once consumed.
     fn backward_into(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor;
 
-    /// Backward pass for a chain's **first** layer: parameter gradients are
-    /// accumulated exactly as in [`Layer::backward_into`], but the caller
-    /// never reads `dL/d(input)`, so layers whose input gradient is
-    /// expensive (matmul + col2im for convolutions, a matmul for linear)
-    /// override this to skip computing it entirely. Parameter gradients —
-    /// the only observable output — are bit-for-bit those of the full
-    /// backward pass.
+    /// Backward pass for a chain's **first layer with parameters**, where
+    /// [`crate::Sequential`] stops (the layers in front of it have no
+    /// gradient to accumulate): parameter gradients are accumulated exactly
+    /// as in [`Layer::backward_into`], but the caller never reads
+    /// `dL/d(input)`, so layers whose input gradient is expensive (matmul +
+    /// col2im for convolutions, a matmul for linear) override this to skip
+    /// computing it entirely. Parameter gradients — the only observable
+    /// output — are bit-for-bit those of the full backward pass.
     fn backward_into_discard(&mut self, grad_output: &Tensor, pool: &mut TensorPool) {
         let grad = self.backward_into(grad_output, pool);
         pool.recycle(grad);

@@ -14,6 +14,10 @@ pub struct Linear {
     weight: Param,
     bias: Param,
     cached_input: Option<Tensor>,
+    /// Set by [`Layer::zero_grads`] and cleared by every backward pass and
+    /// every `&mut Param` hand-out: while it holds, the weight gradient is
+    /// all `+0.0` and dW can be written into it directly.
+    grads_zeroed: bool,
     in_features: usize,
     out_features: usize,
 }
@@ -27,6 +31,7 @@ impl Linear {
             weight: Param::new(weight),
             bias: Param::new(bias),
             cached_input: None,
+            grads_zeroed: false,
             in_features,
             out_features,
         }
@@ -49,11 +54,18 @@ impl Linear {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // dW = x^T · dY
-        let mut grad_w = pool.take_uninit(&[self.in_features, self.out_features]);
-        input.matmul_at_b_into(grad_output, &mut grad_w);
-        self.weight.grad.add_assign(&grad_w);
-        pool.recycle(grad_w);
+        // dW = x^T · dY. A gradient `zero_grads` just cleared takes the
+        // product directly: `+0.0 + s == s` bit for bit, since a sum started
+        // at +0.0 never ends at -0.0. A gradient that already holds a sum
+        // gets the product through a scratch, added once.
+        if std::mem::take(&mut self.grads_zeroed) {
+            input.matmul_at_b_into(grad_output, &mut self.weight.grad);
+        } else {
+            let mut grad_w = pool.take_uninit(&[self.in_features, self.out_features]);
+            input.matmul_at_b_into(grad_output, &mut grad_w);
+            self.weight.grad.add_assign(&grad_w);
+            pool.recycle(grad_w);
+        }
         // db = column sums of dY, accumulated into a zeroed scratch first and
         // added once, so the rounding order is the pinned one.
         let cols = grad_output.dims()[1];
@@ -98,8 +110,8 @@ impl Layer for Linear {
 
     fn backward_into_discard(&mut self, grad_output: &Tensor, pool: &mut TensorPool) {
         self.accumulate_param_grads(grad_output, pool);
-        // dX = dY · W^T is skipped: a first layer's input gradient is never
-        // consumed.
+        // dX = dY · W^T is skipped: nothing reads the input gradient of a
+        // chain's first layer with parameters.
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -108,6 +120,8 @@ impl Layer for Linear {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
+        // The caller may write the gradients.
+        self.grads_zeroed = false;
         // alloc: bounded — short per-layer slice-ref list
         vec![&mut self.weight, &mut self.bias]
     }
@@ -118,8 +132,16 @@ impl Layer for Linear {
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        // The visitor may write the gradients.
+        self.grads_zeroed = false;
         f(&mut self.weight);
         f(&mut self.bias);
+    }
+
+    fn zero_grads(&mut self) {
+        self.weight.zero_grad();
+        self.bias.zero_grad();
+        self.grads_zeroed = true;
     }
 
     fn reset_stochastic_state(&mut self, _rng: &mut SeededRng) {
@@ -222,6 +244,69 @@ mod tests {
         for (two, one) in layer.bias.grad.data().iter().zip(&after_one) {
             assert!((two - 2.0 * one).abs() < 1e-6);
         }
+    }
+
+    fn grad_bits(layer: &Linear) -> Vec<u32> {
+        let mut bits = Vec::new();
+        layer.visit_params(&mut |p| bits.extend(p.grad.data().iter().map(|g| g.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn gradients_written_after_zero_grads_are_added_to() {
+        // `zero_grads` lets the next backward write dW straight into the
+        // gradient; a gradient handed out mutably after it may hold a sum,
+        // which backward must add to.
+        let mut rng = SeededRng::new(13);
+        let x = init::normal(&[4, 6], 0.0, 1.0, &mut rng);
+        let grad_out = init::normal(&[4, 5], 0.0, 1.0, &mut rng);
+        let layer = Linear::new(6, 5, &mut rng);
+        let mut alone = layer.clone();
+        alone.forward(&x, true);
+        alone.zero_grads();
+        alone.backward(&grad_out);
+        let mut delta = Vec::new();
+        alone.visit_params(&mut |p| delta.extend_from_slice(p.grad.data()));
+
+        let pre: Vec<f32> = (0..delta.len()).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let expected: Vec<u32> = pre
+            .iter()
+            .zip(&delta)
+            .map(|(p, d)| (p + d).to_bits())
+            .collect();
+        for through_visitor in [true, false] {
+            let mut written = layer.clone();
+            written.forward(&x, true);
+            written.zero_grads();
+            let mut values = pre.iter();
+            let mut write = |p: &mut Param| {
+                for g in p.grad.data_mut() {
+                    *g = *values.next().expect("one value per gradient");
+                }
+            };
+            if through_visitor {
+                written.visit_params_mut(&mut write);
+            } else {
+                written.params_mut().into_iter().for_each(write);
+            }
+            written.backward(&grad_out);
+            assert_eq!(grad_bits(&written), expected, "visitor: {through_visitor}");
+        }
+    }
+
+    #[test]
+    fn clone_between_zero_grads_and_backward_matches_the_original() {
+        let mut rng = SeededRng::new(17);
+        let x = init::normal(&[3, 4], 0.0, 1.0, &mut rng);
+        let grad_out = init::normal(&[3, 2], 0.0, 1.0, &mut rng);
+        let mut layer = Linear::new(4, 2, &mut rng);
+        layer.forward(&x, true);
+        layer.backward(&grad_out);
+        layer.zero_grads();
+        let mut copy = layer.clone();
+        layer.backward(&grad_out);
+        copy.backward(&grad_out);
+        assert_eq!(grad_bits(&copy), grad_bits(&layer));
     }
 
     #[test]

@@ -53,8 +53,11 @@ impl Sgd {
     /// Resets the momentum buffer (used when a client receives a fresh model).
     ///
     /// The buffer's *capacity* is kept, so an optimizer owned by a persistent
-    /// client worker re-zeroes (rather than re-allocates) its velocity on the
-    /// next step — one of the pieces of the zero-allocation round plane.
+    /// client worker refills (rather than re-allocates) its velocity on the
+    /// next step — one of the pieces of the zero-allocation round plane. On a
+    /// model that supports [`Model::visit_params_for_step`], that step writes
+    /// each velocity as `momentum * 0.0 + g` instead of zero-filling the
+    /// buffer and reading it back; other models get a zero-filled buffer.
     pub fn reset_state(&mut self) {
         self.velocity.clear();
     }
@@ -97,29 +100,47 @@ impl Sgd {
         // bitwise identical; with the scratch reuse below, steady-state steps
         // perform zero allocations either way (pinned by the training-plane
         // allocation-count test).
+        //
+        // The first step after a reset (velocity empty) writes the velocity
+        // instead of zero-filling it and reading the zeros back. It keeps the
+        // product `momentum * 0.0 + g`, so a `-0.0` gradient still gives a
+        // `+0.0` velocity, exactly as a zero-filled buffer would.
         let count = model.param_count();
-        if self.velocity.len() != count {
-            // clear + resize reuses the existing allocation when the buffer
-            // was reset (or previously sized) for the same parameter count.
+        let fresh = self.velocity.len() != count;
+        if fresh {
+            // Keeps the allocation (a no-op reserve once it has been sized).
             self.velocity.clear();
-            self.velocity.resize(count, 0.0);
+            self.velocity.reserve(count);
         }
         let (lr, momentum, weight_decay) = (self.lr, self.momentum, self.weight_decay);
         let velocity = &mut self.velocity;
         let mut offset = 0usize;
         let updated_in_place = model.visit_params_for_step(&mut |param| {
-            let n = param.value.numel();
             let values = param.value.data_mut();
             let grads = param.grad.data();
-            for j in 0..n {
-                let i = offset + j;
-                let mut g = transform(i, values[j], grads[j]);
+            let n = values.len();
+            let update = |j: usize, w: &mut f32, g: f32, v_prev: f32| {
+                let mut g = transform(offset + j, *w, g);
                 if weight_decay > 0.0 {
-                    g += weight_decay * values[j];
+                    g += weight_decay * *w;
                 }
-                let v = momentum * velocity[i] + g;
-                velocity[i] = v;
-                values[j] -= lr * v;
+                let v = momentum * v_prev + g;
+                *w -= lr * v;
+                v
+            };
+            if fresh {
+                velocity.extend(
+                    values
+                        .iter_mut()
+                        .zip(grads)
+                        .enumerate()
+                        .map(|(j, (w, &g))| update(j, w, g, 0.0)),
+                );
+            } else {
+                let slice = &mut velocity[offset..offset + n];
+                for (j, ((w, &g), v)) in values.iter_mut().zip(grads).zip(slice).enumerate() {
+                    *v = update(j, w, g, *v);
+                }
             }
             offset += n;
         });
@@ -128,7 +149,10 @@ impl Sgd {
         }
 
         // Fallback for external models: flat vectors, read into reused
-        // scratch buffers.
+        // scratch buffers, over a zero-filled velocity.
+        if fresh {
+            self.velocity.resize(count, 0.0);
+        }
         let mut params = std::mem::take(&mut self.params_scratch);
         let mut grads = std::mem::take(&mut self.grads_scratch);
         model.read_params_into(&mut params);
@@ -307,6 +331,68 @@ mod tests {
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&p_reused), bits(&p_fresh));
+
+        // The same through `step`, whose first step after a reset writes the
+        // velocity rather than reading a zeroed one. Every third parameter
+        // and gradient is -0.0, where `momentum * 0.0 + g` and a bare `g`
+        // differ; `step_raw` on the flat vectors is the zero-filled reference.
+        let set_grads = |model: &mut dyn Model, grads: &[f32]| {
+            let mut offset = 0;
+            model.visit_params_for_step(&mut |p| {
+                let n = p.grad.numel();
+                p.grad
+                    .data_mut()
+                    .copy_from_slice(&grads[offset..offset + n]);
+                offset += n;
+            });
+        };
+        let signed_zeros = |v: Vec<f32>| -> Vec<f32> {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, x)| if i % 3 == 0 { -0.0 } else { x })
+                .collect()
+        };
+        for weight_decay in [0.0, 1e-3] {
+            let mut template = mlp(3, &[4], 2, &mut SeededRng::new(2));
+            let start = signed_zeros(template.params_flat());
+            template.set_params_flat(&start);
+            let grads_at = |step: usize| {
+                signed_zeros(
+                    (0..start.len())
+                        .map(|i| ((i + step) as f32 * 0.37).sin())
+                        .collect(),
+                )
+            };
+
+            let mut reused = Sgd::new(0.3, 0.9, 1e-3);
+            let mut warm = template.clone_model();
+            set_grads(warm.as_mut(), &grads_at(7));
+            reused.step(warm.as_mut());
+            reused.reconfigure(0.1, 0.5, weight_decay);
+            let mut fresh = Sgd::new(0.1, 0.5, weight_decay);
+            let mut raw = Sgd::new(0.1, 0.5, weight_decay);
+            let mut m_reused = template.clone_model();
+            let mut m_fresh = template.clone_model();
+            let mut flat = start.clone();
+            for step in 0..3 {
+                let grads = grads_at(step);
+                set_grads(m_reused.as_mut(), &grads);
+                set_grads(m_fresh.as_mut(), &grads);
+                reused.step(m_reused.as_mut());
+                fresh.step(m_fresh.as_mut());
+                raw.step_raw(&mut flat, &grads);
+                let expected = (bits(&flat), bits(&raw.velocity));
+                for (label, model, sgd) in
+                    [("reused", &m_reused, &reused), ("fresh", &m_fresh, &fresh)]
+                {
+                    let observed = (bits(&model.params_flat()), bits(&sgd.velocity));
+                    assert_eq!(
+                        observed, expected,
+                        "{label}, decay {weight_decay}, step {step}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

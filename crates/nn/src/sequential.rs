@@ -82,13 +82,17 @@ impl Model for Sequential {
     }
 
     fn backward_into(&mut self, grad_logits: &Tensor, pool: &mut TensorPool) {
+        // Layers in front of the first one with parameters have no gradient
+        // to accumulate, and nothing reads the input gradient of that first
+        // one: the pass stops there and lets it skip that work.
+        let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) else {
+            return;
+        };
         let mut current: Option<Tensor> = None;
-        for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
+        for (idx, layer) in self.layers.iter_mut().enumerate().skip(first).rev() {
             let prev = current.take();
             let upstream: &Tensor = prev.as_ref().unwrap_or(grad_logits);
-            if idx == 0 {
-                // Nothing consumes dL/d(input) of the first layer; let it
-                // skip that work (parameter gradients are unaffected).
+            if idx == first {
                 layer.backward_into_discard(upstream, pool);
             } else {
                 current = Some(layer.backward_into(upstream, pool));
