@@ -821,6 +821,19 @@ mod tests {
     }
 
     #[test]
+    fn loading_deeply_nested_json_is_an_invalid_data_error() {
+        // An untrusted file nested far past any stack must be refused, not
+        // abort the process with a stack overflow.
+        let dir = std::env::temp_dir().join("fedcross-checkpoint-test-nested");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.json");
+        std::fs::write(&path, "[".repeat(100_000)).unwrap();
+        let err = Checkpoint::load(&path).expect_err("nested file must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn loading_a_version_1_checkpoint_fails_loudly() {
         // The pre-resume-plane format had no version/state/comm fields; it
         // must be rejected as unreadable, not half-restored.

@@ -27,10 +27,15 @@ pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value, Error> {
 }
 
 /// Parses a JSON string into any deserializable type.
+///
+/// Arrays and objects may nest [`RECURSION_LIMIT`] levels deep; deeper input
+/// is an error, as in real serde_json, instead of a stack overflow.
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -175,9 +180,16 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep [`from_str`] lets arrays and objects nest: real serde_json's
+/// default recursion limit.
+pub const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -214,8 +226,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             other => Err(Error::custom(format!(
                 "unexpected {:?} at offset {}",
@@ -223,6 +235,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past
+    /// [`RECURSION_LIMIT`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error::custom(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
@@ -296,12 +323,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::custom("invalid utf8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so they never sit inside a multi-byte
+                    // character and the run is a valid slice of the input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -421,5 +450,27 @@ mod tests {
     fn unicode_and_u_escapes_parse() {
         let back: String = from_str("\"caf\\u00e9 \\u2713\"").unwrap();
         assert_eq!(back, "café ✓");
+    }
+
+    #[test]
+    fn multi_byte_characters_and_every_escape_round_trip() {
+        let original = "é ✓ 🦀 \" \\ / \n \r \t \u{8} \u{c} \u{1} \u{1f} end".to_string();
+        let text = to_string(&original).unwrap();
+        let back: String = from_str(&text).unwrap();
+        assert_eq!(back, original);
+        let escapes: String = from_str(r#""\"\\\/\b\f\n\r\t\u00e9🦀""#).unwrap();
+        assert_eq!(escapes, "\"\\/\u{8}\u{c}\n\r\té🦀");
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_recursion_limit_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT)).is_ok());
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT + 1)).is_err());
+        let objects =
+            "{\"a\":".repeat(RECURSION_LIMIT + 1) + "1" + &"}".repeat(RECURSION_LIMIT + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        // Unclosed, far past any stack: an error, not an abort.
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
     }
 }
