@@ -11,9 +11,9 @@ use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::Heterogeneity;
 use fedcross_flsim::client::local_train;
 use fedcross_flsim::LocalTrainConfig;
-use fedcross_nn::layers::{BatchNorm2d, Conv2d, Linear, Lstm, MaxPool2d, Relu};
+use fedcross_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, Lstm, MaxPool2d, Relu};
 use fedcross_nn::models::{fedavg_cnn, mlp};
-use fedcross_nn::Layer;
+use fedcross_nn::{Layer, Sequential};
 use fedcross_tensor::{init, SeededRng, Tensor, TensorPool};
 
 fn sample_size() -> usize {
@@ -140,6 +140,35 @@ fn bench_client_training(c: &mut Criterion) {
                 model.as_mut(),
                 &flat,
                 &local,
+                &mut train_rng,
+                None,
+            ))
+        })
+    });
+
+    // The wide_server client: one step of batch 8 through a 768-1024-10
+    // MLP behind a Flatten. Each step starts from zeroed gradients, so this
+    // also times the path where dW is written straight into the gradient.
+    let wide = Sequential::new("wide_mlp")
+        .push(Flatten::new())
+        .push(Linear::new(flat_dim, 1024, &mut rng))
+        .push(Relu::new())
+        .push(Linear::new(1024, 10, &mut rng))
+        .boxed();
+    let eight = client.subset(&(0..8).collect::<Vec<_>>());
+    let one_step = LocalTrainConfig {
+        batch_size: 8,
+        ..local
+    };
+    group.bench_function("local_train_wide_mlp_b8", |b| {
+        let mut model = wide.clone_model();
+        let mut train_rng = SeededRng::new(5);
+        b.iter(|| {
+            black_box(local_train(
+                2,
+                model.as_mut(),
+                &eight,
+                &one_step,
                 &mut train_rng,
                 None,
             ))
