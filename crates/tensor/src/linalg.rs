@@ -204,9 +204,10 @@ fn gemm_accum(
 /// count warrants it. Each row's reduction stays on one thread, so the result
 /// is bitwise identical to the serial kernel.
 ///
-/// Inside a rayon worker (every client training job) the row blocks would
-/// run one after another anyway, each streaming all of `b` again, so the
-/// product runs as one serial pass instead.
+/// Inside a rayon worker (where client training jobs run at two or more
+/// threads) the row blocks would run one after another anyway, each
+/// streaming all of `b` again, so the product runs as one serial pass
+/// instead.
 fn gemm(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let in_worker = rayon::current_thread_index().is_some();
     if parallel_worthwhile(m, k, n) && m > MR && n > 0 && !in_worker {

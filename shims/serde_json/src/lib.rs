@@ -33,14 +33,13 @@ pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value, Error> {
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         text,
-        bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != text.len() {
         return Err(Error::custom(format!(
             "trailing characters at offset {}",
             parser.pos
@@ -186,15 +185,18 @@ pub const RECURSION_LIMIT: usize = 128;
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -204,7 +206,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), Error> {
@@ -253,7 +255,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -273,7 +275,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos])
             .map_err(|_| Error::custom("invalid utf8 in number"))?;
         text.parse::<f64>()
             .map(Value::Num)
@@ -303,7 +305,7 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error::custom("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
