@@ -67,8 +67,10 @@ std::thread_local! {
 
 /// The index of the current thread among the workers of the parallel call
 /// it runs, or `None` when called outside one — real rayon's
-/// `current_thread_index`. A kernel reached from inside a worker can use it
-/// to skip splitting work that would run serially anyway.
+/// `current_thread_index`. Unlike real rayon, a call that runs on one
+/// thread spawns no worker, so its items see `None`. A kernel reached from
+/// inside a worker can use it to skip splitting work that would run
+/// serially anyway.
 pub fn current_thread_index() -> Option<usize> {
     WORKER_INDEX.with(|w| w.get())
 }
