@@ -156,8 +156,9 @@ fn snapshot_store(
 }
 
 /// Restores one pending store written by [`snapshot_store`], validating the
-/// table against the federation size and model dimension and the record
-/// against the table.
+/// table against the federation size and model dimension, the record against
+/// the table, and each entry against what the transport can produce: 1 or 2
+/// copies, due no earlier than the round it trained in.
 fn restore_store(
     state: &AlgorithmState,
     name: &str,
@@ -182,12 +183,25 @@ fn restore_store(
                 "store `{name}` entry for client {client} targets slot {slot}, max is {max_slot}"
             )));
         }
+        let train_round = decode_u64(parts[0])? as usize;
+        let due_round = decode_u64(parts[1])? as usize;
+        let copies = decode_u64(parts[2])? as usize;
+        if !(1..=2).contains(&copies) {
+            return Err(StateError::new(format!(
+                "store `{name}` entry for client {client} has {copies} transport copies, expected 1 or 2"
+            )));
+        }
+        if due_round < train_round {
+            return Err(StateError::new(format!(
+                "store `{name}` entry for client {client} is due in round {due_round}, before its training round {train_round}"
+            )));
+        }
         entries.push(BufferedUpload {
             client: *client,
             slot,
-            train_round: decode_u64(parts[0])? as usize,
-            due_round: decode_u64(parts[1])? as usize,
-            copies: decode_u64(parts[2])? as usize,
+            train_round,
+            due_round,
+            copies,
             delta: delta.clone(),
             num_samples: decode_u64(parts[4])? as usize,
             train_loss: decode_f64(parts[5])? as f32,
@@ -775,5 +789,44 @@ mod tests {
         assert!(err.to_string().contains("slot"), "got: {err}");
         // The failed restore must not have touched the model.
         assert_eq!(algo.middleware()[0].as_slice(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn restore_rejects_forged_copies_and_rounds() {
+        // Entries no transport produces: 1000 copies (1000 arrivals in the
+        // first round after resume), zero copies, and an upload due before
+        // the round it trained in.
+        let forge = |copies, due_round| BufferedUpload {
+            copies,
+            due_round,
+            ..upload(5, 0, 4, vec![1.0, -1.0])
+        };
+        let forged = [
+            ("copies", forge(1000, 6)),
+            ("copies", forge(0, 6)),
+            ("before its training round", forge(1, 3)),
+        ];
+        for (reason, bad) in forged {
+            let mut donor = BufferedFedAvg::new(0.5, vec![0.5; 2], 8);
+            donor.inflight.push(bad.clone());
+            let state = donor.snapshot_state().unwrap();
+            let mut algo = BufferedFedAvg::new(0.5, vec![0.0; 2], 8);
+            let err = algo.restore_state(&state).unwrap_err();
+            assert!(err.to_string().contains(reason), "got: {err}");
+            // The failed restore must not have touched the algorithm.
+            assert_eq!(algo.global(), &[0.0, 0.0]);
+            assert!(algo.inflight().is_empty());
+
+            let mut donor =
+                BufferedFedCross::new(BufferedFedCrossConfig::default(), vec![0.5; 2], 2, 8);
+            donor.buffer.push(bad);
+            let state = donor.snapshot_state().unwrap();
+            let mut algo =
+                BufferedFedCross::new(BufferedFedCrossConfig::default(), vec![0.0; 2], 2, 8);
+            let err = algo.restore_state(&state).unwrap_err();
+            assert!(err.to_string().contains(reason), "got: {err}");
+            assert_eq!(algo.middleware()[0].as_slice(), &[0.0, 0.0]);
+            assert!(algo.buffer().is_empty());
+        }
     }
 }
