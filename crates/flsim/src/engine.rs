@@ -372,30 +372,6 @@ impl<'a> RoundContext<'a> {
         sample_cohort(&mut self.rng, n, self.clients_per_round)
     }
 
-    /// Samples clients with probability proportional to `weights` (without
-    /// replacement), used by the clustered-sampling baseline.
-    pub fn select_clients_weighted(&mut self, weights: &[f32]) -> Vec<usize> {
-        assert_eq!(weights.len(), self.num_clients(), "one weight per client");
-        let k = self.clients_per_round();
-        let mut remaining: Vec<usize> = (0..self.num_clients()).collect();
-        let mut w: Vec<f32> = weights.to_vec();
-        let mut picked = Vec::with_capacity(k);
-        for _ in 0..k {
-            if remaining.is_empty() {
-                break;
-            }
-            let total: f32 = w.iter().sum();
-            let idx = if total <= 0.0 {
-                self.rng.below(remaining.len())
-            } else {
-                self.rng.weighted_index(&w)
-            };
-            picked.push(remaining.remove(idx));
-            w.remove(idx);
-        }
-        picked
-    }
-
     /// Trains one client on the dispatched parameters and returns its update,
     /// recording the communication.
     ///
@@ -1750,28 +1726,6 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 4);
         assert!(picked.iter().all(|&c| c < ctx.num_clients()));
-    }
-
-    #[test]
-    fn weighted_selection_prefers_heavy_clients() {
-        let (data, template) = tiny_setup(5);
-        let mut counts = vec![0usize; data.num_clients()];
-        for trial in 0..40 {
-            let mut comm = CommTracker::new();
-            let mut ctx = RoundContext::new(
-                &data,
-                template.as_ref(),
-                LocalTrainConfig::fast(),
-                1,
-                SeededRng::new(trial),
-                &mut comm,
-            );
-            let mut weights = vec![0.01f32; data.num_clients()];
-            weights[2] = 10.0;
-            let picked = ctx.select_clients_weighted(&weights);
-            counts[picked[0]] += 1;
-        }
-        assert!(counts[2] > 25, "client 2 picked only {} / 40 times", counts[2]);
     }
 
     #[test]
