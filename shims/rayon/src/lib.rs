@@ -12,7 +12,7 @@
 //! core, and panics propagate to the caller exactly as rayon's do.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Process-wide thread-count override (0 = unset). Set by
 /// [`set_num_threads`]; checked before `RAYON_NUM_THREADS` and
@@ -32,14 +32,23 @@ pub fn set_num_threads(n: usize) {
 }
 
 /// Number of worker threads used by parallel operations: the
-/// [`set_num_threads`] override if set, else `RAYON_NUM_THREADS` from the
-/// environment (matching real rayon's default pool), else the machine's
-/// available parallelism.
+/// [`set_num_threads`] override if set, else the default pool size.
 pub fn current_num_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
     }
+    *DEFAULT_THREADS.get_or_init(default_num_threads)
+}
+
+/// The default pool size, read once per process as real rayon does when
+/// its global pool starts (`available_parallelism` reads cgroup files, far
+/// too slow to repeat on every parallel call).
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+
+/// `RAYON_NUM_THREADS` from the environment (matching real rayon's default
+/// pool), else the machine's available parallelism.
+fn default_num_threads() -> usize {
     if let Ok(value) = std::env::var("RAYON_NUM_THREADS") {
         if let Ok(n) = value.trim().parse::<usize>() {
             if n > 0 {
@@ -375,6 +384,17 @@ mod tests {
         }
         crate::set_num_threads(0);
         assert!(crate::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn clearing_the_override_restores_the_default_count() {
+        let _serial = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+        let default = crate::current_num_threads();
+        assert!(default >= 1);
+        crate::set_num_threads(default + 3);
+        assert_eq!(crate::current_num_threads(), default + 3);
+        crate::set_num_threads(0);
+        assert_eq!(crate::current_num_threads(), default);
     }
 
     #[test]
