@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks of the server-side aggregation kernels:
 //! FedAvg weighted averaging vs FedCross cross-aggregation (single
-//! collaborator and propeller variants) and global-model generation.
+//! collaborator and propeller variants) and global-model generation, each
+//! writing into a preallocated output as the round loop does.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross::aggregation::{
-    cross_aggregate_all, cross_aggregate_all_into, cross_aggregate_propellers,
-    cross_aggregate_propellers_into, global_model, global_model_into,
+    cross_aggregate_all_into, cross_aggregate_propellers_into, global_model_into,
 };
-use fedcross_nn::params::{weighted_average, weighted_average_into};
+use fedcross_nn::params::weighted_average_into;
 use fedcross_tensor::SeededRng;
 
 fn make_models(k: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -28,34 +28,8 @@ fn bench_aggregation(c: &mut Criterion) {
             .map(|i| (i + 1) % models.len())
             .collect();
 
-        group.bench_with_input(
-            BenchmarkId::new("fedavg_weighted_average", dim),
-            &dim,
-            |b, _| b.iter(|| black_box(weighted_average(&models, &weights))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fedcross_cross_aggregate_all", dim),
-            &dim,
-            |b, _| b.iter(|| black_box(cross_aggregate_all(&models, &collaborators, 0.99))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fedcross_propellers_x3", dim),
-            &dim,
-            |b, _| {
-                b.iter(|| {
-                    let refs: Vec<&[f32]> = models[1..4].iter().map(|m| m.as_slice()).collect();
-                    black_box(cross_aggregate_propellers(&models[0], &refs, 0.99))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("global_model_generation", dim),
-            &dim,
-            |b, _| b.iter(|| black_box(global_model(&models))),
-        );
-
-        // In-place fused kernels (the round loop's actual hot path): same
-        // arithmetic, zero allocations, rayon-parallel over the K models.
+        // The fused kernels as the round loop runs them: zero allocations,
+        // rayon-parallel over the K models.
         group.bench_with_input(
             BenchmarkId::new("fedavg_weighted_average_into", dim),
             &dim,

@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of the tensor kernels that dominate client-side
-//! training cost: matmul, im2col convolution and softmax cross-entropy.
+//! training cost: matmul and im2col convolution (each writing into a
+//! preallocated output, as the layers do) and softmax cross-entropy.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross_nn::loss::softmax_cross_entropy;
-use fedcross_tensor::conv::{im2col, Conv2dGeom};
-use fedcross_tensor::{init, SeededRng};
+use fedcross_tensor::conv::{im2col_into, im2col_shape, Conv2dGeom};
+use fedcross_tensor::{init, SeededRng, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -13,8 +14,12 @@ fn bench_matmul(c: &mut Criterion) {
     for &n in &[64usize, 128, 256] {
         let a = init::normal(&[n, n], 0.0, 1.0, &mut rng);
         let b = init::normal(&[n, n], 0.0, 1.0, &mut rng);
+        let mut out = Tensor::zeros(&[n, n]);
         group.bench_with_input(BenchmarkId::new("square", n), &n, |bench, _| {
-            bench.iter(|| black_box(a.matmul(&b)))
+            bench.iter(|| {
+                a.matmul_into(&b, &mut out);
+                black_box(out.numel())
+            })
         });
     }
     group.finish();
@@ -27,9 +32,14 @@ fn bench_conv(c: &mut Criterion) {
     let geom = Conv2dGeom::new(3, 1, 1);
     for &(batch, channels, size) in &[(10usize, 3usize, 16usize), (32, 16, 16)] {
         let input = init::normal(&[batch, channels, size, size], 0.0, 1.0, &mut rng);
+        let (rows, row_len) = im2col_shape(&input, geom);
+        let mut out = Tensor::zeros(&[rows, row_len]);
         let id = format!("b{batch}_c{channels}_s{size}");
         group.bench_with_input(BenchmarkId::new("im2col", &id), &id, |bench, _| {
-            bench.iter(|| black_box(im2col(&input, geom)))
+            bench.iter(|| {
+                im2col_into(&input, geom, &mut out);
+                black_box(out.numel())
+            })
         });
     }
     group.finish();

@@ -1,18 +1,16 @@
 //! Cross-aggregation (`CrossAggr`) and global-model generation
 //! (Sections III-B2 and III-B3).
 //!
-//! Every kernel comes in two forms: an allocating convenience version and a
-//! destination-passing `*_into` version that writes into a caller-provided
-//! buffer. The `*_into` forms are the hot path — `FedCross::run_round` fuses
-//! each round's uploads directly into the retired middleware buffers, so the
-//! steady-state server loop performs **zero** full-model allocations — and the
-//! allocating forms are thin wrappers over them, so both are numerically
-//! identical element-for-element.
+//! Every kernel has one body, a destination-passing `*_into` function that
+//! writes into a caller-provided buffer. `FedCross::run_round` fuses each
+//! round's uploads directly into the retired middleware buffers, so the
+//! steady-state server loop performs **zero** full-model allocations; a
+//! caller that wants a fresh model passes a fresh buffer.
 //!
 //! [`cross_aggregate_all_into`] parallelises over the `K` middleware models
 //! with rayon once the total work is large enough to amortise the fork/join.
 
-use fedcross_nn::params::{average, average_into, interpolate_into, ParamVec};
+use fedcross_nn::params::{average_into, interpolate_into};
 use fedcross_tensor::stats::{pairwise_matrix, Pairwise};
 use rayon::prelude::*;
 
@@ -27,45 +25,22 @@ fn assert_alpha(alpha: f32) {
     );
 }
 
-/// Fuses one uploaded middleware model with its collaborative model:
-/// `CrossAggr(v_i, v_co) = α·v_i + (1-α)·v_co`.
+/// Fuses one uploaded middleware model with its collaborative model,
+/// writing `CrossAggr(v_i, v_co) = α·v_i + (1-α)·v_co` into `out`.
 ///
 /// # Panics
 /// Panics if `alpha` is outside `[0.5, 1.0)` (the paper's admissible range)
-/// or the vectors differ in length.
-pub fn cross_aggregate(uploaded: &[f32], collaborative: &[f32], alpha: f32) -> ParamVec {
-    let mut out = vec![0f32; uploaded.len()];
-    cross_aggregate_into(&mut out, uploaded, collaborative, alpha);
-    out
-}
-
-/// Destination-passing [`cross_aggregate`]: writes the fused model into
-/// `out`, reusing its allocation.
-///
-/// # Panics
-/// Panics if `alpha` is outside `[0.5, 1.0)` or any length differs.
+/// or any length differs.
 pub fn cross_aggregate_into(out: &mut [f32], uploaded: &[f32], collaborative: &[f32], alpha: f32) {
     assert_alpha(alpha);
     interpolate_into(out, uploaded, collaborative, alpha);
 }
 
 /// Fuses one uploaded model with multiple *propeller* models (the
-/// propeller-model acceleration of Section III-D): the collaborative share
-/// `(1-α)` is split evenly across the propellers.
+/// propeller-model acceleration of Section III-D) into `out`: the
+/// collaborative share `(1-α)` is split evenly across the propellers.
 ///
-/// With a single propeller this reduces exactly to [`cross_aggregate`].
-pub fn cross_aggregate_propellers(
-    uploaded: &[f32],
-    propellers: &[&[f32]],
-    alpha: f32,
-) -> ParamVec {
-    let mut out = vec![0f32; uploaded.len()];
-    cross_aggregate_propellers_into(&mut out, uploaded, propellers, alpha);
-    out
-}
-
-/// Destination-passing [`cross_aggregate_propellers`]: writes the fused model
-/// into `out`, reusing its allocation.
+/// With a single propeller this reduces to [`cross_aggregate_into`].
 ///
 /// # Panics
 /// Panics if `alpha` is out of range, no propeller is given, or lengths
@@ -94,31 +69,11 @@ pub fn cross_aggregate_propellers_into(
 }
 
 /// Applies cross-aggregation to the whole uploaded model list given each
-/// model's collaborative index (Algorithm 1 lines 11–14), producing the next
-/// round's middleware models.
-///
-/// # Panics
-/// Panics if a collaborative index is out of range or equals its own model.
-pub fn cross_aggregate_all<V: AsRef<[f32]> + Sync>(
-    uploaded: &[V],
-    collaborators: &[usize],
-    alpha: f32,
-) -> Vec<ParamVec> {
-    let dim = uploaded.first().map_or(0, |v| v.as_ref().len());
-    // alloc: bounded — K middleware output vectors, once per round
-    let mut out: Vec<ParamVec> = uploaded.iter().map(|_| vec![0f32; dim]).collect();
-    {
-        // alloc: bounded — K middleware output vectors, once per round
-        let mut targets: Vec<&mut [f32]> = out.iter_mut().map(|v| v.as_mut_slice()).collect();
-        cross_aggregate_all_into(&mut targets, uploaded, collaborators, alpha);
-    }
-    out
-}
-
-/// Destination-passing [`cross_aggregate_all`]: fuses every upload into its
-/// caller-provided output buffer (`out[i] = α·uploaded[i] +
-/// (1-α)·uploaded[collaborators[i]]`), rayon-parallel over the `K` models
-/// when `K·d` crosses `PAR_THRESHOLD_SCALARS`.
+/// model's collaborative index (Algorithm 1 lines 11–14), fusing every
+/// upload into its caller-provided output buffer (`out[i] = α·uploaded[i] +
+/// (1-α)·uploaded[collaborators[i]]`) to produce the next round's
+/// middleware models; rayon-parallel over the `K` models when `K·d` crosses
+/// `PAR_THRESHOLD_SCALARS`.
 ///
 /// The output buffers are typically last round's retired middleware models,
 /// making the whole cross-aggregation step allocation-free.
@@ -163,14 +118,9 @@ pub fn cross_aggregate_all_into<V: AsRef<[f32]> + Sync>(
     }
 }
 
-/// Generates the deployable global model: the plain average of the middleware
-/// models (Section III-B3). The global model never participates in training.
-pub fn global_model<V: AsRef<[f32]>>(middleware: &[V]) -> ParamVec {
-    average(middleware)
-}
-
-/// Destination-passing [`global_model`]: writes the middleware average into
-/// `out`, reusing its allocation.
+/// Generates the deployable global model into `out`: the plain average of
+/// the middleware models (Section III-B3). The global model never
+/// participates in training.
 pub fn global_model_into<V: AsRef<[f32]>>(out: &mut [f32], middleware: &[V]) {
     average_into(out, middleware);
 }
@@ -181,8 +131,8 @@ pub fn global_model_into<V: AsRef<[f32]>>(out: &mut [f32], middleware: &[V]) {
 // Cross-aggregation trusts every upload; one scaled Byzantine update poisons
 // all K middleware at once. The kernels below are the classical robust
 // estimators (coordinate-wise median, trimmed mean, Krum / multi-Krum, norm
-// bounding), each in the same allocating + destination-passing `*_into` pair
-// as the kernels above. Two determinism contracts hold throughout
+// bounding), each a destination-passing `*_into` kernel like the ones
+// above. Two determinism contracts hold throughout
 // (docs/ROBUSTNESS.md, pinned by tests/tests/robust_kernels.rs):
 //
 // * **Canonical order** — callers pass uploads in canonical client/slot
@@ -236,22 +186,13 @@ fn sorted_column_reduce_into<V: AsRef<[f32]> + Sync>(
     }
 }
 
-/// Coordinate-wise median of the uploads (breakdown point ⌊(n-1)/2⌋: a
-/// strict minority of Byzantine uploads cannot move any coordinate outside
-/// the honest value range).
+/// Writes the coordinate-wise median of the uploads into `out` (breakdown
+/// point ⌊(n-1)/2⌋: a strict minority of Byzantine uploads cannot move any
+/// coordinate outside the honest value range).
 ///
 /// Bitwise invariant under upload permutation: every coordinate is reduced
 /// from its ascending-sorted column, erasing arrival order. An even column
 /// takes the mean of the two middle values.
-pub fn coordinate_median<V: AsRef<[f32]> + Sync>(uploads: &[V]) -> ParamVec {
-    let dim = uploads.first().map_or(0, |v| v.as_ref().len());
-    let mut out = vec![0f32; dim];
-    coordinate_median_into(&mut out, uploads);
-    out
-}
-
-/// Destination-passing [`coordinate_median`]: writes the median model into
-/// `out`, reusing its allocation.
 ///
 /// # Panics
 /// Panics if `uploads` is empty or any length differs from `out`.
@@ -273,21 +214,13 @@ pub fn trim_count(n: usize, trim: f32) -> usize {
     (f64::from(trim) * n as f64).floor() as usize
 }
 
-/// Coordinate-wise trimmed mean: drops the `⌊trim·n⌋` smallest and largest
-/// values of every coordinate column and averages the rest (breakdown point
-/// ⌊trim·n⌋). `trim = 0` degenerates to the plain coordinate mean.
+/// Writes the coordinate-wise trimmed mean into `out`: drops the
+/// `⌊trim·n⌋` smallest and largest values of every coordinate column and
+/// averages the rest (breakdown point ⌊trim·n⌋). `trim = 0` degenerates to
+/// the plain coordinate mean.
 ///
 /// Bitwise invariant under upload permutation: the kept values are summed in
 /// ascending sorted order, not arrival order.
-pub fn trimmed_mean<V: AsRef<[f32]> + Sync>(uploads: &[V], trim: f32) -> ParamVec {
-    let dim = uploads.first().map_or(0, |v| v.as_ref().len());
-    let mut out = vec![0f32; dim];
-    trimmed_mean_into(&mut out, uploads, trim);
-    out
-}
-
-/// Destination-passing [`trimmed_mean`]: writes the trimmed-mean model into
-/// `out`, reusing its allocation.
 ///
 /// # Panics
 /// Panics if `uploads` is empty, lengths differ, `trim` lies outside
@@ -369,26 +302,14 @@ fn krum_scores<V: AsRef<[f32]> + Sync>(uploads: &[V], neighbours: usize) -> Vec<
         .collect()
 }
 
-/// Norm-bounded mean around an `anchor` (the model the server dispatched):
-/// every upload's delta `uᵢ - anchor` is scaled by `min(1, max_norm / ‖δᵢ‖)` —
-/// the same clip-factor semantics as the differential-privacy plane's
-/// `clip_to_norm` — and the clipped deltas are averaged back onto the anchor.
-/// No upload is excluded, but none can contribute a step longer than
-/// `max_norm`, which bounds the damage of a scaled Byzantine update by
-/// `max_norm / n`.
-pub fn norm_bounded_mean<V: AsRef<[f32]> + Sync>(
-    anchor: &[f32],
-    uploads: &[V],
-    max_norm: f32,
-) -> ParamVec {
-    let mut out = vec![0f32; anchor.len()];
-    norm_bounded_mean_into(&mut out, anchor, uploads, max_norm);
-    out
-}
-
-/// Destination-passing [`norm_bounded_mean`]: writes the clipped aggregate
-/// into `out`, reusing its allocation. `out` must not alias `anchor` (the
-/// anchor is read throughout the accumulation).
+/// Writes the norm-bounded mean around an `anchor` (the model the server
+/// dispatched) into `out`: every upload's delta `uᵢ - anchor` is scaled by
+/// `min(1, max_norm / ‖δᵢ‖)` — the same clip-factor semantics as the
+/// differential-privacy plane's `clip_to_norm` — and the clipped deltas are
+/// averaged back onto the anchor. No upload is excluded, but none can
+/// contribute a step longer than `max_norm`, which bounds the damage of a
+/// scaled Byzantine update by `max_norm / n`. `out` must not alias `anchor`
+/// (the anchor is read throughout the accumulation).
 ///
 /// # Panics
 /// Panics if `uploads` is empty, lengths differ, or `max_norm` is not a
@@ -547,25 +468,39 @@ impl RobustRule {
             }
         }
     }
-
-    /// Allocating form of [`RobustRule::aggregate_into`].
-    pub fn aggregate<V: AsRef<[f32]> + Sync>(&self, anchor: &[f32], uploads: &[V]) -> ParamVec {
-        let mut out = vec![0f32; anchor.len()];
-        self.aggregate_into(&mut out, anchor, uploads);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedcross_nn::params::{l2_norm, squared_distance};
+    use fedcross_nn::params::{average, l2_norm, squared_distance};
+
+    /// Runs a kernel on a fresh NaN-filled buffer of `len` scalars.
+    fn fresh(len: usize, kernel: impl FnOnce(&mut [f32])) -> Vec<f32> {
+        let mut out = vec![f32::NAN; len];
+        kernel(&mut out);
+        out
+    }
+
+    fn fused(uploaded: &[f32], collaborative: &[f32], alpha: f32) -> Vec<f32> {
+        fresh(uploaded.len(), |o| {
+            cross_aggregate_into(o, uploaded, collaborative, alpha)
+        })
+    }
+
+    /// [`cross_aggregate_all_into`] on fresh NaN-filled buffers.
+    fn fused_all(uploaded: &[Vec<f32>], collaborators: &[usize], alpha: f32) -> Vec<Vec<f32>> {
+        let mut out = vec![vec![f32::NAN; uploaded[0].len()]; uploaded.len()];
+        let mut targets: Vec<&mut [f32]> = out.iter_mut().map(|v| v.as_mut_slice()).collect();
+        cross_aggregate_all_into(&mut targets, uploaded, collaborators, alpha);
+        out
+    }
 
     #[test]
     fn cross_aggregate_is_a_convex_combination() {
         let v = vec![1.0, 2.0, 3.0];
         let co = vec![3.0, 2.0, 1.0];
-        let fused = cross_aggregate(&v, &co, 0.75);
+        let fused = fused(&v, &co, 0.75);
         assert_eq!(fused, vec![1.5, 2.0, 2.5]);
     }
 
@@ -573,7 +508,7 @@ mod tests {
     fn alpha_near_one_barely_moves_the_model() {
         let v = vec![1.0, -1.0];
         let co = vec![100.0, 100.0];
-        let fused = cross_aggregate(&v, &co, 0.99);
+        let fused = fused(&v, &co, 0.99);
         assert!((fused[0] - (0.99 + 1.0)).abs() < 1e-5);
         assert!(squared_distance(&fused, &v) < squared_distance(&fused, &co));
     }
@@ -581,13 +516,15 @@ mod tests {
     #[test]
     #[should_panic]
     fn alpha_below_half_is_rejected() {
-        let _ = cross_aggregate(&[1.0], &[2.0], 0.4);
+        let _ = fused_all(&[vec![1.0], vec![2.0]], &[1, 0], 0.4);
     }
 
     #[test]
     #[should_panic]
     fn alpha_of_one_is_rejected() {
-        let _ = cross_aggregate(&[1.0], &[2.0], 1.0);
+        let _ = fresh(1, |o| {
+            cross_aggregate_propellers_into(o, &[1.0], &[&[2.0]], 1.0)
+        });
     }
 
     #[test]
@@ -608,8 +545,8 @@ mod tests {
     fn single_propeller_matches_plain_cross_aggregation() {
         let v = vec![1.0, 2.0, 3.0, 4.0];
         let p = vec![0.0, 1.0, 0.0, 1.0];
-        let a = cross_aggregate(&v, &p, 0.9);
-        let b = cross_aggregate_propellers(&v, &[&p], 0.9);
+        let a = fused(&v, &p, 0.9);
+        let b = fresh(4, |o| cross_aggregate_propellers_into(o, &v, &[&p], 0.9));
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-6);
         }
@@ -620,7 +557,9 @@ mod tests {
         let v = vec![0.0, 0.0];
         let p1 = vec![1.0, 0.0];
         let p2 = vec![0.0, 1.0];
-        let fused = cross_aggregate_propellers(&v, &[&p1, &p2], 0.8);
+        let fused = fresh(2, |o| {
+            cross_aggregate_propellers_into(o, &v, &[&p1, &p2], 0.8)
+        });
         // (1 - 0.8) / 2 = 0.1 of each propeller.
         assert!((fused[0] - 0.1).abs() < 1e-6);
         assert!((fused[1] - 0.1).abs() < 1e-6);
@@ -638,7 +577,7 @@ mod tests {
         ];
         // A cyclic permutation: each model is a collaborator exactly once.
         let collaborators = vec![1, 2, 3, 0];
-        let fused = cross_aggregate_all(&uploaded, &collaborators, 0.9);
+        let fused = fused_all(&uploaded, &collaborators, 0.9);
         for dim in 0..2 {
             let before: f32 = uploaded.iter().map(|v| v[dim]).sum();
             let after: f32 = fused.iter().map(|v| v[dim]).sum();
@@ -661,7 +600,7 @@ mod tests {
         let collaborators = vec![1, 2, 0];
         let reference = vec![0.25, 0.5, 1.0];
         for &alpha in &[0.5f32, 0.75, 0.9, 0.99] {
-            let fused = cross_aggregate_all(&uploaded, &collaborators, alpha);
+            let fused = fused_all(&uploaded, &collaborators, alpha);
             let before: f32 = uploaded
                 .iter()
                 .map(|v| squared_distance(v, &reference))
@@ -684,7 +623,7 @@ mod tests {
         // The rule is designed to "restrict the weight differences between
         // middleware models" — after one application the models are closer.
         let uploaded = vec![vec![5.0, 0.0], vec![-5.0, 2.0]];
-        let fused = cross_aggregate_all(&uploaded, &[1, 0], 0.8);
+        let fused = fused_all(&uploaded, &[1, 0], 0.8);
         let before = squared_distance(&uploaded[0], &uploaded[1]);
         let after = squared_distance(&fused[0], &fused[1]);
         assert!(after < before);
@@ -693,27 +632,26 @@ mod tests {
     #[test]
     fn global_model_is_the_middleware_average() {
         let middleware = vec![vec![1.0, 2.0], vec![3.0, 6.0]];
-        assert_eq!(global_model(&middleware), vec![2.0, 4.0]);
-        let mut out = vec![0f32; 2];
-        global_model_into(&mut out, &middleware);
-        assert_eq!(out, vec![2.0, 4.0]);
+        let global = fresh(2, |o| global_model_into(o, &middleware));
+        assert_eq!(global, vec![2.0, 4.0]);
     }
 
     #[test]
     #[should_panic]
     fn self_collaboration_is_rejected() {
         let uploaded = vec![vec![1.0], vec![2.0]];
-        let _ = cross_aggregate_all(&uploaded, &[0, 0], 0.9);
+        let _ = fused_all(&uploaded, &[0, 0], 0.9);
     }
 
     #[test]
     fn identical_models_are_a_fixed_point() {
         let uploaded = vec![vec![1.0, -2.0, 3.0]; 3];
-        let fused = cross_aggregate_all(&uploaded, &[1, 2, 0], 0.9);
+        let fused = fused_all(&uploaded, &[1, 2, 0], 0.9);
         for f in &fused {
             assert_eq!(f, &uploaded[0]);
         }
-        assert!((l2_norm(&global_model(&fused)) - l2_norm(&uploaded[0])).abs() < 1e-6);
+        let global = fresh(3, |o| global_model_into(o, &fused));
+        assert!((l2_norm(&global) - l2_norm(&uploaded[0])).abs() < 1e-6);
     }
 
     #[test]
@@ -730,11 +668,11 @@ mod tests {
             .collect();
         let collaborators: Vec<usize> = (0..k).map(|i| (i + 1) % k).collect();
         // Parallel (threshold crossed) vs per-model serial kernel.
-        let parallel = cross_aggregate_all(&uploaded, &collaborators, 0.99);
-        for (i, fused) in parallel.iter().enumerate() {
-            let serial = cross_aggregate(&uploaded[i], &uploaded[collaborators[i]], 0.99);
+        let parallel = fused_all(&uploaded, &collaborators, 0.99);
+        for (i, fused_model) in parallel.iter().enumerate() {
+            let serial = fused(&uploaded[i], &uploaded[collaborators[i]], 0.99);
             assert_eq!(
-                fused.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                fused_model.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 serial.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 "model {i} differs between parallel and serial paths"
             );
@@ -748,13 +686,14 @@ mod tests {
             vec![1.5, -1.0, 2.0],
             vec![1e6, 1e6, -1e6], // one Byzantine upload
         ];
-        assert_eq!(coordinate_median(&uploads), vec![1.5, -1.0, 2.0]);
+        let median = fresh(3, |o| coordinate_median_into(o, &uploads));
+        assert_eq!(median, vec![1.5, -1.0, 2.0]);
     }
 
     #[test]
     fn even_median_averages_the_two_middle_values() {
         let uploads = vec![vec![1.0f32], vec![3.0], vec![100.0], vec![-50.0]];
-        assert_eq!(coordinate_median(&uploads), vec![2.0]);
+        assert_eq!(fresh(1, |o| coordinate_median_into(o, &uploads)), vec![2.0]);
     }
 
     #[test]
@@ -767,17 +706,17 @@ mod tests {
             vec![1e9],
         ];
         // trim 0.2 of 5 drops one per end: mean of {2, 4, 6}.
-        assert_eq!(trimmed_mean(&uploads, 0.2), vec![4.0]);
+        assert_eq!(fresh(1, |o| trimmed_mean_into(o, &uploads, 0.2)), vec![4.0]);
         assert_eq!(trim_count(5, 0.2), 1);
         // trim 0 is the plain coordinate mean of finite values.
         let plain = vec![vec![1.0f32], vec![3.0]];
-        assert_eq!(trimmed_mean(&plain, 0.0), vec![2.0]);
+        assert_eq!(fresh(1, |o| trimmed_mean_into(o, &plain, 0.0)), vec![2.0]);
     }
 
     #[test]
     #[should_panic(expected = "trim fraction must lie in [0, 0.5)")]
     fn trim_of_one_half_is_rejected() {
-        let _ = trimmed_mean(&[vec![1.0f32], vec![2.0]], 0.5);
+        let _ = fresh(1, |o| trimmed_mean_into(o, &[vec![1.0f32], vec![2.0]], 0.5));
     }
 
     #[test]
@@ -855,7 +794,7 @@ mod tests {
         // Upload 1: delta (3, 4), norm 5 — clipped by exactly 2/5.
         // Upload 2: delta (0.6, 0.8), norm 1 — inside the bound, untouched.
         let uploads = vec![vec![3.0f32, 4.0], vec![0.6, 0.8]];
-        let out = norm_bounded_mean(&anchor, &uploads, 2.0);
+        let out = fresh(2, |o| norm_bounded_mean_into(o, &anchor, &uploads, 2.0));
         // Clipped deltas: (1.2, 1.6) and (0.6, 0.8); mean (0.9, 1.2).
         assert!((out[0] - 0.9).abs() < 1e-6 && (out[1] - 1.2).abs() < 1e-6);
         let step = l2_norm(&out);
@@ -870,21 +809,22 @@ mod tests {
             vec![2.0, 3.0, 4.0],
             vec![9.0, -9.0, 9.0],
         ];
+        let robust = |rule: RobustRule| fresh(3, |o| rule.aggregate_into(o, &anchor, &uploads));
         assert_eq!(
-            RobustRule::Median.aggregate(&anchor, &uploads),
-            coordinate_median(&uploads)
+            robust(RobustRule::Median),
+            fresh(3, |o| coordinate_median_into(o, &uploads))
         );
         assert_eq!(
-            RobustRule::TrimmedMean { trim: 0.34 }.aggregate(&anchor, &uploads),
-            trimmed_mean(&uploads, 0.34)
+            robust(RobustRule::TrimmedMean { trim: 0.34 }),
+            fresh(3, |o| trimmed_mean_into(o, &uploads, 0.34))
         );
-        let krum = RobustRule::Krum { f: 1, m: 2 }.aggregate(&anchor, &uploads);
+        let krum = robust(RobustRule::Krum { f: 1, m: 2 });
         let selected = multi_krum_select(&uploads, 1, 2);
         let views: Vec<&[f32]> = selected.iter().map(|&i| uploads[i].as_slice()).collect();
         assert_eq!(krum, average(&views));
         assert_eq!(
-            RobustRule::NormBound { max_norm: 1.5 }.aggregate(&anchor, &uploads),
-            norm_bounded_mean(&anchor, &uploads, 1.5)
+            robust(RobustRule::NormBound { max_norm: 1.5 }),
+            fresh(3, |o| norm_bounded_mean_into(o, &anchor, &uploads, 1.5))
         );
         assert_eq!(RobustRule::Median.max_byzantine(7), 3);
         assert_eq!(RobustRule::TrimmedMean { trim: 0.3 }.max_byzantine(10), 3);
@@ -908,8 +848,8 @@ mod tests {
         // Serial references computed over a below-threshold prefix dimension
         // would not exercise the same columns, so compute them per-coordinate
         // by hand instead.
-        let median = coordinate_median(&uploads);
-        let trimmed = trimmed_mean(&uploads, 0.25);
+        let median = fresh(dim, |o| coordinate_median_into(o, &uploads));
+        let trimmed = fresh(dim, |o| trimmed_mean_into(o, &uploads, 0.25));
         for coord in [0usize, 1, 511, 1023, 1024, dim - 1] {
             let mut column: Vec<f32> = uploads.iter().map(|u| u[coord]).collect();
             column.sort_unstable_by(f32::total_cmp);
@@ -935,7 +875,7 @@ mod tests {
         for (buffer, ptr) in buffers.iter().zip(pointers) {
             assert_eq!(buffer.as_ptr(), ptr, "buffer was reallocated");
         }
-        assert_eq!(buffers[0], cross_aggregate(&uploaded[0], &uploaded[1], 0.75));
-        assert_eq!(buffers[1], cross_aggregate(&uploaded[1], &uploaded[0], 0.75));
+        assert_eq!(buffers[0], fused(&uploaded[0], &uploaded[1], 0.75));
+        assert_eq!(buffers[1], fused(&uploaded[1], &uploaded[0], 0.75));
     }
 }

@@ -62,8 +62,8 @@ impl FederatedAlgorithm for FedAvg {
 mod tests {
     use super::*;
     use crate::baselines::test_support::{quick_config, tiny_image_setup};
-    use fedcross_nn::params::weighted_average;
     use fedcross_flsim::Simulation;
+    use fedcross_nn::params::weighted_average_into;
 
     #[test]
     fn fedavg_runs_and_updates_the_global_model() {
@@ -99,10 +99,12 @@ mod tests {
 
     #[test]
     fn aggregation_weights_by_sample_count() {
-        // Construct updates by hand through the public API of weighted_average:
-        // a client with three times the data pulls the average three times harder.
+        // Construct updates by hand through the public API of
+        // weighted_average_into: a client with three times the data pulls the
+        // average three times harder.
         let params = vec![vec![0.0f32], vec![4.0f32]];
-        let avg = weighted_average(&params, &[1.0, 3.0]);
+        let mut avg = [f32::NAN];
+        weighted_average_into(&mut avg, &params, &[1.0, 3.0]);
         assert!((avg[0] - 3.0).abs() < 1e-6);
     }
 

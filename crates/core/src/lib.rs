@@ -16,11 +16,11 @@
 //! 2. after local training, every uploaded model is fused with a
 //!    *collaborative model* chosen by a [`selection::SelectionStrategy`]
 //!    (in-order / highest-similarity / lowest-similarity, cosine similarity),
-//! 3. fusion is the [`aggregation::cross_aggregate`] rule
+//! 3. fusion is the [`aggregation::cross_aggregate_into`] rule
 //!    `w_i = α·v_i + (1-α)·v_co` with α ∈ [0.5, 1) (the paper recommends
 //!    α = 0.99 with the lowest-similarity strategy),
 //! 4. the deployable global model is simply the average of the middleware
-//!    models ([`aggregation::global_model`]) and never participates in
+//!    models ([`aggregation::global_model_into`]) and never participates in
 //!    training.
 //!
 //! Two optional training accelerators from Section III-D are provided in

@@ -337,7 +337,7 @@ impl FederatedAlgorithm for RobustFedCross {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::{coordinate_median, trimmed_mean};
+    use crate::aggregation::{coordinate_median_into, trimmed_mean_into};
 
     fn update(client: usize, params: Vec<f32>) -> LocalUpdate {
         LocalUpdate {
@@ -434,11 +434,11 @@ mod tests {
                 update(5, vec![1e9, 1e9]),
             ],
         );
-        let expected_delta = coordinate_median(&[
-            vec![1.0f32, 1.0],
-            vec![1e9, 1e9],
-            vec![3.0, 3.0],
-        ]);
+        let mut expected_delta = vec![f32::NAN; 2];
+        coordinate_median_into(
+            &mut expected_delta,
+            &[vec![1.0f32, 1.0], vec![1e9, 1e9], vec![3.0, 3.0]],
+        );
         // Every sanitized model = 0 + d*; with identical sanitized models,
         // cross-aggregation is a fixed point, so all middleware equal d*.
         for block in algo.middleware() {
@@ -580,7 +580,9 @@ mod tests {
                 .map(|(c, d)| update(c, d.clone()))
                 .collect(),
         );
-        let consensus = trimmed_mean(&deltas, 0.25)[0];
+        let mut consensus = [f32::NAN];
+        trimmed_mean_into(&mut consensus, &deltas, 0.25);
+        let consensus = consensus[0];
         for block in algo.middleware() {
             assert_eq!(block[0], consensus);
         }

@@ -320,7 +320,7 @@ impl GlobalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::cross_aggregate;
+    use crate::aggregation::cross_aggregate_into;
 
     fn in_order(k: usize, alpha: f32, init: Vec<f32>) -> Middleware {
         Middleware::new(
@@ -343,7 +343,9 @@ mod tests {
         middleware.fuse(0, &[0, 2, 3], &candidates, Acceleration::None);
         let partners = SelectionStrategy::InOrder.select_all(0, &candidates);
         for (i, slot) in [0usize, 2, 3].into_iter().enumerate() {
-            let expected = cross_aggregate(&candidates[i], &candidates[partners[i]], 0.75);
+            let (upload, partner) = (&candidates[i], &candidates[partners[i]]);
+            let mut expected = vec![f32::NAN; 2];
+            cross_aggregate_into(&mut expected, upload, partner, 0.75);
             assert_eq!(middleware.models()[slot].as_slice(), expected.as_slice());
         }
         assert_eq!(middleware.models()[1].as_slice(), &[9.0, 9.0]);

@@ -18,8 +18,8 @@
 //! * **D004** — no `mul_add`/FMA and no `par_iter().sum()`-style unordered
 //!   float reductions in kernel files.
 //! * **D005** — every `unsafe` block is preceded by a `// SAFETY:` comment.
-//! * **D006** — every `pub fn *_into` kernel has an allocating counterpart
-//!   in the same file.
+//! * **D006** — one body per kernel: in a kernel file, a `fn X` beside a
+//!   `pub fn X_into` must be a wrapper that calls `X_into`.
 //!
 //! Exceptions are explicit, counted waivers:
 //! `// lint: allow(D00x) — reason`. A waiver with no reason does not
@@ -58,7 +58,7 @@ pub enum RuleId {
     D004,
     /// `unsafe` block without a preceding `SAFETY:` comment.
     D005,
-    /// `pub fn *_into` kernel without an allocating counterpart.
+    /// A `fn X` beside a `pub fn X_into` kernel with its own body.
     D006,
     /// Allocation construct reachable from a hot-path root without a
     /// reasoned `alloc:` marker.
@@ -117,7 +117,7 @@ impl RuleId {
             RuleId::D003 => "SeededRng::fork call without `fork: construction-seed` marker",
             RuleId::D004 => "FMA or unordered parallel float reduction in a kernel file",
             RuleId::D005 => "unsafe block without a preceding SAFETY: comment",
-            RuleId::D006 => "pub *_into kernel without an allocating counterpart",
+            RuleId::D006 => "fn X beside a pub X_into kernel that does not call it",
             RuleId::A001 => "allocation reachable from a hot-path root without a reasoned alloc: marker",
             RuleId::P001 => "unwrap/expect/panic! in a library crate without a reason",
             RuleId::W001 => "stale waiver: nothing in its window triggers the waived rule",
@@ -204,9 +204,10 @@ pub const D001_CRATES: [&str; 4] = ["core", "flsim", "privacy", "compress"];
 /// The one crate allowed to read wall clocks and ambient RNG (rule D002).
 pub const TIMING_CRATE: &str = "bench";
 
-/// Kernel files subject to the float-reduction rules D004/D006, beyond the
-/// whole `tensor` crate. Fast-math/SIMD PRs must add their new kernel files
-/// here (see ROADMAP "Open items").
+/// Kernel files subject to the float-reduction rule D004 and the
+/// one-body-per-kernel rule D006, beyond the whole `tensor` crate.
+/// Fast-math/SIMD PRs must add their new kernel files here (see ROADMAP
+/// "Open items").
 pub const KERNEL_FILES: [&str; 3] = ["aggregation.rs", "robust.rs", "buffered.rs"];
 
 /// Every file in this crate is a kernel file for D004/D006.
@@ -557,43 +558,37 @@ fn rule_d005(file: &str, s: &Stripped, findings: &mut Vec<Finding>) {
     }
 }
 
-/// D006: every `pub fn *_into` kernel needs an allocating counterpart.
-fn rule_d006(crate_name: &str, file_name: &str, file: &str, s: &Stripped, findings: &mut Vec<Finding>) {
-    if !is_kernel_file(crate_name, file_name) {
+/// D006: one body per kernel. In a kernel file, a non-test `fn X` beside a
+/// non-test `pub fn X_into` must call `X_into`: a wrapper that allocates the
+/// output is fine, a second body is not.
+fn rule_d006(file: &callgraph::IndexedFile, findings: &mut Vec<Finding>) {
+    if !is_kernel_file(&file.crate_name, &file.file_name) {
         return;
     }
-    // All fn names in the file (any visibility — the counterpart may be
-    // private or pub).
-    let mut fn_names: BTreeSet<String> = BTreeSet::new();
-    let mut into_fns: Vec<(usize, String)> = Vec::new();
-    for (idx, line) in s.code.iter().enumerate() {
-        let Some(p) = find_word(line, "fn") else { continue };
-        let rest = line[p + 2..].trim_start();
-        let end = rest
-            .find(|c: char| !is_ident_char(c))
-            .unwrap_or(rest.len());
-        let name = &rest[..end];
-        if name.is_empty() {
+    let fns = &file.parsed.fns;
+    let kernels: BTreeSet<&str> = fns
+        .iter()
+        .filter(|f| f.is_pub && !f.in_test)
+        .filter_map(|f| f.name.strip_suffix("_into"))
+        .collect();
+    for (idx, twin) in fns.iter().enumerate() {
+        if twin.in_test || twin.body.is_none() || !kernels.contains(twin.name.as_str()) {
             continue;
         }
-        fn_names.insert(name.to_string());
-        if name.ends_with("_into") && line.trim_start().starts_with("pub") {
-            into_fns.push((idx, name.to_string()));
+        let kernel = format!("{}_into", twin.name);
+        if parser::callees(&file.stripped, &file.parsed, idx).contains(&kernel) {
+            continue;
         }
-    }
-    for (idx, name) in into_fns {
-        let base = &name[..name.len() - "_into".len()];
-        if !fn_names.contains(base) {
-            findings.push(Finding {
-                rule: RuleId::D006,
-                file: file.to_string(),
-                line: idx + 1,
-                message: format!(
-                    "`pub fn {name}` has no allocating counterpart `fn {base}` in this file"
-                ),
-                waiver: None,
-            });
-        }
+        findings.push(Finding {
+            rule: RuleId::D006,
+            file: file.display_path.clone(),
+            line: twin.decl_line + 1,
+            message: format!(
+                "`fn {}` has its own body beside `pub fn {kernel}`; make it a wrapper that calls `{kernel}`",
+                twin.name
+            ),
+            waiver: None,
+        });
     }
 }
 
@@ -632,7 +627,7 @@ pub fn lint_files(files: &[(String, String, String, String)]) -> Report {
         rule_d003(&file.display_path, s, f);
         rule_d004(&file.crate_name, &file.file_name, &file.display_path, s, f);
         rule_d005(&file.display_path, s, f);
-        rule_d006(&file.crate_name, &file.file_name, &file.display_path, s, f);
+        rule_d006(file, f);
     }
     rules::rule_a001(&indexed, &graph, &mut per_file);
     rules::rule_p001(&indexed, &mut per_file);
@@ -815,16 +810,20 @@ mod tests {
     }
 
     #[test]
-    fn d006_requires_allocating_counterpart_in_kernel_files() {
-        let bad = "pub fn scale_into(dst: &mut [f32], src: &[f32], k: f32) {}\n";
-        assert!(lint("tensor", "ops.rs", bad).iter().any(|f| f.rule == RuleId::D006));
-        let good = "pub fn scale_into(dst: &mut [f32], src: &[f32], k: f32) {}\npub fn scale(src: &[f32], k: f32) -> Vec<f32> { vec![] }\n";
-        assert!(lint("tensor", "ops.rs", good).is_empty());
-        // Private `*_into` helpers are exempt.
-        let private = "fn helper_into(dst: &mut [f32]) {}\n";
-        assert!(lint("tensor", "ops.rs", private).is_empty());
+    fn d006_requires_twins_to_call_their_into_kernel() {
+        let kernel = "pub fn scale_into(dst: &mut [f32], k: f32) {\n    for d in dst.iter_mut() { *d *= k; }\n}\n";
+        let twin = "pub fn scale(src: &[f32], k: f32) -> Vec<f32> {\n    src.iter().map(|x| x * k).collect()\n}\n";
+        let bad = format!("{kernel}{twin}");
+        let f = lint("tensor", "ops.rs", &bad);
+        let d006: Vec<_> = f.iter().filter(|f| f.rule == RuleId::D006).collect();
+        assert_eq!(d006.len(), 1, "{f:?}");
+        assert_eq!(d006[0].line, 4, "reported at the twin's `fn` line");
+        // A wrapper over the kernel is fine (the fixture covers the orphan
+        // kernel and the private `*_into` helper).
+        let wrapper = "pub fn scale(src: &[f32], k: f32) -> Vec<f32> {\n    let mut out = src.to_vec();\n    scale_into(&mut out, k);\n    out\n}\n";
+        assert!(lint("tensor", "ops.rs", &format!("{kernel}{wrapper}")).is_empty());
         // Non-kernel files are exempt.
-        assert!(lint("core", "selection.rs", bad).is_empty());
+        assert!(lint("core", "selection.rs", &bad).is_empty());
     }
 
     #[test]

@@ -23,8 +23,9 @@ fn finalize(out: &mut [f32], staged: &[f32]) {
     out.copy_from_slice(&scratch[..out.len()]);
 }
 
-/// Allocating counterpart mandated by D006. Not a root and not reachable
-/// from one, so its allocation is NOT an A001 finding.
+/// Allocating wrapper over the kernel (D006 allows a `fn weighted_sum` only
+/// as a caller of `weighted_sum_into`). Not a root and not reachable from
+/// one, so its allocation is NOT an A001 finding.
 pub fn weighted_sum(parts: &[&[f32]]) -> Vec<f32> {
     let mut out = vec![0.0f32; parts[0].len()];
     weighted_sum_into(&mut out, parts);

@@ -16,9 +16,9 @@
 //!   every aggregation kernel ([`interpolate_into`], [`average_into`],
 //!   [`weighted_average_into`], ...), written with the same chunked-unrolled
 //!   (8-wide, auto-vectorizable) inner-loop shape as the pairwise-distance
-//!   kernels in `fedcross_tensor::stats`. The allocating versions are thin
-//!   wrappers over these, so both paths are numerically identical
-//!   element-for-element.
+//!   kernels in `fedcross_tensor::stats`. The one allocating form left,
+//!   [`average`], is a wrapper over [`average_into`], so both are
+//!   numerically identical element-for-element.
 
 use fedcross_tensor::stats::{cosine_similarity, euclidean_distance, squared_distance_slices};
 use std::sync::Arc;
@@ -257,23 +257,10 @@ pub fn average_into<V: AsRef<[f32]>>(out: &mut [f32], vectors: &[V]) {
     }
 }
 
-/// Weighted element-wise average of parameter vectors.
+/// Weighted element-wise average of parameter vectors, written into `out`.
 ///
 /// Weights are normalised internally, matching FedAvg's sample-count
 /// weighting `w = Σ (n_i / n) w_i`.
-///
-/// # Panics
-/// Panics if inputs are empty, lengths differ, or the weights sum to zero.
-pub fn weighted_average<V: AsRef<[f32]>>(vectors: &[V], weights: &[f32]) -> ParamVec {
-    assert!(!vectors.is_empty(), "weighted_average requires vectors");
-    let mut out = vec![0f32; vectors[0].as_ref().len()];
-    weighted_average_into(&mut out, vectors, weights);
-    out
-}
-
-/// Destination-passing [`weighted_average`]: writes the weighted mean into
-/// `out`, reusing its allocation. Numerically identical to the allocating
-/// version element-for-element.
 ///
 /// # Panics
 /// Panics if inputs are empty, lengths differ, the weights sum to zero, or
@@ -297,23 +284,13 @@ pub fn weighted_average_into<V: AsRef<[f32]>>(out: &mut [f32], vectors: &[V], we
     }
 }
 
-/// Convex interpolation `alpha * a + (1 - alpha) * b`.
+/// Convex interpolation: writes `alpha * a + (1 - alpha) * b` into `out`
+/// with the chunked-unrolled inner loop.
 ///
 /// This is exactly the FedCross `CrossAggr` fusion rule (Section III-B2) with
-/// `a` the uploaded middleware model and `b` its collaborative model.
-///
-/// # Panics
-/// Panics if the vectors have different lengths.
-pub fn interpolate(a: &[f32], b: &[f32], alpha: f32) -> ParamVec {
-    let mut out = vec![0f32; a.len()];
-    interpolate_into(&mut out, a, b, alpha);
-    out
-}
-
-/// Destination-passing [`interpolate`]: writes `alpha * a + (1 - alpha) * b`
-/// into `out` with the chunked-unrolled inner loop. `out` may alias neither
-/// input borrow-wise, but reusing a retired buffer (e.g. last round's
-/// middleware model) is exactly the intended use.
+/// `a` the uploaded middleware model and `b` its collaborative model. `out`
+/// may alias neither input borrow-wise, but reusing a retired buffer (e.g.
+/// last round's middleware model) is exactly the intended use.
 ///
 /// # Panics
 /// Panics if the lengths differ.
@@ -405,6 +382,20 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
 
+    /// [`weighted_average_into`] on a fresh NaN-filled buffer.
+    fn weighted(vectors: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; vectors[0].len()];
+        weighted_average_into(&mut out, vectors, weights);
+        out
+    }
+
+    /// [`interpolate_into`] on a fresh NaN-filled buffer.
+    fn interpolated(a: &[f32], b: &[f32], alpha: f32) -> Vec<f32> {
+        let mut out = vec![f32::NAN; a.len()];
+        interpolate_into(&mut out, a, b, alpha);
+        out
+    }
+
     #[test]
     fn average_of_identical_vectors_is_the_vector() {
         let v = vec![1.0, -2.0, 3.0];
@@ -420,15 +411,15 @@ mod tests {
 
     #[test]
     fn weighted_average_respects_weights() {
-        let avg = weighted_average(&[vec![0.0], vec![10.0]], &[1.0, 3.0]);
+        let avg = weighted(&[vec![0.0], vec![10.0]], &[1.0, 3.0]);
         assert!((avg[0] - 7.5).abs() < 1e-6);
     }
 
     #[test]
     fn weighted_average_is_scale_invariant_in_weights() {
         let vs = [vec![1.0, 2.0], vec![3.0, 6.0]];
-        let a = weighted_average(&vs, &[1.0, 2.0]);
-        let b = weighted_average(&vs, &[10.0, 20.0]);
+        let a = weighted(&vs, &[1.0, 2.0]);
+        let b = weighted(&vs, &[10.0, 20.0]);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-6);
         }
@@ -437,16 +428,16 @@ mod tests {
     #[test]
     #[should_panic]
     fn weighted_average_rejects_zero_weights() {
-        let _ = weighted_average(&[vec![1.0]], &[0.0]);
+        let _ = weighted(&[vec![1.0]], &[0.0]);
     }
 
     #[test]
     fn interpolate_endpoints() {
         let a = vec![1.0, 2.0];
         let b = vec![3.0, 4.0];
-        assert_eq!(interpolate(&a, &b, 1.0), a);
-        assert_eq!(interpolate(&a, &b, 0.0), b);
-        assert_eq!(interpolate(&a, &b, 0.5), vec![2.0, 3.0]);
+        assert_eq!(interpolated(&a, &b, 1.0), a);
+        assert_eq!(interpolated(&a, &b, 0.0), b);
+        assert_eq!(interpolated(&a, &b, 0.5), vec![2.0, 3.0]);
     }
 
     #[test]
@@ -454,7 +445,7 @@ mod tests {
         // CrossAggr(v, v_co) = α v + (1-α) v_co
         let v = vec![2.0, -4.0, 8.0];
         let co = vec![0.0, 0.0, 0.0];
-        let fused = interpolate(&v, &co, 0.99);
+        let fused = interpolated(&v, &co, 0.99);
         for (f, x) in fused.iter().zip(&v) {
             assert!((f - 0.99 * x).abs() < 1e-6);
         }
@@ -547,7 +538,7 @@ mod tests {
         assert_eq!(ParamBlock::zeros(3).as_slice(), &[0.0; 3]);
     }
 
-    // --- equivalence of in-place and allocating kernels ---
+    // --- `*_into` on a dirty buffer against a zeroed one and a naive loop ---
 
     fn test_vectors(k: usize, dim: usize) -> Vec<Vec<f32>> {
         (0..k)
@@ -564,7 +555,8 @@ mod tests {
         for dim in [1usize, 7, 8, 9, 31, 256, 1000] {
             let vs = test_vectors(2, dim);
             for &alpha in &[0.5f32, 0.75, 0.99] {
-                let allocating = interpolate(&vs[0], &vs[1], alpha);
+                let mut fresh = vec![0f32; dim];
+                interpolate_into(&mut fresh, &vs[0], &vs[1], alpha);
                 let mut in_place = vec![f32::NAN; dim];
                 interpolate_into(&mut in_place, &vs[0], &vs[1], alpha);
                 let naive: Vec<f32> = vs[0]
@@ -572,7 +564,7 @@ mod tests {
                     .zip(&vs[1])
                     .map(|(&x, &y)| alpha * x + (1.0 - alpha) * y)
                     .collect();
-                assert_eq!(bits(&allocating), bits(&in_place));
+                assert_eq!(bits(&fresh), bits(&in_place));
                 assert_eq!(bits(&naive), bits(&in_place));
             }
         }
@@ -583,7 +575,8 @@ mod tests {
         for dim in [1usize, 8, 9, 100] {
             let vs = test_vectors(4, dim);
             let weights = [1.0f32, 2.5, 0.25, 4.0];
-            let allocating = weighted_average(&vs, &weights);
+            let mut fresh = vec![0f32; dim];
+            weighted_average_into(&mut fresh, &vs, &weights);
             let mut in_place = vec![f32::NAN; dim];
             weighted_average_into(&mut in_place, &vs, &weights);
             // Naive reference mirroring the documented accumulation order.
@@ -595,7 +588,7 @@ mod tests {
                     *n += scale * x;
                 }
             }
-            assert_eq!(bits(&allocating), bits(&in_place));
+            assert_eq!(bits(&fresh), bits(&in_place));
             assert_eq!(bits(&naive), bits(&in_place));
         }
     }

@@ -45,23 +45,7 @@ impl Conv2dGeom {
     }
 }
 
-/// Unfolds an `[N, C, H, W]` batch into the `im2col` matrix
-/// `[N * OH * OW, C * k * k]`.
-///
-/// Each output row contains the receptive field of one output pixel, so a 2-D
-/// convolution becomes a single matrix product against the reshaped kernel
-/// bank.
-///
-/// # Panics
-/// Panics if `input` is not rank-4.
-pub fn im2col(input: &Tensor, geom: Conv2dGeom) -> Tensor {
-    let (rows, row_len) = im2col_shape(input, geom);
-    let mut out = Tensor::zeros(&[rows, row_len]);
-    im2col_into(input, geom, &mut out);
-    out
-}
-
-/// Output shape `[N * OH * OW, C * k * k]` of [`im2col`] for `input`.
+/// Output shape `[N * OH * OW, C * k * k]` of [`im2col_into`] for `input`.
 pub fn im2col_shape(input: &Tensor, geom: Conv2dGeom) -> (usize, usize) {
     assert_eq!(input.rank(), 4, "im2col expects an [N, C, H, W] tensor");
     let dims = input.dims();
@@ -72,9 +56,16 @@ pub fn im2col_shape(input: &Tensor, geom: Conv2dGeom) -> (usize, usize) {
     )
 }
 
-/// Destination-passing form of [`im2col`]: unfolds into `out` (which must
-/// have `N*OH*OW * C*k*k` elements; contents are fully overwritten). Bitwise
-/// identical to the allocating form.
+/// Unfolds an `[N, C, H, W]` batch into the `im2col` matrix
+/// `[N * OH * OW, C * k * k]`, written into `out` (which must have
+/// `N*OH*OW * C*k*k` elements; contents are fully overwritten).
+///
+/// Each output row contains the receptive field of one output pixel, so a 2-D
+/// convolution becomes a single matrix product against the reshaped kernel
+/// bank.
+///
+/// # Panics
+/// Panics if `input` is not rank-4 or `out` has the wrong element count.
 pub fn im2col_into(input: &Tensor, geom: Conv2dGeom, out: &mut Tensor) {
     let (rows, row_len) = im2col_shape(input, geom);
     assert_eq!(out.numel(), rows * row_len, "im2col_into: wrong output size");
@@ -120,21 +111,14 @@ pub fn im2col_into(input: &Tensor, geom: Conv2dGeom, out: &mut Tensor) {
 }
 
 /// Folds an `im2col` matrix back into an `[N, C, H, W]` tensor, summing
-/// overlapping contributions. This is the adjoint of [`im2col`] and is used to
+/// overlapping contributions, written into `out` (which must have `N*C*H*W`
+/// elements; contents are fully overwritten before the overlapping sums
+/// accumulate). This is the adjoint of [`im2col_into`] and is used to
 /// propagate gradients through a convolution to its input.
 ///
 /// # Panics
 /// Panics if the column matrix does not match the geometry implied by
-/// `input_dims` and `geom`.
-pub fn col2im(cols: &Tensor, input_dims: &[usize], geom: Conv2dGeom) -> Tensor {
-    let mut out = Tensor::zeros(input_dims);
-    col2im_into(cols, input_dims, geom, &mut out);
-    out
-}
-
-/// Destination-passing form of [`col2im`]: folds into `out` (which must have
-/// `N*C*H*W` elements; contents are fully overwritten before the overlapping
-/// sums accumulate). Bitwise identical to the allocating form.
+/// `input_dims` and `geom`, or `out` has the wrong element count.
 pub fn col2im_into(cols: &Tensor, input_dims: &[usize], geom: Conv2dGeom, out: &mut Tensor) {
     assert_eq!(input_dims.len(), 4, "col2im expects [N, C, H, W] dims");
     let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
@@ -184,32 +168,14 @@ pub fn col2im_into(cols: &Tensor, input_dims: &[usize], geom: Conv2dGeom, out: &
     }
 }
 
-/// Result of a max-pooling forward pass: the pooled tensor plus the flat index
-/// (into the input) of each selected maximum, needed for the backward pass.
-#[derive(Debug, Clone)]
-pub struct MaxPoolOutput {
-    /// Pooled tensor `[N, C, OH, OW]`.
-    pub output: Tensor,
-    /// For each output element, the flat index of the input element that won.
-    pub argmax: Vec<usize>,
-}
-
-/// 2-D max pooling over an `[N, C, H, W]` tensor.
-pub fn max_pool2d(input: &Tensor, geom: Conv2dGeom) -> MaxPoolOutput {
-    let dims = input.dims();
-    let (n, c) = (dims[0], dims[1]);
-    let oh = geom.out_size(dims[2]);
-    let ow = geom.out_size(dims[3]);
-    let mut output = Tensor::zeros(&[n, c, oh, ow]);
-    let mut argmax = Vec::new();
-    max_pool2d_into(input, geom, &mut output, &mut argmax);
-    MaxPoolOutput { output, argmax }
-}
-
-/// Destination-passing form of [`max_pool2d`]: writes the pooled tensor into
-/// `out` (fully overwritten) and the winning indices into `argmax` (cleared
-/// and refilled, reusing its capacity). Bitwise identical to the allocating
-/// form.
+/// 2-D max pooling over an `[N, C, H, W]` tensor: writes the pooled
+/// `[N, C, OH, OW]` tensor into `out` (fully overwritten) and, for each
+/// output element, the flat index of the input element that won into
+/// `argmax` (cleared and refilled, reusing its capacity) for the backward
+/// pass.
+///
+/// # Panics
+/// Panics if `input` is not rank-4 or `out` has the wrong element count.
 pub fn max_pool2d_into(
     input: &Tensor,
     geom: Conv2dGeom,
@@ -297,19 +263,8 @@ pub fn max_pool2d_into(
 }
 
 /// Backward pass of max pooling: routes each output gradient to the input
-/// position that produced the maximum.
-pub fn max_pool2d_backward(
-    grad_output: &Tensor,
-    argmax: &[usize],
-    input_dims: &[usize],
-) -> Tensor {
-    let mut grad_input = Tensor::zeros(input_dims);
-    max_pool2d_backward_into(grad_output, argmax, input_dims, &mut grad_input);
-    grad_input
-}
-
-/// Destination-passing form of [`max_pool2d_backward`]; `grad_input` is fully
-/// overwritten. Bitwise identical to the allocating form.
+/// position that produced the maximum, writing into `grad_input` (fully
+/// overwritten).
 pub fn max_pool2d_backward_into(
     grad_output: &Tensor,
     argmax: &[usize],
@@ -331,17 +286,8 @@ pub fn max_pool2d_backward_into(
     }
 }
 
-/// Global average pooling: `[N, C, H, W] -> [N, C]`.
-pub fn global_avg_pool2d(input: &Tensor) -> Tensor {
-    assert_eq!(input.rank(), 4, "global_avg_pool2d expects rank-4 input");
-    let dims = input.dims();
-    let mut out = Tensor::zeros(&[dims[0], dims[1]]);
-    global_avg_pool2d_into(input, &mut out);
-    out
-}
-
-/// Destination-passing form of [`global_avg_pool2d`]; `out` is fully
-/// overwritten. Bitwise identical to the allocating form.
+/// Global average pooling `[N, C, H, W] -> [N, C]`, written into `out`
+/// (fully overwritten).
 pub fn global_avg_pool2d_into(input: &Tensor, out: &mut Tensor) {
     assert_eq!(input.rank(), 4, "global_avg_pool2d expects rank-4 input");
     let dims = input.dims();
@@ -360,15 +306,8 @@ pub fn global_avg_pool2d_into(input: &Tensor, out: &mut Tensor) {
 }
 
 /// Backward pass of global average pooling: spreads each gradient uniformly
-/// over the spatial positions it averaged.
-pub fn global_avg_pool2d_backward(grad_output: &Tensor, input_dims: &[usize]) -> Tensor {
-    let mut out = Tensor::zeros(input_dims);
-    global_avg_pool2d_backward_into(grad_output, input_dims, &mut out);
-    out
-}
-
-/// Destination-passing form of [`global_avg_pool2d_backward`]; `out` is fully
-/// overwritten. Bitwise identical to the allocating form.
+/// over the spatial positions it averaged, writing into `out` (fully
+/// overwritten).
 pub fn global_avg_pool2d_backward_into(
     grad_output: &Tensor,
     input_dims: &[usize],
@@ -396,6 +335,24 @@ pub fn global_avg_pool2d_backward_into(
 mod tests {
     use super::*;
 
+    /// [`im2col_into`] on a fresh NaN-filled output.
+    fn unfold(input: &Tensor, geom: Conv2dGeom) -> Tensor {
+        let (rows, row_len) = im2col_shape(input, geom);
+        let mut out = Tensor::full(&[rows, row_len], f32::NAN);
+        im2col_into(input, geom, &mut out);
+        out
+    }
+
+    /// [`max_pool2d_into`] on a fresh NaN-filled output and an empty argmax.
+    fn max_pool(input: &Tensor, geom: Conv2dGeom) -> (Tensor, Vec<usize>) {
+        let d = input.dims();
+        let pooled_dims = [d[0], d[1], geom.out_size(d[2]), geom.out_size(d[3])];
+        let mut out = Tensor::full(&pooled_dims, f32::NAN);
+        let mut argmax = Vec::new();
+        max_pool2d_into(input, geom, &mut out, &mut argmax);
+        (out, argmax)
+    }
+
     #[test]
     fn geometry_out_size() {
         let g = Conv2dGeom::new(3, 1, 1);
@@ -418,7 +375,7 @@ mod tests {
     fn im2col_identity_kernel_geometry() {
         // 1x1 kernel, stride 1, no padding: im2col is a pure reshape/permute.
         let input = Tensor::arange(2 * 3 * 2 * 2).reshape(&[2, 3, 2, 2]);
-        let cols = im2col(&input, Conv2dGeom::new(1, 1, 0));
+        let cols = unfold(&input, Conv2dGeom::new(1, 1, 0));
         assert_eq!(cols.dims(), &[2 * 2 * 2, 3]);
         // First output pixel of first image should contain channel values at (0,0).
         assert_eq!(cols.row(0).data(), &[0.0, 4.0, 8.0]);
@@ -428,7 +385,7 @@ mod tests {
     fn im2col_known_patch() {
         // Single 1-channel 3x3 image, 2x2 kernel, stride 1, no padding.
         let input = Tensor::arange(9).reshape(&[1, 1, 3, 3]);
-        let cols = im2col(&input, Conv2dGeom::new(2, 1, 0));
+        let cols = unfold(&input, Conv2dGeom::new(2, 1, 0));
         assert_eq!(cols.dims(), &[4, 4]);
         assert_eq!(cols.row(0).data(), &[0.0, 1.0, 3.0, 4.0]);
         assert_eq!(cols.row(3).data(), &[4.0, 5.0, 7.0, 8.0]);
@@ -437,7 +394,7 @@ mod tests {
     #[test]
     fn im2col_respects_padding() {
         let input = Tensor::ones(&[1, 1, 2, 2]);
-        let cols = im2col(&input, Conv2dGeom::new(3, 1, 1));
+        let cols = unfold(&input, Conv2dGeom::new(3, 1, 1));
         assert_eq!(cols.dims(), &[4, 9]);
         // Top-left output: only the bottom-right 2x2 of the kernel overlaps the image.
         let row = cols.row(0);
@@ -450,16 +407,17 @@ mod tests {
         // 1 image, 1 channel 4x4, one 3x3 kernel of all ones => output = sum of each patch.
         let input = Tensor::arange(16).reshape(&[1, 1, 4, 4]);
         let geom = Conv2dGeom::new(3, 1, 0);
-        let cols = im2col(&input, geom);
+        let cols = unfold(&input, geom);
         let kernel = Tensor::ones(&[9, 1]); // [C*k*k, out_channels]
-        let out = cols.matmul(&kernel); // [4, 1]
+        let mut out = Tensor::full(&[4, 1], f32::NAN);
+        cols.matmul_into(&kernel, &mut out);
         // Patch sums computed by hand.
         assert_eq!(out.data(), &[45.0, 54.0, 81.0, 90.0]);
     }
 
     #[test]
     fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random-ish x, y (adjoint test).
+        // <im2col_into(x), y> == <x, col2im_into(y)> for random-ish x, y (adjoint test).
         let geom = Conv2dGeom::new(3, 1, 1);
         let dims = [2usize, 2, 5, 5];
         let x = Tensor::from_vec(
@@ -468,13 +426,14 @@ mod tests {
                 .collect(),
             &dims,
         );
-        let cols = im2col(&x, geom);
+        let cols = unfold(&x, geom);
         let y = Tensor::from_vec(
             (0..cols.numel()).map(|i| ((i * 3 % 13) as f32) - 6.0).collect(),
             cols.dims(),
         );
         let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let folded = col2im(&y, &dims, geom);
+        let mut folded = Tensor::full(&dims, f32::NAN);
+        col2im_into(&y, &dims, geom, &mut folded);
         let rhs: f32 = x.data().iter().zip(folded.data()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-2, "adjoint mismatch {lhs} vs {rhs}");
     }
@@ -490,17 +449,18 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let pooled = max_pool2d(&input, Conv2dGeom::new(2, 2, 0));
-        assert_eq!(pooled.output.dims(), &[1, 1, 2, 2]);
-        assert_eq!(pooled.output.data(), &[4.0, 8.0, 12.0, 16.0]);
+        let (pooled, _) = max_pool(&input, Conv2dGeom::new(2, 2, 0));
+        assert_eq!(pooled.dims(), &[1, 1, 2, 2]);
+        assert_eq!(pooled.data(), &[4.0, 8.0, 12.0, 16.0]);
     }
 
     #[test]
     fn max_pool_backward_routes_gradient_to_argmax() {
         let input = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.0], &[1, 1, 2, 2]);
-        let pooled = max_pool2d(&input, Conv2dGeom::new(2, 2, 0));
+        let (_, argmax) = max_pool(&input, Conv2dGeom::new(2, 2, 0));
         let grad_out = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]);
-        let grad_in = max_pool2d_backward(&grad_out, &pooled.argmax, input.dims());
+        let mut grad_in = Tensor::full(&[4], f32::NAN);
+        max_pool2d_backward_into(&grad_out, &argmax, input.dims(), &mut grad_in);
         assert_eq!(grad_in.data(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -510,7 +470,8 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0],
             &[1, 2, 2, 2],
         );
-        let out = global_avg_pool2d(&input);
+        let mut out = Tensor::full(&[2], f32::NAN);
+        global_avg_pool2d_into(&input, &mut out);
         assert_eq!(out.dims(), &[1, 2]);
         assert_eq!(out.data(), &[2.5, 10.0]);
     }
@@ -518,15 +479,16 @@ mod tests {
     #[test]
     fn global_avg_pool_backward_spreads_uniformly() {
         let grad_out = Tensor::from_vec(vec![4.0, 8.0], &[1, 2]);
-        let grad_in = global_avg_pool2d_backward(&grad_out, &[1, 2, 2, 2]);
+        let mut grad_in = Tensor::full(&[8], f32::NAN);
+        global_avg_pool2d_backward_into(&grad_out, &[1, 2, 2, 2], &mut grad_in);
         assert_eq!(grad_in.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn pool_with_stride_one_overlapping_windows() {
         let input = Tensor::arange(9).reshape(&[1, 1, 3, 3]);
-        let pooled = max_pool2d(&input, Conv2dGeom::new(2, 1, 0));
-        assert_eq!(pooled.output.dims(), &[1, 1, 2, 2]);
-        assert_eq!(pooled.output.data(), &[4.0, 5.0, 7.0, 8.0]);
+        let (pooled, _) = max_pool(&input, Conv2dGeom::new(2, 1, 0));
+        assert_eq!(pooled.dims(), &[1, 1, 2, 2]);
+        assert_eq!(pooled.data(), &[4.0, 5.0, 7.0, 8.0]);
     }
 }

@@ -28,7 +28,8 @@
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 //! let b = Tensor::eye(2);
-//! let c = a.matmul(&b);
+//! let mut c = Tensor::zeros(&[2, 2]);
+//! a.matmul_into(&b, &mut c);
 //! assert_eq!(c.data(), a.data());
 //! ```
 

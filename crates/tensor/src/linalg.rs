@@ -2,18 +2,18 @@
 //!
 //! Matrix multiplication is the dominant kernel of every model in the
 //! reproduction (fully-connected layers directly, convolutions via `im2col`,
-//! LSTM gate projections). All three variants (`matmul`, `matmul_at_b`,
-//! `matmul_a_bt`) share one cache-blocked, register-tiled micro-kernel
-//! (`gemm_accum`): the transposed operand is packed into a row-major panel
-//! first (tiled transpose), then a single `MR x NR` register tile streams
-//! through `KC`-sized blocks of the reduction dimension.
+//! LSTM gate projections). All three variants (`matmul_into`,
+//! `matmul_at_b_into`, `matmul_a_bt_into`) share one cache-blocked,
+//! register-tiled micro-kernel (`gemm_accum`): the transposed operand is
+//! packed into a row-major panel first (tiled transpose), then a single
+//! `MR x NR` register tile streams through `KC`-sized blocks of the reduction
+//! dimension.
 //!
 //! **Bitwise stability.** Every output element accumulates its products in
 //! strictly increasing `p` (reduction-index) order with one rounded multiply
 //! and one rounded add per step — exactly the order of the naive `ikj` loop —
 //! so fixed-seed training trajectories are bitwise independent of the
-//! blocking parameters, the thread count, and of whether the destination-
-//! passing (`*_into`) or allocating form is used.
+//! blocking parameters and the thread count.
 
 use crate::Tensor;
 use rayon::prelude::*;
@@ -22,12 +22,13 @@ use std::sync::{Mutex, PoisonError};
 /// Minimum number of multiply-accumulate operations (`m·k·n`) before a matmul
 /// variant switches to rayon.
 ///
-/// All three variants (`matmul`, `matmul_at_b`, `matmul_a_bt`) share this one
-/// flop-based rule, so the parallel/serial decision is consistent regardless
-/// of which operand is transposed: tiny products (LSTM cells on small hidden
-/// sizes, per-sample ops) stay single-threaded rather than paying the
-/// fork/join overhead, while gradient products with a small `m·n` output but
-/// a deep `k` reduction (batch dimension) still parallelise.
+/// All three variants (`matmul_into`, `matmul_at_b_into`,
+/// `matmul_a_bt_into`) share this one flop-based rule, so the parallel/serial
+/// decision is consistent regardless of which operand is transposed: tiny
+/// products (LSTM cells on small hidden sizes, per-sample ops) stay
+/// single-threaded rather than paying the fork/join overhead, while gradient
+/// products with a small `m·n` output but a deep `k` reduction (batch
+/// dimension) still parallelise.
 const PAR_THRESHOLD_FLOPS: usize = 512 * 1024;
 
 /// Reduction-dimension block size of the micro-kernel: the active `KC x NR`
@@ -263,78 +264,50 @@ fn with_packed_transpose<R>(
 }
 
 impl Tensor {
-    /// Matrix product of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
+    /// Matrix product of two rank-2 tensors, `[m, k] x [k, n] -> [m, n]`,
+    /// written into `out` (any tensor with `m * n` elements, reshaped in
+    /// place).
     ///
     /// # Panics
-    /// Panics if either tensor is not rank-2 or the inner dimensions differ.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let (m, n) = self.matmul_dims(other);
-        let mut out = Tensor::zeros(&[m, n]);
-        self.matmul_into_prepared(other, &mut out);
-        out
-    }
-
-    /// Destination-passing form of [`Tensor::matmul`]: writes the product into
-    /// `out` (any tensor with `m * n` elements, reshaped in place). Bitwise
-    /// identical to the allocating form.
+    /// Panics if either operand is not rank-2, the inner dimensions differ or
+    /// `out` has the wrong element count.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, n) = self.matmul_dims(other);
+        assert_eq!(self.rank(), 2, "matmul: left operand must be rank-2");
+        assert_eq!(other.rank(), 2, "matmul: right operand must be rank-2");
+        let (m, k) = (self.dims()[0], self.dims()[1]);
+        let (k2, n) = (other.dims()[0], other.dims()[1]);
+        assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
         assert_eq!(out.numel(), m * n, "matmul_into: wrong output size");
         out.reshape_in_place(&[m, n]);
         out.fill(0.0);
-        self.matmul_into_prepared(other, out);
-    }
-
-    fn matmul_dims(&self, other: &Tensor) -> (usize, usize) {
-        assert_eq!(self.rank(), 2, "matmul: left operand must be rank-2");
-        assert_eq!(other.rank(), 2, "matmul: right operand must be rank-2");
-        let (k, k2) = (self.dims()[1], other.dims()[0]);
-        assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
-        (self.dims()[0], other.dims()[1])
-    }
-
-    fn matmul_into_prepared(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let n = other.dims()[1];
         gemm(out.data_mut(), self.data(), other.data(), m, k, n);
     }
 
-    /// Computes `self^T * other` without materialising the transpose:
-    /// `[k, m]^T x [k, n] -> [m, n]`.
+    /// Computes `self^T * other` without materialising the transpose,
+    /// `[k, m]^T x [k, n] -> [m, n]`, written into `out` (any tensor with
+    /// `m * n` elements, reshaped in place).
     ///
     /// Used by linear/conv backward passes to form weight gradients. The `k`
     /// dimension here is the batch/spatial reduction axis, so it is typically
     /// much larger than the `m x n` output; above the shared flop threshold
     /// the reduction is split into `k`-blocks reduced per thread and summed,
     /// which parallelises even when the output itself is small.
-    pub fn matmul_at_b(&self, other: &Tensor) -> Tensor {
-        let (m, n) = self.matmul_at_b_dims(other);
-        let mut out = Tensor::zeros(&[m, n]);
-        self.matmul_at_b_into_prepared(other, &mut out);
-        out
-    }
-
-    /// Destination-passing form of [`Tensor::matmul_at_b`]; bitwise identical
-    /// to the allocating form.
+    ///
+    /// # Panics
+    /// Panics if either operand is not rank-2, the leading dimensions differ
+    /// or `out` has the wrong element count.
     pub fn matmul_at_b_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, n) = self.matmul_at_b_dims(other);
+        assert_eq!(self.rank(), 2, "matmul_at_b: left operand must be rank-2");
+        assert_eq!(other.rank(), 2, "matmul_at_b: right operand must be rank-2");
+        let (k, m) = (self.dims()[0], self.dims()[1]);
+        let (k2, n) = (other.dims()[0], other.dims()[1]);
+        assert_eq!(
+            k, k2,
+            "matmul_at_b: leading dimensions differ ({k} vs {k2})"
+        );
         assert_eq!(out.numel(), m * n, "matmul_at_b_into: wrong output size");
         out.reshape_in_place(&[m, n]);
         out.fill(0.0);
-        self.matmul_at_b_into_prepared(other, out);
-    }
-
-    fn matmul_at_b_dims(&self, other: &Tensor) -> (usize, usize) {
-        assert_eq!(self.rank(), 2, "matmul_at_b: left operand must be rank-2");
-        assert_eq!(other.rank(), 2, "matmul_at_b: right operand must be rank-2");
-        let (k, k2) = (self.dims()[0], other.dims()[0]);
-        assert_eq!(k, k2, "matmul_at_b: leading dimensions differ ({k} vs {k2})");
-        (self.dims()[1], other.dims()[1])
-    }
-
-    fn matmul_at_b_into_prepared(&self, other: &Tensor, out: &mut Tensor) {
-        let (k, m) = (self.dims()[0], self.dims()[1]);
-        let n = other.dims()[1];
         let b = other.data();
         with_packed_transpose(self.data(), k, m, |at| {
             if parallel_worthwhile(m, k, n) && k >= 2 {
@@ -375,53 +348,27 @@ impl Tensor {
         });
     }
 
-    /// Computes `self * other^T` without materialising the transpose:
-    /// `[m, k] x [n, k]^T -> [m, n]`.
+    /// Computes `self * other^T` without materialising the transpose,
+    /// `[m, k] x [n, k]^T -> [m, n]`, written into `out` (any tensor with
+    /// `m * n` elements, reshaped in place).
     ///
     /// Used by linear/conv backward passes to propagate gradients to inputs.
-    pub fn matmul_a_bt(&self, other: &Tensor) -> Tensor {
-        let (m, n) = self.matmul_a_bt_dims(other);
-        let mut out = Tensor::zeros(&[m, n]);
-        self.matmul_a_bt_into_prepared(other, &mut out);
-        out
-    }
-
-    /// Destination-passing form of [`Tensor::matmul_a_bt`]; bitwise identical
-    /// to the allocating form.
+    ///
+    /// # Panics
+    /// Panics if either operand is not rank-2, the inner dimensions differ or
+    /// `out` has the wrong element count.
     pub fn matmul_a_bt_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, n) = self.matmul_a_bt_dims(other);
+        assert_eq!(self.rank(), 2, "matmul_a_bt: left operand must be rank-2");
+        assert_eq!(other.rank(), 2, "matmul_a_bt: right operand must be rank-2");
+        let (m, k) = (self.dims()[0], self.dims()[1]);
+        let (n, k2) = (other.dims()[0], other.dims()[1]);
+        assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
         assert_eq!(out.numel(), m * n, "matmul_a_bt_into: wrong output size");
         out.reshape_in_place(&[m, n]);
         out.fill(0.0);
-        self.matmul_a_bt_into_prepared(other, out);
-    }
-
-    fn matmul_a_bt_dims(&self, other: &Tensor) -> (usize, usize) {
-        assert_eq!(self.rank(), 2, "matmul_a_bt: left operand must be rank-2");
-        assert_eq!(other.rank(), 2, "matmul_a_bt: right operand must be rank-2");
-        let (k, k2) = (self.dims()[1], other.dims()[1]);
-        assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
-        (self.dims()[0], other.dims()[0])
-    }
-
-    fn matmul_a_bt_into_prepared(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let n = other.dims()[0];
         with_packed_transpose(other.data(), n, k, |bt| {
             gemm(out.data_mut(), self.data(), bt, m, k, n);
         });
-    }
-
-    /// Transposes a rank-2 tensor.
-    ///
-    /// # Panics
-    /// Panics if the tensor is not rank-2.
-    pub fn transpose(&self) -> Tensor {
-        assert_eq!(self.rank(), 2, "transpose requires a rank-2 tensor");
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = vec![0f32; m * n];
-        transpose_into(self.data(), m, n, &mut out);
-        Tensor::from_vec(out, &[n, m])
     }
 
     /// Matrix–vector product: `[m, n] x [n] -> [m]`.
@@ -481,6 +428,32 @@ mod tests {
         Tensor::from_vec(out, &[m, n])
     }
 
+    /// Each `*_into` form on a fresh NaN-filled output.
+    fn mm(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::full(&[a.dims()[0] * b.dims()[1]], f32::NAN);
+        a.matmul_into(b, &mut out);
+        out
+    }
+
+    fn mm_at_b(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::full(&[a.dims()[1] * b.dims()[1]], f32::NAN);
+        a.matmul_at_b_into(b, &mut out);
+        out
+    }
+
+    fn mm_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::full(&[a.dims()[0] * b.dims()[0]], f32::NAN);
+        a.matmul_a_bt_into(b, &mut out);
+        out
+    }
+
+    fn transposed(a: &Tensor) -> Tensor {
+        let (m, n) = (a.dims()[0], a.dims()[1]);
+        let mut out = Tensor::full(&[n, m], f32::NAN);
+        transpose_into(a.data(), m, n, out.data_mut());
+        out
+    }
+
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|x| x.to_bits()).collect()
     }
@@ -498,7 +471,7 @@ mod tests {
     fn matmul_small_known_values() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
-        let c = a.matmul(&b);
+        let c = mm(&a, &b);
         assert_eq!(c.dims(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
@@ -506,14 +479,14 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Tensor::arange(9).reshape(&[3, 3]);
-        let c = a.matmul(&Tensor::eye(3));
+        let c = mm(&a, &Tensor::eye(3));
         assert_eq!(c.data(), a.data());
     }
 
     #[test]
     #[should_panic]
     fn matmul_rejects_bad_inner_dim() {
-        let _ = Tensor::zeros(&[2, 3]).matmul(&Tensor::zeros(&[4, 2]));
+        let _ = mm(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[4, 2]));
     }
 
     #[test]
@@ -532,7 +505,7 @@ mod tests {
         ] {
             let a = patterned(m * k, &[m, k], 0.25);
             let b = patterned(k * n, &[k, n], 0.5);
-            let blocked = a.matmul(&b);
+            let blocked = mm(&a, &b);
             let naive = naive_matmul(&a, &b);
             assert_eq!(bits(&blocked), bits(&naive), "shape ({m},{k},{n})");
         }
@@ -541,37 +514,31 @@ mod tests {
     #[test]
     fn matmul_handles_empty_dimensions() {
         assert_eq!(
-            Tensor::zeros(&[0, 4]).matmul(&Tensor::zeros(&[4, 3])).dims(),
+            mm(&Tensor::zeros(&[0, 4]), &Tensor::zeros(&[4, 3])).dims(),
             &[0, 3]
         );
         assert_eq!(
-            Tensor::zeros(&[2, 0]).matmul(&Tensor::zeros(&[0, 3])).data(),
+            mm(&Tensor::zeros(&[2, 0]), &Tensor::zeros(&[0, 3])).data(),
             &[0.0; 6]
         );
         assert_eq!(
-            Tensor::zeros(&[2, 4]).matmul(&Tensor::zeros(&[4, 0])).numel(),
+            mm(&Tensor::zeros(&[2, 4]), &Tensor::zeros(&[4, 0])).numel(),
             0
         );
     }
 
     #[test]
     fn into_forms_match_allocating_forms_bitwise() {
+        // Each form, writing over a flat NaN-filled output, equals the naive
+        // ikj loop over explicitly transposed operands.
         let a = patterned(7 * 13, &[7, 13], 0.3);
         let b = patterned(13 * 9, &[13, 9], 0.7);
         let bt = patterned(9 * 13, &[9, 13], 0.7);
         let at = patterned(13 * 7, &[13, 7], 0.3);
-
-        let mut out = Tensor::full(&[63], f32::NAN);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(bits(&a.matmul(&b)), bits(&out));
-
-        let mut out = Tensor::full(&[63], f32::NAN);
-        a.matmul_a_bt_into(&bt, &mut out);
-        assert_eq!(bits(&a.matmul_a_bt(&bt)), bits(&out));
-
-        let mut out = Tensor::full(&[63], f32::NAN);
-        at.matmul_at_b_into(&b, &mut out);
-        assert_eq!(bits(&at.matmul_at_b(&b)), bits(&out));
+        let (bt_t, at_t) = (transposed(&bt), transposed(&at));
+        assert_eq!(bits(&mm(&a, &b)), bits(&naive_matmul(&a, &b)));
+        assert_eq!(bits(&mm_a_bt(&a, &bt)), bits(&naive_matmul(&a, &bt_t)));
+        assert_eq!(bits(&mm_at_b(&at, &b)), bits(&naive_matmul(&at_t, &b)));
     }
 
     #[test]
@@ -588,7 +555,7 @@ mod tests {
             (0..k * n).map(|i| ((i % 7) as f32) * 0.5 - 1.0).collect(),
             &[k, n],
         );
-        let c = a.matmul(&b);
+        let c = mm(&a, &b);
         assert_eq!(bits(&c), bits(&naive_matmul(&a, &b)));
     }
 
@@ -596,8 +563,8 @@ mod tests {
     fn matmul_at_b_equals_explicit_transpose() {
         let a = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[4, 3]);
         let b = Tensor::from_vec((0..8).map(|i| (i as f32) * 0.5).collect(), &[4, 2]);
-        let fused = a.matmul_at_b(&b);
-        let explicit = a.transpose().matmul(&b);
+        let fused = mm_at_b(&a, &b);
+        let explicit = mm(&transposed(&a), &b);
         assert!(approx_eq(fused.data(), explicit.data(), 1e-5));
     }
 
@@ -614,8 +581,8 @@ mod tests {
             (0..k * n).map(|i| ((i % 7) as f32) * 0.5 - 1.5).collect(),
             &[k, n],
         );
-        let fused = a.matmul_at_b(&b);
-        let explicit = a.transpose().matmul(&b);
+        let fused = mm_at_b(&a, &b);
+        let explicit = mm(&transposed(&a), &b);
         assert_eq!(fused.dims(), &[m, n]);
         for (x, y) in fused.data().iter().zip(explicit.data()) {
             // The blocked reduction reassociates the k-sum; allow f32 slack.
@@ -627,8 +594,8 @@ mod tests {
     fn matmul_a_bt_equals_explicit_transpose() {
         let a = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[3, 4]);
         let b = Tensor::from_vec((0..20).map(|i| (i as f32) - 10.0).collect(), &[5, 4]);
-        let fused = a.matmul_a_bt(&b);
-        let explicit = a.matmul(&b.transpose());
+        let fused = mm_a_bt(&a, &b);
+        let explicit = mm(&a, &transposed(&b));
         assert!(approx_eq(fused.data(), explicit.data(), 1e-5));
     }
 
@@ -639,11 +606,11 @@ mod tests {
         for &(m, k, n) in &[(1usize, 3usize, 1usize), (5, 11, 7), (12, 300, 20)] {
             let a = patterned(m * k, &[m, k], 0.2);
             let b = patterned(n * k, &[n, k], 0.4);
-            assert_eq!(bits(&a.matmul_a_bt(&b)), bits(&a.matmul(&b.transpose())));
+            assert_eq!(bits(&mm_a_bt(&a, &b)), bits(&mm(&a, &transposed(&b))));
             let at = patterned(k * m, &[k, m], 0.2);
             let c = patterned(k * n, &[k, n], 0.4);
             if !parallel_worthwhile(m, k, n) {
-                assert_eq!(bits(&at.matmul_at_b(&c)), bits(&at.transpose().matmul(&c)));
+                assert_eq!(bits(&mm_at_b(&at, &c)), bits(&mm(&transposed(&at), &c)));
             }
         }
     }
@@ -651,13 +618,13 @@ mod tests {
     #[test]
     fn transpose_twice_is_identity() {
         let a = Tensor::arange(6).reshape(&[2, 3]);
-        assert_eq!(a.transpose().transpose(), a);
+        assert_eq!(transposed(&transposed(&a)), a);
     }
 
     #[test]
     fn transpose_known_values() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let t = a.transpose();
+        let t = transposed(&a);
         assert_eq!(t.dims(), &[3, 2]);
         assert_eq!(t.data(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
     }
@@ -696,7 +663,7 @@ mod tests {
     fn matmul_associativity_with_identity_chain() {
         let a = Tensor::arange(4).reshape(&[2, 2]);
         let i = Tensor::eye(2);
-        let left = a.matmul(&i).matmul(&i);
+        let left = mm(&mm(&a, &i), &i);
         assert_eq!(left, a);
     }
 }

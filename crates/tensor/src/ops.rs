@@ -5,8 +5,8 @@
 
 use crate::Tensor;
 
-/// The numerically stable logistic sigmoid used by both the allocating and
-/// in-place forms (one definition so they stay bitwise identical).
+/// The numerically stable logistic sigmoid used by both the in-place and
+/// destination-passing forms (one definition so they stay bitwise identical).
 #[inline]
 fn sigmoid_scalar(x: f32) -> f32 {
     if x >= 0.0 {
@@ -17,7 +17,7 @@ fn sigmoid_scalar(x: f32) -> f32 {
     }
 }
 
-/// The ReLU value function — one definition shared by the allocating and
+/// The ReLU value function — one definition shared by the in-place and
 /// destination-passing forms so they stay bitwise identical.
 #[inline]
 fn relu_scalar(x: f32) -> f32 {
@@ -39,28 +39,18 @@ fn relu_mask_scalar(x: f32) -> f32 {
 }
 
 impl Tensor {
-    /// Rectified linear unit: `max(x, 0)` element-wise.
-    pub fn relu(&self) -> Tensor {
-        self.map(relu_scalar)
-    }
-
-    /// Destination-passing form of [`Tensor::relu`]; bitwise identical.
+    /// Rectified linear unit `max(x, 0)` element-wise, written into `out`.
     pub fn relu_into(&self, out: &mut Tensor) {
         self.map_into(out, relu_scalar);
     }
 
-    /// In-place form of [`Tensor::relu`]; bitwise identical.
+    /// In-place form of [`Tensor::relu_into`]; bitwise identical.
     pub fn relu_in_place(&mut self) {
         self.map_in_place(relu_scalar);
     }
 
     /// Element-wise derivative mask of ReLU evaluated at `self` (1 where
-    /// `x > 0`, else 0).
-    pub fn relu_mask(&self) -> Tensor {
-        self.map(relu_mask_scalar)
-    }
-
-    /// Destination-passing form of [`Tensor::relu_mask`]; bitwise identical.
+    /// `x > 0`, else 0), written into `out`.
     pub fn relu_mask_into(&self, out: &mut Tensor) {
         self.map_into(out, relu_mask_scalar);
     }
@@ -70,17 +60,14 @@ impl Tensor {
         self.map(|x| if x > 0.0 { x } else { alpha * x })
     }
 
-    /// Logistic sigmoid `1 / (1 + e^{-x})`, numerically stable for large |x|.
-    pub fn sigmoid(&self) -> Tensor {
-        self.map(sigmoid_scalar)
-    }
-
-    /// In-place form of [`Tensor::sigmoid`]; bitwise identical.
+    /// Logistic sigmoid `1 / (1 + e^{-x})` in place, numerically stable for
+    /// large |x|.
     pub fn sigmoid_in_place(&mut self) {
         self.map_in_place(sigmoid_scalar);
     }
 
-    /// Destination-passing form of [`Tensor::sigmoid`]; bitwise identical.
+    /// Destination-passing form of [`Tensor::sigmoid_in_place`]; bitwise
+    /// identical.
     pub fn sigmoid_into(&self, out: &mut Tensor) {
         self.map_into(out, sigmoid_scalar);
     }
@@ -170,8 +157,11 @@ mod tests {
     #[test]
     fn relu_zeroes_negatives() {
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(x.relu().data(), &[0.0, 0.0, 2.0]);
-        assert_eq!(x.relu_mask().data(), &[0.0, 0.0, 1.0]);
+        let mut out = Tensor::full(&[3], f32::NAN);
+        x.relu_into(&mut out);
+        assert_eq!(out.data(), &[0.0, 0.0, 2.0]);
+        x.relu_mask_into(&mut out);
+        assert_eq!(out.data(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -183,7 +173,8 @@ mod tests {
     #[test]
     fn sigmoid_known_values_and_stability() {
         let x = Tensor::from_vec(vec![0.0, 100.0, -100.0], &[3]);
-        let s = x.sigmoid();
+        let mut s = Tensor::full(&[3], f32::NAN);
+        x.sigmoid_into(&mut s);
         assert!((s.data()[0] - 0.5).abs() < 1e-6);
         assert!((s.data()[1] - 1.0).abs() < 1e-6);
         assert!(s.data()[2].abs() < 1e-6);

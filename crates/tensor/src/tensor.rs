@@ -240,26 +240,17 @@ impl Tensor {
         self.data[start..start + cols].copy_from_slice(values);
     }
 
-    /// Selects a batch of rows (for rank >= 1, along dimension 0).
-    ///
-    /// The returned tensor has the same trailing dimensions with dimension 0
-    /// replaced by `indices.len()`.
+    /// Selects a batch of rows (for rank >= 1, along dimension 0) into a new
+    /// tensor; a wrapper over [`Tensor::index_select0_into`].
     pub fn index_select0(&self, indices: &[usize]) -> Tensor {
-        assert!(self.rank() >= 1, "index_select0 requires rank >= 1");
-        let dims = self.dims();
-        let row_len: usize = dims[1..].iter().product();
-        let mut out_dims = dims.to_vec();
-        out_dims[0] = indices.len();
-        let mut data = Vec::with_capacity(indices.len() * row_len);
-        for &i in indices {
-            assert!(i < dims[0], "index {i} out of bounds for dim0 {}", dims[0]);
-            data.extend_from_slice(&self.data[i * row_len..(i + 1) * row_len]);
-        }
-        Tensor::from_vec(data, &out_dims)
+        let mut out = Tensor::zeros(&[0]);
+        self.index_select0_into(indices, &mut out);
+        out
     }
 
-    /// Destination-passing form of [`Tensor::index_select0`]: gathers the
-    /// selected rows into `out`, resizing its buffer as needed. When `out`'s
+    /// Selects a batch of rows (for rank >= 1, along dimension 0) into `out`,
+    /// resizing its buffer as needed: `out` takes this tensor's trailing
+    /// dimensions with dimension 0 replaced by `indices.len()`. When `out`'s
     /// backing capacity already covers the result (e.g. a reused minibatch
     /// gather buffer), no allocation is performed.
     pub fn index_select0_into(&self, indices: &[usize], out: &mut Tensor) {
@@ -387,14 +378,12 @@ impl Tensor {
         }
     }
 
-    /// Applies a function to every element, returning a new tensor.
+    /// Applies a function to every element, returning a new tensor; a
+    /// wrapper over [`Tensor::map_into`].
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            // alloc: cold — allocating tensor map; round paths use map_into
-            shape: self.shape.clone(),
-            // alloc: cold — allocating tensor map; round paths use map_into
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let mut out = Tensor::zeros(self.dims());
+        self.map_into(&mut out, f);
+        out
     }
 
     /// Applies a function to every element in place.
@@ -404,9 +393,8 @@ impl Tensor {
         }
     }
 
-    /// Destination-passing form of [`Tensor::map`]: writes `f` applied to
-    /// every element into `out` (which takes this tensor's shape). Bitwise
-    /// identical to the allocating form.
+    /// Writes `f` applied to every element into `out`, which takes this
+    /// tensor's shape.
     ///
     /// # Panics
     /// Panics if `out` has a different element count.
@@ -419,8 +407,8 @@ impl Tensor {
         }
     }
 
-    /// Destination-passing form of [`Tensor::zip_map`]; bitwise identical to
-    /// the allocating form.
+    /// Combines two same-shaped tensors element-wise with `f`, writing into
+    /// `out`, which takes this tensor's shape.
     ///
     /// # Panics
     /// Panics on shape mismatch with `other` or element-count mismatch with
@@ -449,18 +437,12 @@ impl Tensor {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// Combines two same-shaped tensors element-wise with `f`.
+    /// Combines two same-shaped tensors element-wise with `f`, returning a
+    /// new tensor; a wrapper over [`Tensor::zip_map_into`].
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        self.assert_same_shape(other, "zip_map");
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        let mut out = Tensor::zeros(self.dims());
+        self.zip_map_into(other, &mut out, f);
+        out
     }
 
     /// Adds a rank-1 bias vector to every row of a rank-2 tensor.

@@ -1,8 +1,24 @@
 //! Property-based tests for the tensor substrate.
 
+use fedcross_tensor::linalg::transpose_into;
 use fedcross_tensor::stats::{cosine_similarity, euclidean_distance};
 use fedcross_tensor::{SeededRng, Tensor};
 use proptest::prelude::*;
+
+/// `Tensor::matmul_into` on a fresh NaN-filled output.
+fn mm(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = Tensor::full(&[a.dims()[0] * b.dims()[1]], f32::NAN);
+    a.matmul_into(b, &mut out);
+    out
+}
+
+/// `transpose_into` of a rank-2 tensor into a fresh NaN-filled one.
+fn transposed(a: &Tensor) -> Tensor {
+    let (m, n) = (a.dims()[0], a.dims()[1]);
+    let mut out = Tensor::full(&[n, m], f32::NAN);
+    transpose_into(a.data(), m, n, out.data_mut());
+    out
+}
 
 fn small_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, 1..max_len)
@@ -73,8 +89,8 @@ proptest! {
         let a = rand_t(&mut rng, m, k);
         let b = rand_t(&mut rng, k, n);
         let c = rand_t(&mut rng, k, n);
-        let lhs = a.matmul(&b.add(&c));
-        let rhs = a.matmul(&b).add(&a.matmul(&c));
+        let lhs = mm(&a, &b.add(&c));
+        let rhs = mm(&a, &b).add(&mm(&a, &c));
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
@@ -88,8 +104,8 @@ proptest! {
         };
         let a = rand_t(&mut rng, 4, 3);
         let b = rand_t(&mut rng, 3, 5);
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
+        let lhs = transposed(&mm(&a, &b));
+        let rhs = mm(&transposed(&b), &transposed(&a));
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-4);
         }

@@ -7,8 +7,9 @@
 #      W001/W002, see docs/LINTS.md): unordered-map iteration on
 #      trajectory paths, wall-clock/OS-entropy outside bench, unaudited
 #      SeededRng::fork call sites, FMA / unordered parallel float
-#      reductions in kernel files, uncommented `unsafe`, unpaired `*_into`
-#      kernels, unclassified allocations reachable from hot-path roots,
+#      reductions in kernel files, uncommented `unsafe`, a second body
+#      beside a `*_into` kernel (a same-named `fn X` that does not call
+#      `X_into`), unclassified allocations reachable from hot-path roots,
 #      unreasoned unwrap/expect/panic! in library crates, and stale
 #      waivers/markers. Waiver counts are gated against the checked-in
 #      lint-waivers.budget.

@@ -3,7 +3,7 @@
 //! model parameter vectors, and the dataset/partition contracts the
 //! algorithms rely on.
 
-use fedcross::aggregation::{cross_aggregate, cross_aggregate_all, global_model};
+use fedcross::aggregation::{cross_aggregate_all_into, cross_aggregate_into, global_model_into};
 use fedcross::selection::SelectionStrategy;
 use fedcross_data::partition::{class_count_matrix, dirichlet_partition, iid_partition};
 use fedcross_nn::models::mlp;
@@ -16,6 +16,16 @@ fn random_models(k: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..k)
         .map(|_| (0..dim).map(|_| rng.uniform_range(-2.0, 2.0)).collect())
         .collect()
+}
+
+/// `cross_aggregate_all_into` on freshly allocated output buffers.
+fn fuse_all(models: &[Vec<f32>], collaborators: &[usize], alpha: f32) -> Vec<Vec<f32>> {
+    let mut fused = vec![vec![0f32; models[0].len()]; models.len()];
+    {
+        let mut targets: Vec<&mut [f32]> = fused.iter_mut().map(|m| m.as_mut_slice()).collect();
+        cross_aggregate_all_into(&mut targets, models, collaborators, alpha);
+    }
+    fused
 }
 
 proptest! {
@@ -33,7 +43,7 @@ proptest! {
     ) {
         let models = random_models(k, dim, seed);
         let collaborators = SelectionStrategy::InOrder.select_all(round, &models);
-        let fused = cross_aggregate_all(&models, &collaborators, alpha);
+        let fused = fuse_all(&models, &collaborators, alpha);
         for d in 0..dim {
             let before: f32 = models.iter().map(|m| m[d]).sum();
             let after: f32 = fused.iter().map(|m| m[d]).sum();
@@ -56,7 +66,7 @@ proptest! {
         let models = random_models(k, dim, seed);
         let reference = random_models(1, dim, seed.wrapping_add(1)).remove(0);
         let collaborators = SelectionStrategy::InOrder.select_all(round, &models);
-        let fused = cross_aggregate_all(&models, &collaborators, alpha);
+        let fused = fuse_all(&models, &collaborators, alpha);
         let before: f32 = models.iter().map(|m| squared_distance(m, &reference)).sum();
         let after: f32 = fused.iter().map(|m| squared_distance(m, &reference)).sum();
         prop_assert!(after <= before + 1e-2 * (1.0 + before));
@@ -80,7 +90,7 @@ proptest! {
             SelectionStrategy::LowestSimilarity,
         ] {
             let collaborators = strategy.select_all(0, &models);
-            let fused = cross_aggregate_all(&models, &collaborators, alpha);
+            let fused = fuse_all(&models, &collaborators, alpha);
             for (i, (w, &co)) in fused.iter().zip(&collaborators).enumerate() {
                 let bound = squared_distance(&models[i], &reference)
                     .max(squared_distance(&models[co], &reference));
@@ -101,7 +111,8 @@ proptest! {
         seed in 0u64..500,
     ) {
         let models = random_models(k, dim, seed);
-        let global = global_model(&models);
+        let mut global = vec![0f32; dim];
+        global_model_into(&mut global, &models);
         for d in 0..dim {
             let lo = models.iter().map(|m| m[d]).fold(f32::INFINITY, f32::min);
             let hi = models.iter().map(|m| m[d]).fold(f32::NEG_INFINITY, f32::max);
@@ -117,7 +128,8 @@ proptest! {
         seed in 0u64..500,
     ) {
         let model = random_models(1, dim, seed).remove(0);
-        let fused = cross_aggregate(&model, &model, alpha);
+        let mut fused = vec![0f32; dim];
+        cross_aggregate_into(&mut fused, &model, &model, alpha);
         for (a, b) in fused.iter().zip(&model) {
             prop_assert!((a - b).abs() < 1e-5);
         }

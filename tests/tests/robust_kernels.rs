@@ -9,8 +9,8 @@
 //! `resume_plane.rs` and `crates/core/src/robust.rs` build on it.
 
 use fedcross::aggregation::{
-    coordinate_median, krum_select, multi_krum_select, norm_bounded_mean, trim_count,
-    trimmed_mean,
+    coordinate_median_into, krum_select, multi_krum_select, norm_bounded_mean_into, trim_count,
+    trimmed_mean_into,
 };
 use fedcross::RobustRule;
 use fedcross_nn::params::{l2_norm, squared_distance};
@@ -36,6 +36,27 @@ fn permuted(uploads: &[Vec<f32>], seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `coordinate_median_into` on a fresh NaN-filled buffer.
+fn median(uploads: &[Vec<f32>]) -> Vec<f32> {
+    let mut out = vec![f32::NAN; uploads[0].len()];
+    coordinate_median_into(&mut out, uploads);
+    out
+}
+
+/// `trimmed_mean_into` on a fresh NaN-filled buffer.
+fn trimmed(uploads: &[Vec<f32>], trim: f32) -> Vec<f32> {
+    let mut out = vec![f32::NAN; uploads[0].len()];
+    trimmed_mean_into(&mut out, uploads, trim);
+    out
+}
+
+/// `norm_bounded_mean_into` on a fresh NaN-filled buffer.
+fn norm_bounded(anchor: &[f32], uploads: &[Vec<f32>], max_norm: f32) -> Vec<f32> {
+    let mut out = vec![f32::NAN; anchor.len()];
+    norm_bounded_mean_into(&mut out, anchor, uploads, max_norm);
+    out
 }
 
 /// Reproduces the kernel's Krum score arithmetic exactly (same distance
@@ -72,8 +93,8 @@ proptest! {
         let uploads = random_uploads(n, dim, seed);
         let (shuffled, _) = permuted(&uploads, seed ^ 0x5EED);
         prop_assert_eq!(
-            bits(&coordinate_median(&uploads)),
-            bits(&coordinate_median(&shuffled))
+            bits(&median(&uploads)),
+            bits(&median(&shuffled))
         );
     }
 
@@ -93,8 +114,8 @@ proptest! {
         // 2·cut < n holds for every generated case.
         prop_assert!(2 * trim_count(n, trim) < n);
         prop_assert_eq!(
-            bits(&trimmed_mean(&uploads, trim)),
-            bits(&trimmed_mean(&shuffled, trim))
+            bits(&trimmed(&uploads, trim)),
+            bits(&trimmed(&shuffled, trim))
         );
     }
 
@@ -168,10 +189,10 @@ fn median_and_trimmed_mean_use_canonical_sorted_order_for_even_columns() {
     // Even column: the median averages the two middle values of the sorted
     // column, regardless of arrival order.
     let uploads = vec![vec![4.0f32], vec![1.0], vec![3.0], vec![2.0]];
-    assert_eq!(coordinate_median(&uploads), vec![2.5]);
+    assert_eq!(median(&uploads), vec![2.5]);
     // trim = 0.25 on n = 4 drops exactly one value per end: keeps {2, 3}.
     assert_eq!(trim_count(4, 0.25), 1);
-    assert_eq!(trimmed_mean(&uploads, 0.25), vec![2.5]);
+    assert_eq!(trimmed(&uploads, 0.25), vec![2.5]);
 }
 
 /// Norm bounding clips **exactly** at the threshold: a delta of norm `> C`
@@ -192,7 +213,7 @@ fn norm_bounding_pins_the_clip_threshold_exactly() {
         anchor[0] + scale * delta[0],
         anchor[1] + scale * delta[1],
     ];
-    let clipped = norm_bounded_mean(&anchor, &[over], max_norm);
+    let clipped = norm_bounded(&anchor, &[over], max_norm);
     assert_eq!(bits(&clipped), bits(&expected));
     assert!((l2_norm(&[clipped[0] - anchor[0], clipped[1] - anchor[1]]) - max_norm).abs() < 1e-6);
 
@@ -200,13 +221,17 @@ fn norm_bounding_pins_the_clip_threshold_exactly() {
     // delta is NOT rescaled — the upload passes through bitwise.
     let at = vec![anchor[0] + 2.0, anchor[1]];
     assert_eq!(l2_norm(&[2.0f32, 0.0]), max_norm);
-    let passthrough = norm_bounded_mean(&anchor, std::slice::from_ref(&at), max_norm);
+    let passthrough = norm_bounded(&anchor, std::slice::from_ref(&at), max_norm);
     assert_eq!(bits(&passthrough), bits(&at));
 
     // Delta well under C: untouched too.
     let under = vec![anchor[0] + 0.3, anchor[1] - 0.4];
     assert_eq!(
-        bits(&norm_bounded_mean(&anchor, std::slice::from_ref(&under), max_norm)),
+        bits(&norm_bounded(
+            &anchor,
+            std::slice::from_ref(&under),
+            max_norm
+        )),
         bits(&under)
     );
 }

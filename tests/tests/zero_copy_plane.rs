@@ -5,8 +5,8 @@
 //! cloning models.
 
 use fedcross::aggregation::{
-    cross_aggregate, cross_aggregate_all, cross_aggregate_all_into, cross_aggregate_into,
-    cross_aggregate_propellers, cross_aggregate_propellers_into, global_model, global_model_into,
+    cross_aggregate_all_into, cross_aggregate_into, cross_aggregate_propellers_into,
+    global_model_into,
 };
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
@@ -28,6 +28,16 @@ fn random_models(k: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// `α·v + (1-α)·w` element by element: the CrossAggr rule as a plain loop.
+fn naive_fuse(v: &[f32], w: &[f32], alpha: f32) -> Vec<f32> {
+    v.iter()
+        .zip(w)
+        .map(|(&x, &y)| alpha * x + (1.0 - alpha) * y)
+        .collect()
+}
+
+/// Every kernel, writing over NaN-filled buffers, matches the plain loop it
+/// stands for bitwise: a dirty output buffer leaks nothing into the result.
 #[test]
 fn in_place_kernels_match_allocating_kernels_bitwise() {
     for &(k, dim) in &[(2usize, 1usize), (4, 7), (6, 64), (10, 1000)] {
@@ -35,36 +45,51 @@ fn in_place_kernels_match_allocating_kernels_bitwise() {
         let collaborators: Vec<usize> = (0..k).map(|i| (i + 1) % k).collect();
         for &alpha in &[0.5f32, 0.8, 0.99] {
             // Pairwise kernel.
-            let allocating = cross_aggregate(&models[0], &models[1], alpha);
             let mut in_place = vec![f32::NAN; dim];
             cross_aggregate_into(&mut in_place, &models[0], &models[1], alpha);
-            assert_eq!(bits(&allocating), bits(&in_place));
+            assert_eq!(
+                bits(&naive_fuse(&models[0], &models[1], alpha)),
+                bits(&in_place)
+            );
 
             // Whole-list kernel.
-            let allocating_all = cross_aggregate_all(&models, &collaborators, alpha);
             let mut buffers = vec![vec![f32::NAN; dim]; k];
             {
                 let mut targets: Vec<&mut [f32]> =
                     buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
                 cross_aggregate_all_into(&mut targets, &models, &collaborators, alpha);
             }
-            for (a, b) in allocating_all.iter().zip(&buffers) {
-                assert_eq!(bits(a), bits(b));
+            for (i, b) in buffers.iter().enumerate() {
+                let naive = naive_fuse(&models[i], &models[collaborators[i]], alpha);
+                assert_eq!(bits(&naive), bits(b));
             }
 
-            // Propeller kernel.
+            // Propeller kernel: α·v, then each propeller's equal share of
+            // 1-α added in order.
             let refs: Vec<&[f32]> = models[1..].iter().map(|m| m.as_slice()).collect();
-            let allocating_prop = cross_aggregate_propellers(&models[0], &refs, alpha);
+            let share = (1.0 - alpha) / refs.len() as f32;
+            let mut naive_prop: Vec<f32> = models[0].iter().map(|&x| alpha * x).collect();
+            for propeller in &refs {
+                for (o, &p) in naive_prop.iter_mut().zip(propeller.iter()) {
+                    *o += share * p;
+                }
+            }
             let mut prop_buffer = vec![f32::NAN; dim];
             cross_aggregate_propellers_into(&mut prop_buffer, &models[0], &refs, alpha);
-            assert_eq!(bits(&allocating_prop), bits(&prop_buffer));
+            assert_eq!(bits(&naive_prop), bits(&prop_buffer));
         }
 
-        // Global-model generation.
-        let allocating_global = global_model(&models);
+        // Global-model generation: each model's 1/K share added in order.
+        let scale = 1.0 / k as f32;
+        let mut naive_global = vec![0f32; dim];
+        for model in &models {
+            for (o, &x) in naive_global.iter_mut().zip(model) {
+                *o += scale * x;
+            }
+        }
         let mut global_buffer = vec![f32::NAN; dim];
         global_model_into(&mut global_buffer, &models);
-        assert_eq!(bits(&allocating_global), bits(&global_buffer));
+        assert_eq!(bits(&naive_global), bits(&global_buffer));
     }
 }
 
@@ -108,8 +133,9 @@ fn tiny_setup(seed: u64, clients: usize) -> (FederatedDataset, Box<dyn Model>) {
 }
 
 /// One FedCross round written exactly as the seed implementation did it —
-/// `Vec<f32>` middleware, clone-on-dispatch, allocating `cross_aggregate_all`
-/// — used as the ground truth the ParamBlock pipeline must reproduce.
+/// `Vec<f32>` middleware, clone-on-dispatch, a freshly allocated buffer per
+/// fused model — used as the ground truth the ParamBlock pipeline must
+/// reproduce.
 fn reference_round(
     middleware: &mut [Vec<f32>],
     round: usize,
@@ -138,9 +164,10 @@ fn reference_round(
     }
     assert!(uploaded.len() >= 2, "reference round assumes no dropout");
     let collaborators = strategy.select_all_with(round, &uploaded, measure);
-    let fused = cross_aggregate_all(&uploaded, &collaborators, alpha);
-    for (&slot, params) in returned_slots.iter().zip(fused) {
-        middleware[slot] = params;
+    for ((&slot, upload), &co) in returned_slots.iter().zip(&uploaded).zip(&collaborators) {
+        let mut fused = vec![0f32; upload.len()];
+        cross_aggregate_into(&mut fused, upload, &uploaded[co], alpha);
+        middleware[slot] = fused;
     }
 }
 
@@ -204,7 +231,9 @@ fn fedcross_round_on_param_block_plane_is_bitwise_identical_to_seed_pipeline() {
     }
 
     // The deployable global model agrees too.
-    assert_eq!(bits(&algo.global_params()), bits(&global_model(&reference)));
+    let mut reference_global = vec![0f32; reference[0].len()];
+    global_model_into(&mut reference_global, &reference);
+    assert_eq!(bits(&algo.global_params()), bits(&reference_global));
 }
 
 #[test]
