@@ -2,6 +2,9 @@
 //! FedAvg weighted averaging vs FedCross cross-aggregation (single
 //! collaborator and propeller variants) and global-model generation, each
 //! writing into a preallocated output as the round loop does.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run
+//! so CI can detect kernel regressions without paying for full statistics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross::aggregation::{
@@ -17,9 +20,17 @@ fn make_models(k: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        20
+    }
+}
+
 fn bench_aggregation(c: &mut Criterion) {
     let mut group = c.benchmark_group("server_aggregation");
-    group.sample_size(20);
+    group.sample_size(sample_size());
 
     for &dim in &[10_000usize, 100_000] {
         let models = make_models(10, dim, 7);
