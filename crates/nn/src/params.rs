@@ -12,13 +12,13 @@
 //!   an `O(d)` copy; the buffer is only duplicated when someone actually
 //!   mutates a shared block. This is the type the round pipeline
 //!   (`TrainJob` / `LocalUpdate` / the FedCross middleware list) moves around.
-//! * **In-place fused kernels** — `*_into` destination-passing variants of
-//!   every aggregation kernel ([`interpolate_into`], [`average_into`],
+//! * **In-place fused kernels** — destination-passing `*_into` aggregation
+//!   kernels ([`interpolate_into`], [`average_into`],
 //!   [`weighted_average_into`], ...), written with the same chunked-unrolled
 //!   (8-wide, auto-vectorizable) inner-loop shape as the pairwise-distance
-//!   kernels in `fedcross_tensor::stats`. The one allocating form left,
-//!   [`average`], is a wrapper over [`average_into`], so both are
-//!   numerically identical element-for-element.
+//!   kernels in `fedcross_tensor::stats`. [`average`], the one allocating
+//!   twin left, wraps [`average_into`], so both are numerically identical
+//!   element-for-element.
 
 use fedcross_tensor::stats::{cosine_similarity, euclidean_distance, squared_distance_slices};
 use std::sync::Arc;
