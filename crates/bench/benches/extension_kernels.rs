@@ -2,6 +2,9 @@
 //! (quantization / sparsification), differential-privacy clipping and noising,
 //! and secure-aggregation masking. These are the per-upload costs a production
 //! deployment pays on top of the paper's plain pipeline.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run
+//! so CI can detect kernel regressions without paying for full statistics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross_compress::{Compressor, RandK, TopK, UniformQuantizer};
@@ -10,6 +13,14 @@ use fedcross_privacy::mechanism::add_gaussian_noise;
 use fedcross_privacy::secure_agg::PairwiseMasker;
 use fedcross_tensor::SeededRng;
 
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        20
+    }
+}
+
 fn make_delta(dim: usize, seed: u64) -> Vec<f32> {
     let mut rng = SeededRng::new(seed);
     (0..dim).map(|_| rng.normal_with(0.0, 0.1)).collect()
@@ -17,7 +28,7 @@ fn make_delta(dim: usize, seed: u64) -> Vec<f32> {
 
 fn bench_compression(c: &mut Criterion) {
     let mut group = c.benchmark_group("upload_compression");
-    group.sample_size(20);
+    group.sample_size(sample_size());
     for &dim in &[10_000usize, 100_000] {
         let delta = make_delta(dim, 3);
         group.bench_with_input(BenchmarkId::new("quantize_8bit", dim), &dim, |b, _| {
@@ -47,7 +58,7 @@ fn bench_compression(c: &mut Criterion) {
 
 fn bench_privacy(c: &mut Criterion) {
     let mut group = c.benchmark_group("privacy_kernels");
-    group.sample_size(20);
+    group.sample_size(sample_size());
     for &dim in &[10_000usize, 100_000] {
         let trained = make_delta(dim, 7);
         let anchor = make_delta(dim, 8);

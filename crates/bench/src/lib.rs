@@ -4,8 +4,9 @@
 //! FedCross paper's evaluation (Section IV), plus Criterion micro-benchmarks
 //! of the computational kernels.
 //!
-//! Each table/figure has a dedicated binary (see DESIGN.md §6 for the full
-//! index); all of them share the experiment plumbing in this library:
+//! Each table/figure has a dedicated binary under `src/bin/`, named after it
+//! (`table2_accuracy`, `fig4_landscape`, ...); all of them share the
+//! experiment plumbing in this library:
 //!
 //! * [`TaskSpec`] / [`ModelSpec`] — the dataset × model grid of Table II,
 //! * [`ExperimentConfig`] — scale knobs (rounds, clients, participation) with
@@ -118,8 +119,9 @@ pub struct ExperimentConfig {
 
 impl Default for ExperimentConfig {
     fn default() -> Self {
-        // Reduced repro scale: the orderings of the paper stabilise well before
-        // full convergence at synthetic-data scale (see DESIGN.md §3).
+        // Reduced repro scale, so that a run takes minutes on a CPU. Runs this
+        // short stop far from convergence, and the paper's orderings of the
+        // methods need not hold at this scale.
         Self {
             num_clients: 20,
             clients_per_round: 4,
@@ -412,13 +414,22 @@ impl Args {
         self.raw.iter().any(|a| a == name)
     }
 
-    /// The value following a `--name` flag, parsed.
+    /// The value following a `--name` flag, parsed; `None` only when the
+    /// flag is absent.
+    ///
+    /// # Panics
+    /// Panics, naming the flag and the raw value, when the flag has no value
+    /// or its value does not parse, so a mistyped value never silently runs
+    /// the default experiment.
     pub fn value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.raw
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let i = self.raw.iter().position(|a| a == name)?;
+        let Some(raw) = self.raw.get(i + 1) else {
+            panic!("{name} needs a value");
+        };
+        match raw.parse() {
+            Ok(value) => Some(value),
+            Err(_) => panic!("{name} {raw:?}: not a valid {}", std::any::type_name::<T>()),
+        }
     }
 
     /// Applies the standard scale flags to an [`ExperimentConfig`].
@@ -547,6 +558,20 @@ mod tests {
         assert_eq!(config.clients_per_round, 5);
         // --full switched to paper scale for the other knobs.
         assert_eq!(config.num_clients, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "--rounds \"1e3\": not a valid usize")]
+    fn args_reject_a_value_that_does_not_parse() {
+        let args = Args::from_vec(vec!["--rounds".into(), "1e3".into()]);
+        let _ = args.value::<usize>("--rounds");
+    }
+
+    #[test]
+    #[should_panic(expected = "--radius needs a value")]
+    fn args_reject_a_flag_without_its_value() {
+        let args = Args::from_vec(vec!["--smoke".into(), "--radius".into()]);
+        let _ = args.value::<f32>("--radius");
     }
 
     #[test]

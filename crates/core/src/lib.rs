@@ -42,9 +42,9 @@
 //! ## Baselines
 //!
 //! [`baselines`] implements FedAvg, FedProx, SCAFFOLD, FedGen (simplified
-//! data-free distillation, see DESIGN.md) and CluSamp behind the same
-//! [`fedcross_flsim::FederatedAlgorithm`] interface, so every experiment in
-//! the paper's Section IV can be driven by the same simulation engine.
+//! data-free distillation, see [`baselines::fedgen`]) and CluSamp behind the
+//! same [`fedcross_flsim::FederatedAlgorithm`] interface, so every experiment
+//! in the paper's Section IV can be driven by the same simulation engine.
 //!
 //! ## Quick example
 //!
@@ -85,7 +85,6 @@
 pub mod acceleration;
 pub mod aggregation;
 pub mod algorithm;
-pub mod analysis;
 pub mod baselines;
 pub mod buffered;
 pub mod registry;

@@ -196,9 +196,9 @@ impl SelectionStrategy {
     }
 }
 
-/// The full pairwise cosine-similarity matrix of the uploaded models. Used by
-/// the analysis harness to show middleware models converging towards each
-/// other over training (Section III-A).
+/// The full pairwise cosine-similarity matrix of the uploaded models, the
+/// view that shows middleware models converging towards each other over
+/// training (Section III-A).
 pub fn similarity_matrix<V: AsRef<[f32]> + Sync>(models: &[V]) -> Vec<Vec<f32>> {
     let k = models.len();
     let dots = pairwise_matrix(models, Pairwise::Dot);

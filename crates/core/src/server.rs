@@ -17,7 +17,7 @@ use crate::aggregation::{
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
-use fedcross_flsim::engine::{canonicalize_updates, RoundContext, TrainJob};
+use fedcross_flsim::engine::{RoundContext, TrainJob};
 use fedcross_nn::params::{weighted_average_into, ParamBlock};
 use std::borrow::Borrow;
 
@@ -266,6 +266,9 @@ impl GlobalModel {
     /// each client's training job from the shared model (gradient
     /// corrections, auxiliary payload), and returns the uploads in dispatch
     /// order whatever order they arrived in.
+    ///
+    /// # Panics
+    /// Panics if `job` builds a job for a client outside `selected`.
     pub fn dispatch_jobs(
         &self,
         ctx: &mut RoundContext<'_>,
@@ -277,9 +280,8 @@ impl GlobalModel {
             .map(|&client| job(client, &self.model))
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
             .collect();
-        let mut updates = ctx.local_train_jobs(jobs);
-        canonicalize_updates(&mut updates, selected);
-        updates
+        let updates = ctx.local_train_jobs(jobs);
+        slot_order(selected, updates).1
     }
 
     /// FedAvg's rule: replaces the model with the sample-count-weighted mean

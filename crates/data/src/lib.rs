@@ -47,7 +47,6 @@ pub mod federated;
 pub mod partition;
 pub mod shard;
 pub mod source;
-pub mod stats;
 pub mod synth;
 
 pub use dataset::{Batch, Dataset};

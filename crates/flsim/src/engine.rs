@@ -163,26 +163,6 @@ pub struct RoundContext<'a> {
     shuffle_calls: u64,
 }
 
-/// Reorders `updates` into dispatch order: the position of each update's
-/// client in `dispatched` (the job list the algorithm submitted).
-///
-/// Today's engine already returns updates in dispatch order, so on an
-/// unshuffled round this is a bitwise no-op — but an algorithm that sorts
-/// with it before aggregating becomes invariant to upload *arrival* order,
-/// which the schedule-invariance sanitizer exercises via
-/// [`RoundContext::with_upload_shuffle`]. Updates whose client does not
-/// appear in `dispatched` (impossible through `local_train_jobs`, possible
-/// in hand-built harnesses) sort last, by client id.
-pub fn canonicalize_updates(updates: &mut [LocalUpdate], dispatched: &[usize]) {
-    let position = |client: usize| -> (usize, usize) {
-        match dispatched.iter().position(|&c| c == client) {
-            Some(p) => (p, 0),
-            None => (dispatched.len(), client),
-        }
-    };
-    updates.sort_by_key(|u| position(u.client));
-}
-
 /// What the transport does to one surviving upload under a buffered round
 /// policy, derived per `(round, client)` by [`RoundContext::upload_outcomes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,18 +350,6 @@ impl<'a> RoundContext<'a> {
     pub fn select_clients(&mut self) -> Vec<usize> {
         let n = self.data.num_clients();
         sample_cohort(&mut self.rng, n, self.clients_per_round)
-    }
-
-    /// Trains one client on the dispatched parameters and returns its update,
-    /// recording the communication.
-    ///
-    /// Accepts anything convertible into a [`ParamBlock`]: pass a cloned
-    /// block (a reference-count bump) to dispatch a server model without
-    /// copying it; `&[f32]` / `Vec<f32>` still work and copy once at the
-    /// conversion boundary.
-    pub fn local_train(&mut self, client: usize, params: impl Into<ParamBlock>) -> LocalUpdate {
-        let updates = self.local_train_jobs(vec![TrainJob::plain(client, params)]);
-        updates.into_iter().next().expect("one job yields one update")
     }
 
     /// Trains several clients (in parallel) on plain jobs.

@@ -25,6 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use crate::is_kernel_file;
 use crate::parser::{callees, parse, ParsedFile};
 use crate::strip::{strip, Stripped};
 
@@ -74,12 +75,6 @@ pub struct CallGraph {
     pub reachable: Vec<bool>,
     /// Per node: BFS predecessor (for explaining reachability paths).
     pub parent: Vec<Option<usize>>,
-}
-
-/// Whether a file is a kernel file for root selection — mirrors the D004
-/// scope: the whole `tensor` crate plus the named kernel files.
-fn is_kernel_file(crate_name: &str, file_name: &str) -> bool {
-    crate_name == crate::KERNEL_CRATE || crate::KERNEL_FILES.contains(&file_name)
 }
 
 /// Classifies a function as a hot-path root.

@@ -217,11 +217,14 @@ pub const KERNEL_CRATE: &str = "tensor";
 /// audit markers — shared with the marker lookup in [`markers`].
 const LOOKBACK_LINES: usize = markers::LOOKBACK_LINES;
 
-fn is_kernel_file(crate_name: &str, file_name: &str) -> bool {
+/// Whether a file is a kernel file: the whole [`KERNEL_CRATE`] plus
+/// [`KERNEL_FILES`]. D004, D006 and the A001 kernel root set all read this
+/// one scope.
+pub(crate) fn is_kernel_file(crate_name: &str, file_name: &str) -> bool {
     crate_name == KERNEL_CRATE || KERNEL_FILES.contains(&file_name)
 }
 
-fn is_ident_char(c: char) -> bool {
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 

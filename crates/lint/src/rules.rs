@@ -25,7 +25,7 @@ use crate::callgraph::{CallGraph, IndexedFile};
 use crate::markers::{
     alloc_marker_for, alloc_markers, panic_marker_for, panic_markers, ALLOC_KINDS,
 };
-use crate::{Finding, RuleId};
+use crate::{is_ident_char, Finding, RuleId};
 
 /// Path- and macro-shaped allocation constructs (word-bounded prefix match).
 const ALLOC_PATHS: [&str; 8] = [
@@ -52,10 +52,6 @@ const ALLOC_METHODS: [&str; 10] = [
     "boxed",
     "params_flat",
 ];
-
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
 
 /// All allocation-construct sites in a line, as display labels.
 fn alloc_sites_in_line(line: &str) -> Vec<String> {

@@ -49,36 +49,6 @@ pub fn softmax_cross_entropy_into(
     (loss * inv_batch, grad)
 }
 
-/// Mean negative log-likelihood of the correct classes given probabilities
-/// that already sum to one per row. Used by tests and the knowledge-distillation
-/// baseline which works on teacher probability targets.
-pub fn nll_from_probs(probs: &Tensor, labels: &[usize]) -> f32 {
-    assert_eq!(probs.rank(), 2, "probs must be [batch, classes]");
-    let batch = probs.dims()[0];
-    assert_eq!(labels.len(), batch, "one label per sample is required");
-    let mut loss = 0f32;
-    for (i, &label) in labels.iter().enumerate() {
-        loss -= probs.get(&[i, label]).max(1e-12).ln();
-    }
-    loss / batch as f32
-}
-
-/// Soft-target cross-entropy (knowledge distillation): mean over the batch of
-/// `-Σ_c t_c · log softmax(logits)_c`, plus its gradient w.r.t. the logits.
-///
-/// `targets` are teacher probability rows (each row sums to one).
-pub fn soft_cross_entropy(logits: &Tensor, targets: &Tensor) -> (f32, Tensor) {
-    assert_eq!(logits.rank(), 2, "logits must be [batch, classes]");
-    assert_eq!(logits.dims(), targets.dims(), "logits/targets shape mismatch");
-    let batch = logits.dims()[0] as f32;
-    let log_probs = logits.log_softmax_rows();
-    let probs = log_probs.map(f32::exp);
-    let loss = -log_probs.mul(targets).sum() / batch;
-    let mut grad = probs.sub(targets);
-    grad.scale(1.0 / batch);
-    (loss, grad)
-}
-
 /// Classification accuracy of logits against integer labels, in `[0, 1]`.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
     assert_eq!(logits.rank(), 2, "logits must be [batch, classes]");
@@ -161,44 +131,6 @@ mod tests {
     fn cross_entropy_rejects_out_of_range_label() {
         let logits = Tensor::zeros(&[1, 3]);
         let _ = softmax_cross_entropy(&logits, &[3]);
-    }
-
-    #[test]
-    fn nll_from_probs_matches_manual_value() {
-        let probs = Tensor::from_vec(vec![0.5, 0.5, 0.9, 0.1], &[2, 2]);
-        let loss = nll_from_probs(&probs, &[0, 0]);
-        let expected = -(0.5f32.ln() + 0.9f32.ln()) / 2.0;
-        assert!((loss - expected).abs() < 1e-5);
-    }
-
-    #[test]
-    fn soft_cross_entropy_matches_hard_labels_when_targets_are_onehot() {
-        let logits = Tensor::from_vec(vec![0.3, -1.0, 2.0, 0.1, 0.2, 0.3], &[2, 3]);
-        let onehot = Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0, 0.0, 0.0], &[2, 3]);
-        let (hard_loss, hard_grad) = softmax_cross_entropy(&logits, &[2, 0]);
-        let (soft_loss, soft_grad) = soft_cross_entropy(&logits, &onehot);
-        assert!((hard_loss - soft_loss).abs() < 1e-5);
-        for (a, b) in hard_grad.data().iter().zip(soft_grad.data()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn soft_cross_entropy_gradient_matches_finite_differences() {
-        let base = vec![0.1, 0.8, -0.4, 1.2];
-        let targets = Tensor::from_vec(vec![0.3, 0.7, 0.6, 0.4], &[2, 2]);
-        let (_, grad) = soft_cross_entropy(&Tensor::from_vec(base.clone(), &[2, 2]), &targets);
-        let eps = 1e-3;
-        for i in 0..base.len() {
-            let mut plus = base.clone();
-            plus[i] += eps;
-            let mut minus = base.clone();
-            minus[i] -= eps;
-            let (lp, _) = soft_cross_entropy(&Tensor::from_vec(plus, &[2, 2]), &targets);
-            let (lm, _) = soft_cross_entropy(&Tensor::from_vec(minus, &[2, 2]), &targets);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!((numeric - grad.data()[i]).abs() < 1e-3);
-        }
     }
 
     #[test]

@@ -193,40 +193,6 @@ impl Sgd {
     }
 }
 
-/// A simple step-decay learning-rate schedule: multiplies the rate by `gamma`
-/// every `step_every` rounds.
-#[derive(Debug, Clone)]
-pub struct StepLrSchedule {
-    /// Initial learning rate.
-    pub initial_lr: f32,
-    /// Multiplicative decay factor applied every `step_every` rounds.
-    pub gamma: f32,
-    /// Number of rounds between decays.
-    pub step_every: usize,
-}
-
-impl StepLrSchedule {
-    /// Creates a schedule. `step_every == 0` means "never decay".
-    pub fn new(initial_lr: f32, gamma: f32, step_every: usize) -> Self {
-        assert!(initial_lr > 0.0, "learning rate must be positive");
-        assert!(gamma > 0.0, "gamma must be positive");
-        Self {
-            initial_lr,
-            gamma,
-            step_every,
-        }
-    }
-
-    /// Learning rate to use at `round` (0-based).
-    pub fn lr_at(&self, round: usize) -> f32 {
-        if self.step_every == 0 {
-            return self.initial_lr;
-        }
-        let decays = (round / self.step_every) as i32;
-        self.initial_lr * self.gamma.powi(decays)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,16 +365,5 @@ mod tests {
     #[should_panic]
     fn reconfigure_rejects_invalid_momentum() {
         Sgd::new(0.1, 0.0, 0.0).reconfigure(0.1, 1.5, 0.0);
-    }
-
-    #[test]
-    fn step_lr_schedule_decays() {
-        let sched = StepLrSchedule::new(0.1, 0.5, 10);
-        assert!((sched.lr_at(0) - 0.1).abs() < 1e-7);
-        assert!((sched.lr_at(9) - 0.1).abs() < 1e-7);
-        assert!((sched.lr_at(10) - 0.05).abs() < 1e-7);
-        assert!((sched.lr_at(25) - 0.025).abs() < 1e-7);
-        let flat = StepLrSchedule::new(0.1, 0.5, 0);
-        assert!((flat.lr_at(1000) - 0.1).abs() < 1e-7);
     }
 }

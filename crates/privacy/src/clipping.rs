@@ -43,53 +43,6 @@ pub fn clipped_delta(trained: &[f32], anchor: &[f32], max_norm: f32) -> Vec<f32>
     delta
 }
 
-/// Per-round clipping statistics, useful for tuning the clip norm `C`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClippingStats {
-    /// Number of deltas that exceeded the bound and were rescaled.
-    pub clipped: usize,
-    /// Number of deltas observed.
-    pub total: usize,
-    /// Mean pre-clipping norm.
-    pub mean_norm: f32,
-    /// Maximum pre-clipping norm.
-    pub max_norm: f32,
-}
-
-impl ClippingStats {
-    /// Fraction of deltas that were actually clipped.
-    pub fn clip_fraction(&self) -> f32 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.clipped as f32 / self.total as f32
-        }
-    }
-}
-
-/// Clips a batch of deltas in place and reports aggregate statistics.
-pub fn clip_batch(deltas: &mut [Vec<f32>], max_norm: f32) -> ClippingStats {
-    let mut stats = ClippingStats {
-        total: deltas.len(),
-        ..Default::default()
-    };
-    let mut norm_sum = 0f64;
-    for delta in deltas.iter_mut() {
-        let norm = clip_to_norm(delta, max_norm);
-        norm_sum += norm as f64;
-        if norm > max_norm {
-            stats.clipped += 1;
-        }
-        if norm > stats.max_norm {
-            stats.max_norm = norm;
-        }
-    }
-    if stats.total > 0 {
-        stats.mean_norm = (norm_sum / stats.total as f64) as f32;
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,27 +89,5 @@ mod tests {
         assert_eq!(delta[0], 0.0);
         assert_eq!(delta[1], 0.0);
         assert!(delta[2] > 0.0);
-    }
-
-    #[test]
-    fn clip_batch_reports_fraction_and_norms() {
-        let mut deltas = vec![vec![0.1, 0.0], vec![10.0, 0.0], vec![0.0, 3.0]];
-        let stats = clip_batch(&mut deltas, 1.0);
-        assert_eq!(stats.total, 3);
-        assert_eq!(stats.clipped, 2);
-        assert!((stats.clip_fraction() - 2.0 / 3.0).abs() < 1e-6);
-        assert!((stats.max_norm - 10.0).abs() < 1e-6);
-        assert!((stats.mean_norm - (0.1 + 10.0 + 3.0) / 3.0).abs() < 1e-5);
-        for delta in &deltas {
-            assert!(l2_norm(delta) <= 1.0 + 1e-5);
-        }
-    }
-
-    #[test]
-    fn clip_batch_of_nothing_is_empty_stats() {
-        let mut deltas: Vec<Vec<f32>> = Vec::new();
-        let stats = clip_batch(&mut deltas, 1.0);
-        assert_eq!(stats, ClippingStats::default());
-        assert_eq!(stats.clip_fraction(), 0.0);
     }
 }

@@ -10,10 +10,9 @@
 //!
 //! * [`clipping`] — L2-norm clipping of client model deltas, the sensitivity
 //!   bound every differentially-private FL mechanism relies on,
-//! * [`mechanism`] — the Gaussian and Laplace mechanisms applied to clipped
-//!   parameter deltas, in both central-DP (noise added by the server to the
-//!   aggregate) and local-DP (noise added by each client before upload)
-//!   placements,
+//! * [`mechanism`] — the Gaussian mechanism applied to clipped parameter
+//!   deltas, in both central-DP (noise added by the server to the aggregate)
+//!   and local-DP (noise added by each client before upload) placements,
 //! * [`accountant`] — a Rényi-DP accountant for the subsampled Gaussian
 //!   mechanism, converting a training schedule (noise multiplier, sampling
 //!   rate, rounds) into an (ε, δ) guarantee,

@@ -68,16 +68,6 @@ impl Default for DpConfig {
 }
 
 impl DpConfig {
-    /// A configuration that disables noise (clipping only), useful for
-    /// isolating the utility cost of clipping in ablations.
-    pub fn clip_only(clip_norm: f32) -> Self {
-        Self {
-            clip_norm,
-            noise_multiplier: 0.0,
-            placement: NoisePlacement::Central,
-        }
-    }
-
     /// The per-coordinate Gaussian standard deviation applied at the point of
     /// injection, given `participants` clients in the round.
     pub fn noise_std(&self, participants: usize) -> f32 {
@@ -97,20 +87,6 @@ pub fn add_gaussian_noise(values: &mut [f32], std: f32, rng: &mut SeededRng) {
     }
     for value in values.iter_mut() {
         *value += rng.normal_with(0.0, std);
-    }
-}
-
-/// Adds i.i.d. Laplace noise of scale `b` to every coordinate (pure-ε DP for
-/// L1 sensitivity; provided for completeness and for the LDP-FL comparison).
-pub fn add_laplace_noise(values: &mut [f32], scale: f32, rng: &mut SeededRng) {
-    if scale <= 0.0 {
-        return;
-    }
-    for value in values.iter_mut() {
-        // Inverse-CDF sampling: u ∈ (-0.5, 0.5), x = -b·sign(u)·ln(1-2|u|).
-        let u = rng.uniform() - 0.5;
-        let magnitude = -(1.0 - 2.0 * u.abs()).max(f32::MIN_POSITIVE).ln() * scale;
-        *value += if u < 0.0 { -magnitude } else { magnitude };
     }
 }
 
@@ -172,21 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn laplace_noise_matches_requested_scale() {
-        let mut rng = SeededRng::new(8);
-        let mut values = vec![0.0f32; 20_000];
-        add_laplace_noise(&mut values, 0.5, &mut rng);
-        assert!(mean_of(&values).abs() < 0.02);
-        // Laplace(b) has standard deviation sqrt(2)·b ≈ 0.707.
-        assert!((std_dev_of(&values) - 0.707).abs() < 0.05);
-    }
-
-    #[test]
     fn zero_std_noise_is_a_no_op() {
         let mut values = vec![1.0, -2.0, 3.0];
         let mut rng = SeededRng::new(9);
         add_gaussian_noise(&mut values, 0.0, &mut rng);
-        add_laplace_noise(&mut values, 0.0, &mut rng);
         assert_eq!(values, vec![1.0, -2.0, 3.0]);
     }
 
@@ -224,7 +189,11 @@ mod tests {
 
     #[test]
     fn clip_only_config_never_adds_noise() {
-        let config = DpConfig::clip_only(0.5);
+        let config = DpConfig {
+            clip_norm: 0.5,
+            noise_multiplier: 0.0,
+            placement: NoisePlacement::Central,
+        };
         let mut delta = vec![1.0f32, 0.0];
         let mut rng = SeededRng::new(12);
         privatize_client_delta(&mut delta, &config, &mut rng);

@@ -55,11 +55,6 @@ impl Tensor {
         self.map_into(out, relu_mask_scalar);
     }
 
-    /// Leaky ReLU with negative slope `alpha`.
-    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        self.map(|x| if x > 0.0 { x } else { alpha * x })
-    }
-
     /// Logistic sigmoid `1 / (1 + e^{-x})` in place, numerically stable for
     /// large |x|.
     pub fn sigmoid_in_place(&mut self) {
@@ -162,12 +157,6 @@ mod tests {
         assert_eq!(out.data(), &[0.0, 0.0, 2.0]);
         x.relu_mask_into(&mut out);
         assert_eq!(out.data(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let x = Tensor::from_vec(vec![-2.0, 3.0], &[2]);
-        assert_eq!(x.leaky_relu(0.1).data(), &[-0.2, 3.0]);
     }
 
     #[test]

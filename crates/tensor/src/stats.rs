@@ -100,11 +100,6 @@ impl Tensor {
         self.data().iter().map(|&x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Sum of absolute values (L1 norm).
-    pub fn l1_norm(&self) -> f32 {
-        self.data().iter().map(|&x| x.abs()).sum()
-    }
-
     /// Squared Euclidean distance to another tensor of identical shape.
     pub fn squared_distance(&self, other: &Tensor) -> f32 {
         assert_eq!(
@@ -376,11 +371,6 @@ pub fn cosine_similarity(x: &[f32], y: &[f32]) -> f32 {
     cosine_from_parts(dot, nx, ny)
 }
 
-/// Cosine similarity between two tensors of identical element count.
-pub fn cosine_similarity_tensors(x: &Tensor, y: &Tensor) -> f32 {
-    cosine_similarity(x.data(), y.data())
-}
-
 /// Euclidean distance between two flat parameter slices.
 pub fn euclidean_distance(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "euclidean_distance: lengths differ");
@@ -441,7 +431,6 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         assert_eq!(a.dot(&b), 11.0);
         assert_eq!(a.l2_norm(), 5.0);
-        assert_eq!(a.l1_norm(), 7.0);
     }
 
     #[test]
@@ -485,13 +474,6 @@ mod tests {
         let x = vec![0.0, 0.0, 0.0];
         let y = vec![1.0, 2.0, 3.0];
         assert_eq!(cosine_similarity(&x, &y), 0.0);
-    }
-
-    #[test]
-    fn cosine_similarity_tensor_wrapper() {
-        let a = Tensor::from_vec(vec![1.0, 1.0], &[2]);
-        let b = Tensor::from_vec(vec![1.0, 1.0], &[2]);
-        assert!((cosine_similarity_tensors(&a, &b) - 1.0).abs() < 1e-6);
     }
 
     #[test]
