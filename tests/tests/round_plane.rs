@@ -215,17 +215,27 @@ fn steady_state_rounds_construct_no_models() {
     assert_eq!(pool.len(), k);
 }
 
+/// `(accuracy, loss)` bits of the three perturbed parameter vectors in
+/// `pooled_eval_matches_clone_per_eval_bitwise`, recorded from the
+/// allocating clone + `eval::evaluate` loop (minibatches + allocating
+/// forward) before that loop was deleted.
+const EVAL_PINS: [(u32, u32); 3] = [
+    (0x0000_0000, 0x4073_73a4),
+    (0x0000_0000, 0x4070_7380),
+    (0x0000_0000, 0x406f_8af8),
+];
+
 #[test]
 fn pooled_eval_matches_clone_per_eval_bitwise() {
     let data = image_task(41, 3);
     let template = dropout_model(43);
     let mut worker = EvalWorker::new(template.as_ref());
     // Several parameter vectors through the same cached worker, each compared
-    // against the *historical* clone + `evaluate` path (minibatches +
-    // allocating forward) — NOT against `evaluate_params`, which now wraps
-    // EvalWorker itself and would make this test compare the worker to
-    // itself. Odd batch size so the tail batch is exercised.
-    for seed in 0..3u64 {
+    // against the bits the historical clone + `evaluate` path produced —
+    // NOT against `evaluate_params`, which wraps EvalWorker itself and would
+    // make this test compare the worker to itself. Odd batch size so the
+    // tail batch is exercised.
+    for (seed, &(accuracy, loss)) in (0..3u64).zip(&EVAL_PINS) {
         let mut rng = SeededRng::new(100 + seed);
         let params: Vec<f32> = template
             .params_flat()
@@ -237,9 +247,13 @@ fn pooled_eval_matches_clone_per_eval_bitwise() {
         reference_model.set_params_flat(&params);
         let cloned =
             fedcross_flsim::eval::evaluate(reference_model.as_mut(), data.test_set(), 7);
-        assert_eq!(pooled.accuracy.to_bits(), cloned.accuracy.to_bits());
-        assert_eq!(pooled.loss.to_bits(), cloned.loss.to_bits());
-        assert_eq!(pooled.samples, cloned.samples);
+        assert_eq!((cloned.accuracy.to_bits(), cloned.loss.to_bits()), (accuracy, loss));
+        assert_eq!(
+            (pooled.accuracy.to_bits(), pooled.loss.to_bits()),
+            (accuracy, loss),
+            "parameter vector {seed}"
+        );
+        assert_eq!(pooled.samples, data.test_set().len());
     }
 }
 
