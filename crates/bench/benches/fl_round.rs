@@ -1,5 +1,7 @@
 //! Criterion benchmark of one full communication round per FL method —
 //! the end-to-end per-round cost behind the paper's wall-clock comparisons.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross::AlgorithmSpec;
@@ -9,9 +11,17 @@ use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::{ClientWorkerPool, CommTracker, LocalTrainConfig};
 use fedcross_tensor::SeededRng;
 
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        10
+    }
+}
+
 fn bench_fl_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("fl_round");
-    group.sample_size(10);
+    group.sample_size(sample_size());
 
     let config = ExperimentConfig {
         num_clients: 8,
@@ -41,7 +51,7 @@ fn bench_fl_round(c: &mut Criterion) {
                 // persists across rounds inside a Simulation: after the first
                 // iteration every round trains on warm cached models, which
                 // is the steady-state cost a multi-round run pays.
-                let mut plane = ClientWorkerPool::new();
+                let mut pool = ClientWorkerPool::new();
                 b.iter(|| {
                     let mut algorithm = fedcross::build_algorithm(
                         *spec,
@@ -57,8 +67,8 @@ fn bench_fl_round(c: &mut Criterion) {
                         config.clients_per_round,
                         SeededRng::new(9),
                         &mut comm,
-                    )
-                    .with_worker_pool(&mut plane);
+                        &mut pool,
+                    );
                     black_box(algorithm.run_round(0, &mut ctx));
                 })
             },

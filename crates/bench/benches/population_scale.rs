@@ -106,9 +106,15 @@ fn bench_population_scale(c: &mut Criterion) {
                 round += 1;
                 let rng = master.fork(round); // fork: construction-seed
                 let mut comm = CommTracker::new();
-                let mut ctx =
-                    RoundContext::new(&plane, template.as_ref(), local, K, rng, &mut comm)
-                        .with_worker_pool(&mut pool);
+                let mut ctx = RoundContext::new(
+                    &plane,
+                    template.as_ref(),
+                    local,
+                    K,
+                    rng,
+                    &mut comm,
+                    &mut pool,
+                );
                 black_box(algorithm.run_round(round as usize, &mut ctx));
             })
         });

@@ -1,7 +1,8 @@
-//! Criterion benchmarks of the persistent round plane (PR 3): steady-state
-//! rounds on warm cached workers vs. the historical clone-per-round path, and
-//! pooled vs. clone-per-call evaluation. These isolate exactly the costs the
-//! `ClientWorkerPool` / `EvalWorker` refactor removes from every round of a
+//! Criterion benchmarks of the persistent round plane: a steady-state round
+//! on a warm `ClientWorkerPool` vs. the same round on a fresh pool (one
+//! template clone per job), and evaluation on a warm `EvalWorker` vs. a
+//! fresh one per call. These isolate exactly the costs that keeping one
+//! pool and one evaluation worker per run removes from every round of a
 //! multi-round simulation.
 //!
 //! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run.
@@ -57,7 +58,7 @@ fn bench_round_plane(c: &mut Criterion) {
     // Steady-state FedCross round on warm workers (the cost a multi-round
     // simulation pays every round after warm-up).
     group.bench_function("fedcross_round_persistent_workers", |b| {
-        let mut plane = ClientWorkerPool::new();
+        let mut pool = ClientWorkerPool::new();
         b.iter(|| {
             let mut algorithm = make_algorithm();
             let mut comm = CommTracker::new();
@@ -68,31 +69,34 @@ fn bench_round_plane(c: &mut Criterion) {
                 config.clients_per_round,
                 SeededRng::new(9),
                 &mut comm,
-            )
-            .with_worker_pool(&mut plane);
-            black_box(algorithm.run_round(0, &mut ctx));
-        })
-    });
-
-    // The same round with a cold context-owned pool: every iteration clones
-    // one model per job, which is exactly the pre-PR-3 per-round cost.
-    group.bench_function("fedcross_round_clone_per_round", |b| {
-        b.iter(|| {
-            let mut algorithm = make_algorithm();
-            let mut comm = CommTracker::new();
-            let mut ctx = RoundContext::new(
-                &data,
-                template.as_ref(),
-                config.local,
-                config.clients_per_round,
-                SeededRng::new(9),
-                &mut comm,
+                &mut pool,
             );
             black_box(algorithm.run_round(0, &mut ctx));
         })
     });
 
-    // Evaluation: cached worker vs. clone-per-call.
+    // The same round on a fresh pool per iteration: every iteration clones
+    // one model per job, the cost of rebuilding client models every round.
+    group.bench_function("fedcross_round_clone_per_round", |b| {
+        b.iter(|| {
+            let mut algorithm = make_algorithm();
+            let mut comm = CommTracker::new();
+            let mut pool = ClientWorkerPool::new();
+            let mut ctx = RoundContext::new(
+                &data,
+                template.as_ref(),
+                config.local,
+                config.clients_per_round,
+                SeededRng::new(9),
+                &mut comm,
+                &mut pool,
+            );
+            black_box(algorithm.run_round(0, &mut ctx));
+        })
+    });
+
+    // Evaluation: a warm worker vs. a fresh one per call
+    // (`evaluate_params` clones the template each time).
     let params = template.params_flat();
     group.bench_function("eval_pooled_worker", |b| {
         let mut worker = EvalWorker::new(template.as_ref());

@@ -146,7 +146,7 @@ impl CompressedFedAvg {
 
         let aggregate = average(&decoded_deltas);
         add_scaled(self.global.params_mut(), &aggregate, 1.0);
-        RoundReport::from_ordered(&ordered)
+        RoundReport::from_updates(&ordered)
     }
 }
 

@@ -314,10 +314,9 @@ mod tests {
     #[test]
     fn fedcross_learns_on_a_tiny_task() {
         let (data, template) = tiny_setup(2, 4);
-        let init_acc = {
-            let mut m = template.clone_model();
-            fedcross_flsim::eval::evaluate(m.as_mut(), data.test_set(), 64).accuracy
-        };
+        let init_acc = fedcross_flsim::EvalWorker::new(template.as_ref())
+            .evaluate_current(data.test_set(), 64)
+            .accuracy;
         // A moderate alpha keeps the unit test fast; the full alpha = 0.99 setting
         // is exercised by the integration tests and the benchmark harness.
         let fed_config = FedCrossConfig {

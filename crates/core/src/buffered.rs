@@ -109,7 +109,7 @@ fn merge_arrivals(buffer: &mut Vec<BufferedUpload>, arrivals: Vec<BufferedUpload
 }
 
 /// Builds a round report over `entries` in their current (canonical) order,
-/// mirroring `RoundReport::from_ordered`'s summation order.
+/// mirroring `RoundReport::from_updates`'s summation order.
 fn report_from(entries: &[BufferedUpload]) -> RoundReport {
     if entries.is_empty() {
         return RoundReport::default();

@@ -70,9 +70,7 @@ impl RobustFedAvg {
             return RoundReport::default();
         }
         updates.sort_by_key(|u| u.client);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let ordered: Vec<&LocalUpdate> = updates.iter().collect();
-        let report = RoundReport::from_ordered(&ordered);
+        let report = RoundReport::from_updates(&updates);
         // alloc: bounded — cohort-sized aggregation staging, once per round
         let uploads: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
         // The norm-bounding rule clips against the dispatched model, which is

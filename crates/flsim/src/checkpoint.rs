@@ -10,8 +10,7 @@
 //! * the complete [`AlgorithmState`] captured by
 //!   [`FederatedAlgorithm::snapshot_state`](crate::engine::FederatedAlgorithm::snapshot_state)
 //!   — FedCross's middleware list, SCAFFOLD's server and client control
-//!   variates, FedGen's distillation teacher, CluSamp's per-client update
-//!   directions,
+//!   variates, CluSamp's per-client update directions,
 //! * the [`TrainingHistory`] with **absolute** round indices and the
 //!   [`CommTracker`] counters accumulated so far,
 //! * the simulation seed and a configuration fingerprint, so a resume against
@@ -19,7 +18,7 @@
 //!   trajectory.
 //!
 //! Together with the engine's absolute-round RNG derivation
-//! ([`Simulation::run_from`](crate::engine::Simulation::run_from)), a run
+//! ([`Simulation::run_segment`](crate::engine::Simulation::run_segment)), a run
 //! checkpointed at round `R` and resumed is **bitwise identical** to the
 //! uninterrupted run — same global parameters, same history records, same
 //! communication totals (pinned by `tests/tests/resume_plane.rs`).
@@ -113,8 +112,8 @@ pub type ClientTable = Vec<(usize, Vec<f32>)>;
 /// * FedCross stores its `K` middleware models there **in slot order** (the
 ///   order is part of the training state — cross-aggregation partners are
 ///   chosen per slot);
-/// * model-shaped auxiliary vectors (SCAFFOLD's server control variate,
-///   FedGen's distillation teacher) go into [`AlgorithmState::aux`] by name;
+/// * model-shaped auxiliary vectors (SCAFFOLD's server control variate) go
+///   into [`AlgorithmState::aux`] by name;
 /// * per-client tables (SCAFFOLD's client control variates, CluSamp's update
 ///   directions, compressed FedAvg's error-feedback residuals) go into
 ///   [`AlgorithmState::client_tables`] by name, sorted by client id so the

@@ -25,6 +25,7 @@ use fedcross_nn::Model;
 use fedcross_tensor::alloc_guard::AllocGuard;
 use fedcross_tensor::SeededRng;
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Population size above which [`RoundContext::select_clients`] switches from
@@ -99,45 +100,77 @@ pub struct RoundReport {
 }
 
 impl RoundReport {
-    /// Builds a report from the round's local updates, in slice order.
-    pub fn from_updates(updates: &[LocalUpdate]) -> Self {
-        // alloc: bounded — cohort-sized view list, once per round
-        let refs: Vec<&LocalUpdate> = updates.iter().collect();
-        Self::from_ordered(&refs)
-    }
-
-    /// Builds a report from updates in a caller-chosen canonical order. The
-    /// f32 loss mean sums in iteration order, so algorithms whose round
-    /// result must be independent of upload arrival order (the round-derived
-    /// noise plane) report from their canonical client-id/slot order too.
-    pub fn from_ordered(ordered: &[&LocalUpdate]) -> Self {
-        if ordered.is_empty() {
+    /// Builds a report from the round's local updates (owned or borrowed),
+    /// in slice order. The f32 loss mean sums in iteration order, so
+    /// algorithms whose round result must be independent of upload arrival
+    /// order (the round-derived noise plane) pass their updates in canonical
+    /// client-id/slot order.
+    pub fn from_updates<U: Borrow<LocalUpdate>>(updates: &[U]) -> Self {
+        if updates.is_empty() {
             return Self::default();
         }
         Self {
-            participants: ordered.len(),
-            mean_train_loss: ordered.iter().map(|u| u.train_loss).sum::<f32>()
-                / ordered.len() as f32,
-            total_samples: ordered.iter().map(|u| u.num_samples).sum(),
+            participants: updates.len(),
+            mean_train_loss: updates.iter().map(|u| u.borrow().train_loss).sum::<f32>()
+                / updates.len() as f32,
+            total_samples: updates.iter().map(|u| u.borrow().num_samples).sum(),
         }
     }
 }
 
-/// The worker plane a [`RoundContext`] trains on: either a pool borrowed
-/// from the long-lived simulation (warm across rounds — the steady-state
-/// path) or a context-owned pool (one-shot contexts built by tests and
-/// benches keep their historical clone-per-round cost profile, with
-/// unchanged results).
-enum WorkerPlane<'a> {
-    Owned(ClientWorkerPool),
-    Shared(&'a mut ClientWorkerPool),
+/// The six service-plane settings a run trains under: who drops out, who
+/// attacks, how rounds close, which transport faults strike, how fast each
+/// device is, and whether upload arrival order is shuffled. The default is
+/// the bitwise-pinned historical behaviour: every client responds honestly
+/// on a perfect transport and a synchronous round closes over uploads in
+/// dispatch order.
+///
+/// [`Simulation`] holds one, written by its `with_*` builders, and hands it
+/// to every round through [`RoundContext::with_scenario`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Scenario {
+    /// Client availability (default: every client always responds).
+    pub availability: AvailabilityModel,
+    /// Compromised clients and their attack (default: all honest).
+    pub adversary: Option<AdversaryModel>,
+    /// How rounds close (default: [`RoundPolicy::Synchronous`]).
+    pub policy: RoundPolicy,
+    /// Transport/server faults (default: a perfectly reliable transport).
+    pub faults: Option<FaultPlan>,
+    /// Device-speed heterogeneity (default: a homogeneous fleet).
+    pub devices: Option<DeviceModel>,
+    /// Seed of the deterministic upload-arrival shuffle (default: off —
+    /// uploads arrive in dispatch order).
+    ///
+    /// This is the schedule-invariance sanitizer's fault injector: an
+    /// algorithm whose trajectory changes under it depends on upload arrival
+    /// order, which a real deployment does not control. It deliberately does
+    /// **not** enter [`Simulation::config_fingerprint`] — a correct
+    /// algorithm produces the canonical trajectory with or without it.
+    pub upload_shuffle: Option<u64>,
 }
 
-impl WorkerPlane<'_> {
-    fn pool(&mut self) -> &mut ClientWorkerPool {
-        match self {
-            WorkerPlane::Owned(pool) => pool,
-            WorkerPlane::Shared(pool) => pool,
+impl Scenario {
+    /// Validates every configured model.
+    ///
+    /// # Panics
+    /// Panics on an invalid setting (a dropout or fault probability outside
+    /// `[0, 1)`, a straggler period below 2, an adversary fraction outside
+    /// `[0, 1)` or a non-finite attack parameter, a non-positive deadline
+    /// budget, a zero buffered goal, a device fraction outside `[0, 1]` or a
+    /// slowdown below 1), so a misconfiguration fails at setup instead of
+    /// silently misbehaving at training time.
+    pub fn validate(&self) {
+        self.availability.validate();
+        if let Some(adversary) = &self.adversary {
+            adversary.validate();
+        }
+        self.policy.validate();
+        if let Some(plan) = &self.faults {
+            plan.validate();
+        }
+        if let Some(model) = &self.devices {
+            model.validate();
         }
     }
 }
@@ -150,16 +183,11 @@ pub struct RoundContext<'a> {
     clients_per_round: usize,
     rng: SeededRng,
     comm: &'a mut CommTracker,
-    availability: AvailabilityModel,
-    adversary: Option<AdversaryModel>,
-    policy: RoundPolicy,
-    faults: Option<FaultPlan>,
-    devices: Option<DeviceModel>,
+    scenario: Scenario,
     tally: FaultTally,
     round: usize,
     dropped: Vec<usize>,
-    plane: WorkerPlane<'a>,
-    upload_shuffle: Option<u64>,
+    pool: &'a mut ClientWorkerPool,
     shuffle_calls: u64,
 }
 
@@ -183,6 +211,12 @@ impl<'a> RoundContext<'a> {
     /// shards, a lazy source or a cached [`fedcross_data::ShardPlane`].
     /// Normally done by [`Simulation`]; exposed so tests and custom
     /// harnesses can drive algorithms round by round.
+    ///
+    /// The round trains on `pool`'s workers: a pool kept across rounds (as
+    /// [`Simulation`] keeps one per run) constructs no models after the
+    /// first, and a fresh pool per round clones the template per job. Both
+    /// give bitwise-identical results (see [`ClientWorkerPool::ensure`] and
+    /// the [`crate::worker`] module docs).
     pub fn new(
         data: &'a dyn ClientDataSource,
         template: &'a dyn Model,
@@ -190,6 +224,7 @@ impl<'a> RoundContext<'a> {
         clients_per_round: usize,
         rng: SeededRng,
         comm: &'a mut CommTracker,
+        pool: &'a mut ClientWorkerPool,
     ) -> Self {
         assert!(clients_per_round >= 1, "need at least one client per round");
         assert!(
@@ -204,86 +239,28 @@ impl<'a> RoundContext<'a> {
             clients_per_round,
             rng,
             comm,
-            availability: AvailabilityModel::AlwaysOn,
-            adversary: None,
-            policy: RoundPolicy::Synchronous,
-            faults: None,
-            devices: None,
+            scenario: Scenario::default(),
             tally: FaultTally::default(),
             round: 0,
             // alloc: bounded — empty drop-list placeholder, cohort-bounded
             dropped: Vec::new(),
-            plane: WorkerPlane::Owned(ClientWorkerPool::new()),
-            upload_shuffle: None,
+            pool,
             shuffle_calls: 0,
         }
     }
 
-    /// Permutes the arrival order of every training batch's surviving
-    /// uploads with a deterministic, `seed`-derived shuffle (default: off —
-    /// uploads arrive in dispatch order).
+    /// Runs this context as absolute round `round` of `scenario` (the round
+    /// number keys the straggler patterns, adversary draws, fault fates and
+    /// the upload shuffle). Without this call a context runs round 0 of
+    /// [`Scenario::default`]; with the default scenario the round is bitwise
+    /// identical to one without the call — the service plane draws nothing
+    /// and filters nothing.
     ///
-    /// This is the schedule-invariance sanitizer's fault injector: an
-    /// algorithm whose trajectory changes under it depends on upload arrival
-    /// order, which a real deployment does not control. It deliberately does
-    /// **not** enter [`Simulation::config_fingerprint`] — a correct
-    /// algorithm produces the canonical trajectory with or without it.
-    pub fn with_upload_shuffle(mut self, seed: u64) -> Self {
-        self.upload_shuffle = Some(seed);
-        self
-    }
-
-    /// Attaches a client-availability model for this round (the round number
-    /// is needed by the deterministic straggler patterns). Defaults to
-    /// [`AvailabilityModel::AlwaysOn`].
-    ///
-    /// The model is validated eagerly: an out-of-range dropout probability or
-    /// straggler period panics here instead of silently misbehaving at
-    /// training time.
-    pub fn with_availability(mut self, availability: AvailabilityModel, round: usize) -> Self {
-        availability.validate();
-        self.availability = availability;
-        self.round = round;
-        self
-    }
-
-    /// Attaches an adversary model for this round: compromised clients train
-    /// on poisoned data or tamper with their uploads (see
-    /// [`crate::adversary`]). Orthogonal to [`RoundContext::with_availability`]
-    /// — a compromised client that drops out never gets to attack. Validated
-    /// eagerly, like the availability model.
-    pub fn with_adversaries(mut self, adversary: AdversaryModel, round: usize) -> Self {
-        adversary.validate();
-        self.adversary = Some(adversary);
-        self.round = round;
-        self
-    }
-
-    /// Attaches the fault-tolerance service plane for this round: a
-    /// round-closing `policy`, an optional [`FaultPlan`] and an optional
-    /// [`DeviceModel`]. With the defaults
-    /// (`RoundPolicy::Synchronous`, no faults, no devices) the round is
-    /// bitwise identical to a context without this call — the service plane
-    /// draws nothing and filters nothing.
-    ///
-    /// All three are validated eagerly, like the availability model.
-    pub fn with_service_plane(
-        mut self,
-        policy: RoundPolicy,
-        faults: Option<FaultPlan>,
-        devices: Option<DeviceModel>,
-        round: usize,
-    ) -> Self {
-        policy.validate();
-        if let Some(plan) = &faults {
-            plan.validate();
-        }
-        if let Some(model) = &devices {
-            model.validate();
-        }
-        self.policy = policy;
-        self.faults = faults;
-        self.devices = devices;
+    /// # Panics
+    /// Panics on an invalid scenario (see [`Scenario::validate`]).
+    pub fn with_scenario(mut self, scenario: Scenario, round: usize) -> Self {
+        scenario.validate();
+        self.scenario = scenario;
         self.round = round;
         self
     }
@@ -291,24 +268,12 @@ impl<'a> RoundContext<'a> {
     /// The round-closing policy this round runs under (the `Buffered*`
     /// algorithms read their buffer goal and staleness bound from here).
     pub fn round_policy(&self) -> RoundPolicy {
-        self.policy
+        self.scenario.policy
     }
 
     /// Fault accounting accumulated by this round's service plane.
     pub fn fault_tally(&self) -> FaultTally {
         self.tally
-    }
-
-    /// Attaches a persistent [`ClientWorkerPool`] that outlives this context,
-    /// so the round trains on warm cached models instead of fresh template
-    /// clones. For contexts sharing one template (the supported use — see
-    /// [`ClientWorkerPool::ensure`] for the exact compatibility contract),
-    /// results are bitwise identical either way (see the [`crate::worker`]
-    /// module docs); only the allocation profile changes. [`Simulation`]
-    /// attaches one pool for its whole run.
-    pub fn with_worker_pool(mut self, pool: &'a mut ClientWorkerPool) -> Self {
-        self.plane = WorkerPlane::Shared(pool);
-        self
     }
 
     /// Clients whose training job was discarded by the availability model
@@ -381,7 +346,7 @@ impl<'a> RoundContext<'a> {
     pub fn local_train_jobs(&mut self, jobs: Vec<TrainJob>) -> Vec<LocalUpdate> {
         // Apply the availability model before any communication happens: a
         // dropped client never responds to the dispatch.
-        let availability = self.availability;
+        let availability = self.scenario.availability;
         let round = self.round;
         let jobs: Vec<TrainJob> = jobs
             .into_iter()
@@ -434,7 +399,7 @@ impl<'a> RoundContext<'a> {
         // Resolve the compromised-client mask once per round (it is a pure
         // function of the adversary seed, but there is no reason to rederive
         // it inside the parallel closure). Honest runs skip all of this.
-        let adversary = self.adversary;
+        let adversary = self.scenario.adversary;
         let compromised: Vec<bool> = match adversary {
             Some(adv) => adv.compromised(self.data.num_clients()),
             // alloc: bounded — cohort-sized job list, once per round
@@ -452,7 +417,7 @@ impl<'a> RoundContext<'a> {
             .collect();
 
         let template = self.template;
-        let workers = self.plane.pool().ensure(prepared.len(), template);
+        let workers = self.pool.ensure(prepared.len(), template);
         let work: Vec<_> = prepared
             .into_iter()
             .zip(shards)
@@ -507,7 +472,7 @@ impl<'a> RoundContext<'a> {
     /// Each training batch within a round gets its own stream, so two
     /// batches of the same round are permuted independently.
     fn shuffle_uploads(&mut self, updates: &mut [LocalUpdate]) {
-        let Some(seed) = self.upload_shuffle else {
+        let Some(seed) = self.scenario.upload_shuffle else {
             return;
         };
         // Domain-separate the shuffle seed from every other consumer of the
@@ -527,8 +492,9 @@ impl<'a> RoundContext<'a> {
     /// completely inert — not a single extra draw or filter — so historical
     /// trajectories stay bitwise identical.
     fn service_plane_active(&self) -> bool {
-        self.policy != RoundPolicy::Synchronous
+        self.scenario.policy != RoundPolicy::Synchronous
             || self
+                .scenario
                 .faults
                 .map(|f| f.has_client_faults() || f.server_fail_prob > 0.0)
                 .unwrap_or(false)
@@ -561,7 +527,7 @@ impl<'a> RoundContext<'a> {
         // Transient server-apply failure: one fate per round. Exhausted
         // retries abandon the round's upload set — algorithms already
         // tolerate empty rounds via their carry-over paths.
-        if let Some(plan) = self.faults {
+        if let Some(plan) = self.scenario.faults {
             match plan.server_apply_attempts(round) {
                 Some(attempts) => self.tally.apply_retries += attempts - 1,
                 None => {
@@ -576,13 +542,14 @@ impl<'a> RoundContext<'a> {
         // `kept` are deliverable now; `late` missed a deadline budget but can
         // still be rescued by the quorum rule (stalled uploads cannot — their
         // bytes genuinely are not there yet).
-        let buffered = matches!(self.policy, RoundPolicy::Buffered { .. });
+        let buffered = matches!(self.scenario.policy, RoundPolicy::Buffered { .. });
         // alloc: bounded — cohort-sized service-plane staging, once per round
         let mut kept: Vec<(usize, LocalUpdate)> = Vec::with_capacity(updates.len());
         // alloc: bounded — cohort-sized service-plane staging, once per round
         let mut late: Vec<(f32, usize, LocalUpdate)> = Vec::new();
         for (index, update) in updates.into_iter().enumerate() {
             let fate = self
+                .scenario
                 .faults
                 .map(|plan| plan.fate(round, update.client))
                 .unwrap_or_default();
@@ -599,9 +566,10 @@ impl<'a> RoundContext<'a> {
                     continue;
                 }
             }
-            match self.policy {
+            match self.scenario.policy {
                 RoundPolicy::Deadline { budget, .. } => {
                     let latency = self
+                        .scenario
                         .devices
                         .map(|d| d.latency(round, update.client))
                         .unwrap_or(0.0);
@@ -620,7 +588,7 @@ impl<'a> RoundContext<'a> {
         // Quorum extension: when the deadline left fewer uploads than the
         // server insists on, wait for the fastest stragglers (deterministic
         // order: latency, then client id as the tie-break).
-        if let RoundPolicy::Deadline { min_quorum, .. } = self.policy {
+        if let RoundPolicy::Deadline { min_quorum, .. } = self.scenario.policy {
             if kept.len() < min_quorum && !late.is_empty() {
                 late.sort_by(|a, b| {
                     a.0.total_cmp(&b.0).then_with(|| a.2.client.cmp(&b.2.client))
@@ -651,7 +619,7 @@ impl<'a> RoundContext<'a> {
     /// turn into arrival delays and duplicates into `copies: 2`.
     pub fn upload_outcomes(&self, updates: &[LocalUpdate]) -> Vec<UploadOutcome> {
         let round = self.round;
-        let buffered = matches!(self.policy, RoundPolicy::Buffered { .. });
+        let buffered = matches!(self.scenario.policy, RoundPolicy::Buffered { .. });
         updates
             .iter()
             .map(|update| {
@@ -663,10 +631,12 @@ impl<'a> RoundContext<'a> {
                     };
                 }
                 let fate = self
+                    .scenario
                     .faults
                     .map(|plan| plan.fate(round, update.client))
                     .unwrap_or_default();
                 let device_delay = self
+                    .scenario
                     .devices
                     .map(|d| d.delay_rounds(round, update.client))
                     .unwrap_or(0);
@@ -919,12 +889,7 @@ pub struct Simulation<'a> {
     config: SimulationConfig,
     data: &'a dyn ClientDataSource,
     template: Box<dyn Model>,
-    availability: AvailabilityModel,
-    adversary: Option<AdversaryModel>,
-    policy: RoundPolicy,
-    faults: Option<FaultPlan>,
-    devices: Option<DeviceModel>,
-    upload_shuffle: Option<u64>,
+    scenario: Scenario,
 }
 
 impl<'a> Simulation<'a> {
@@ -958,12 +923,7 @@ impl<'a> Simulation<'a> {
             config,
             data,
             template,
-            availability: AvailabilityModel::AlwaysOn,
-            adversary: None,
-            policy: RoundPolicy::Synchronous,
-            faults: None,
-            devices: None,
-            upload_shuffle: None,
+            scenario: Scenario::default(),
         }
     }
 
@@ -978,14 +938,10 @@ impl<'a> Simulation<'a> {
     }
 
     /// Permutes upload arrival order in every round with a deterministic
-    /// `seed`-derived shuffle (default: off). See
-    /// [`RoundContext::with_upload_shuffle`] — this is the sanitizer's
-    /// arrival-order fault injector, and it is deliberately excluded from
-    /// [`Simulation::config_fingerprint`]: an algorithm that aggregates in
-    /// canonical order produces the bitwise-identical trajectory with or
-    /// without it.
+    /// `seed`-derived shuffle (default: off): the sanitizer's arrival-order
+    /// fault injector, see [`Scenario::upload_shuffle`].
     pub fn with_upload_shuffle(mut self, seed: u64) -> Self {
-        self.upload_shuffle = Some(seed);
+        self.scenario.upload_shuffle = Some(seed);
         self
     }
 
@@ -993,26 +949,24 @@ impl<'a> Simulation<'a> {
     /// to `availability` (default: every client always responds).
     ///
     /// # Panics
-    /// Panics on an invalid model (dropout probability outside `[0, 1)`,
-    /// straggler period below 2) — validated eagerly so a misconfiguration
-    /// fails at setup instead of silently dropping every client.
+    /// Panics on an invalid model (see [`Scenario::validate`]).
     pub fn with_availability(mut self, availability: AvailabilityModel) -> Self {
-        availability.validate();
-        self.availability = availability;
+        self.scenario.availability = availability;
+        self.scenario.validate();
         self
     }
 
     /// Simulates a compromised federation: the configured fraction of clients
     /// mounts the configured [`Attack`] every round
     /// (default: every client is honest). Orthogonal to
-    /// [`Simulation::with_availability`].
+    /// [`Simulation::with_availability`] — a compromised client that drops
+    /// out never gets to attack.
     ///
     /// # Panics
-    /// Panics on an invalid model (fraction outside `[0, 1)`, non-finite
-    /// attack parameter) — validated eagerly, like the availability model.
+    /// Panics on an invalid model (see [`Scenario::validate`]).
     pub fn with_adversaries(mut self, adversary: AdversaryModel) -> Self {
-        adversary.validate();
-        self.adversary = Some(adversary);
+        self.scenario.adversary = Some(adversary);
+        self.scenario.validate();
         self
     }
 
@@ -1021,11 +975,10 @@ impl<'a> Simulation<'a> {
     /// deadline and buffered semantics.
     ///
     /// # Panics
-    /// Panics on an invalid policy (non-positive deadline budget, zero
-    /// buffered goal) — validated eagerly, like the availability model.
+    /// Panics on an invalid policy (see [`Scenario::validate`]).
     pub fn with_round_policy(mut self, policy: RoundPolicy) -> Self {
-        policy.validate();
-        self.policy = policy;
+        self.scenario.policy = policy;
+        self.scenario.validate();
         self
     }
 
@@ -1035,11 +988,10 @@ impl<'a> Simulation<'a> {
     /// corrupted upload stalls and duplicates like any other).
     ///
     /// # Panics
-    /// Panics on an invalid plan (probability outside `[0, 1)`) — validated
-    /// eagerly.
+    /// Panics on an invalid plan (see [`Scenario::validate`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        faults.validate();
-        self.faults = Some(faults);
+        self.scenario.faults = Some(faults);
+        self.scenario.validate();
         self
     }
 
@@ -1048,11 +1000,10 @@ impl<'a> Simulation<'a> {
     /// round policy — the synchronous server blocks on the slowest device.
     ///
     /// # Panics
-    /// Panics on an invalid model (fraction outside `[0, 1]`, slowdown below
-    /// 1) — validated eagerly.
+    /// Panics on an invalid model (see [`Scenario::validate`]).
     pub fn with_devices(mut self, devices: DeviceModel) -> Self {
-        devices.validate();
-        self.devices = Some(devices);
+        self.scenario.devices = Some(devices);
+        self.scenario.validate();
         self
     }
 
@@ -1108,29 +1059,6 @@ impl<'a> Simulation<'a> {
         )
     }
 
-    /// Continues a run from absolute round `start_round` to the configured
-    /// end, appending to the carried-over `history` and `comm` (typically
-    /// restored from a [`Checkpoint`]). See [`Simulation::run_segment`] for
-    /// the absolute-round contract; most callers should use
-    /// [`Simulation::resume`], which also validates and restores the
-    /// checkpoint.
-    pub fn run_from(
-        &self,
-        algorithm: &mut dyn FederatedAlgorithm,
-        start_round: usize,
-        history: TrainingHistory,
-        comm: CommTracker,
-    ) -> SimulationResult {
-        self.run_segment_with_observer(
-            algorithm,
-            start_round,
-            self.config.rounds,
-            history,
-            comm,
-            |_, _| {},
-        )
-    }
-
     /// The full-control form backing every run entry point: absolute round
     /// range, carried-over history/comm, and a per-evaluation observer.
     pub fn run_segment_with_observer(
@@ -1161,7 +1089,7 @@ impl<'a> Simulation<'a> {
         // begins with a cold pool, which is bitwise harmless: dispatch
         // reloads parameters and rewinds stochastic state either way (the
         // warm-vs-fresh identity pinned by tests/tests/round_plane.rs).
-        let mut plane = ClientWorkerPool::new();
+        let mut pool = ClientWorkerPool::new();
         let mut eval_worker = EvalWorker::new(self.template.as_ref());
         // alloc: cold — eval buffer grown once before the loop; steady rounds reuse capacity
         let mut global_buf: Vec<f32> = Vec::new();
@@ -1189,16 +1117,9 @@ impl<'a> Simulation<'a> {
                     self.config.clients_per_round,
                     master.fork(round as u64), // fork: construction-seed
                     &mut comm,
+                    &mut pool,
                 )
-                .with_availability(self.availability, round)
-                .with_service_plane(self.policy, self.faults, self.devices, round)
-                .with_worker_pool(&mut plane);
-                if let Some(adversary) = self.adversary {
-                    ctx = ctx.with_adversaries(adversary, round);
-                }
-                if let Some(seed) = self.upload_shuffle {
-                    ctx = ctx.with_upload_shuffle(seed);
-                }
+                .with_scenario(self.scenario, round);
                 let report = algorithm.run_round(round, &mut ctx);
                 faults_total.absorb(&ctx.fault_tally());
                 report
@@ -1302,7 +1223,7 @@ impl<'a> Simulation<'a> {
         mix(self.config.local.lr.to_bits() as u64);
         mix(self.config.local.momentum.to_bits() as u64);
         mix(self.config.local.weight_decay.to_bits() as u64);
-        match self.availability {
+        match self.scenario.availability {
             AvailabilityModel::AlwaysOn => mix(1),
             AvailabilityModel::RandomDropout { prob } => {
                 mix(2);
@@ -1313,7 +1234,7 @@ impl<'a> Simulation<'a> {
                 mix(period as u64);
             }
         }
-        match self.adversary {
+        match self.scenario.adversary {
             None => mix(4),
             Some(adv) => {
                 mix(5);
@@ -1336,7 +1257,7 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-        match self.policy {
+        match self.scenario.policy {
             RoundPolicy::Synchronous => mix(10),
             RoundPolicy::Deadline { budget, min_quorum } => {
                 mix(11);
@@ -1352,7 +1273,7 @@ impl<'a> Simulation<'a> {
                 mix(max_staleness as u64);
             }
         }
-        match self.faults {
+        match self.scenario.faults {
             None => mix(13),
             Some(plan) => {
                 mix(14);
@@ -1365,7 +1286,7 @@ impl<'a> Simulation<'a> {
                 mix(plan.max_retries as u64);
             }
         }
-        match self.devices {
+        match self.scenario.devices {
             None => mix(15),
             Some(model) => {
                 mix(16);
@@ -1472,11 +1393,13 @@ impl<'a> Simulation<'a> {
             });
         }
         algorithm.restore_state(&checkpoint.state)?;
-        Ok(self.run_from(
+        Ok(self.run_segment_with_observer(
             algorithm,
             checkpoint.rounds_completed,
+            self.config.rounds,
             checkpoint.history.clone(),
             checkpoint.comm.clone(),
+            |_, _| {},
         ))
     }
 }
@@ -1680,6 +1603,7 @@ mod tests {
     fn select_clients_respects_k_and_uniqueness() {
         let (data, template) = tiny_setup(4);
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let mut ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -1687,6 +1611,7 @@ mod tests {
             4,
             SeededRng::new(5),
             &mut comm,
+            &mut pool,
         );
         let picked = ctx.select_clients();
         assert_eq!(picked.len(), 4);
@@ -1700,6 +1625,7 @@ mod tests {
     fn train_jobs_record_extra_payload() {
         let (data, template) = tiny_setup(6);
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         {
             let mut ctx = RoundContext::new(
                 &data,
@@ -1708,6 +1634,7 @@ mod tests {
                 2,
                 SeededRng::new(7),
                 &mut comm,
+                &mut pool,
             );
             let params = template.params_flat();
             let jobs = vec![
@@ -1732,6 +1659,7 @@ mod tests {
     fn parallel_batch_matches_expected_client_ids() {
         let (data, template) = tiny_setup(7);
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let mut ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -1739,6 +1667,7 @@ mod tests {
             3,
             SeededRng::new(8),
             &mut comm,
+            &mut pool,
         );
         let params = template.params_flat();
         let jobs: Vec<(usize, Vec<f32>)> = vec![(0, params.clone()), (3, params.clone()), (5, params)];
@@ -1753,9 +1682,14 @@ mod tests {
         use crate::availability::AvailabilityModel;
         let (data, template) = tiny_setup(9);
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let updates_len;
         let dropped_len;
         {
+            let scenario = Scenario {
+                availability: AvailabilityModel::PeriodicStraggler { period: 2 },
+                ..Scenario::default()
+            };
             let mut ctx = RoundContext::new(
                 &data,
                 template.as_ref(),
@@ -1763,8 +1697,9 @@ mod tests {
                 4,
                 SeededRng::new(11),
                 &mut comm,
+                &mut pool,
             )
-            .with_availability(AvailabilityModel::PeriodicStraggler { period: 2 }, 0);
+            .with_scenario(scenario, 0);
             let params = template.params_flat();
             let jobs: Vec<(usize, Vec<f32>)> =
                 (0..4).map(|client| (client, params.clone())).collect();
@@ -1823,7 +1758,14 @@ mod tests {
         second_half
             .restore_state(&first_half.snapshot_state().expect("snapshot supported"))
             .expect("state restores");
-        let resumed = sim2.run_from(&mut second_half, 3, partial.history, partial.comm);
+        let resumed = sim2.run_segment_with_observer(
+            &mut second_half,
+            3,
+            6,
+            partial.history,
+            partial.comm,
+            |_, _| {},
+        );
 
         assert!(bitwise_eq(&whole.global_params(), &second_half.global_params()));
         assert_eq!(resumed.history, uninterrupted.history);

@@ -1,7 +1,7 @@
 //! Centralised model evaluation on the global test set.
 
 use fedcross_data::{Batch, Dataset};
-use fedcross_nn::loss::{accuracy, softmax_cross_entropy, softmax_cross_entropy_into};
+use fedcross_nn::loss::{accuracy, softmax_cross_entropy_into};
 use fedcross_nn::Model;
 use fedcross_tensor::TensorPool;
 
@@ -23,41 +23,11 @@ impl Evaluation {
     }
 }
 
-/// Evaluates `model` (in inference mode) on `data` in mini-batches.
-///
-/// The model is used mutably only because forward passes cache activations;
-/// parameters are not modified.
-pub fn evaluate(model: &mut dyn Model, data: &Dataset, batch_size: usize) -> Evaluation {
-    if data.is_empty() {
-        return Evaluation {
-            accuracy: 0.0,
-            loss: 0.0,
-            samples: 0,
-        };
-    }
-    let mut weighted_acc = 0f64;
-    let mut weighted_loss = 0f64;
-    let mut samples = 0usize;
-    for batch in data.minibatches(batch_size, None) {
-        let logits = model.forward(&batch.features, false);
-        let (loss, _) = softmax_cross_entropy(&logits, &batch.labels);
-        let acc = accuracy(&logits, &batch.labels);
-        weighted_acc += acc as f64 * batch.len() as f64;
-        weighted_loss += loss as f64 * batch.len() as f64;
-        samples += batch.len();
-    }
-    Evaluation {
-        accuracy: (weighted_acc / samples as f64) as f32,
-        loss: (weighted_loss / samples as f64) as f32,
-        samples,
-    }
-}
-
-/// Evaluates a flat parameter vector by loading it into a clone of
-/// `template`. This is how one-shot callers (fairness sweeps, tests)
-/// evaluate a model without disturbing any client state; the simulation's
-/// round loop instead reuses an [`EvalWorker`] so the per-evaluation clone
-/// disappears. Results are bitwise identical either way.
+/// Evaluates a flat parameter vector on a fresh [`EvalWorker`] over
+/// `template`. This is how one-shot callers (tests) evaluate a model
+/// without disturbing any client state; the simulation's round loop instead
+/// keeps one [`EvalWorker`] so the per-evaluation clone disappears. Results
+/// are bitwise identical either way.
 pub fn evaluate_params(
     template: &dyn Model,
     params: &[f32],
@@ -70,12 +40,12 @@ pub fn evaluate_params(
 /// A persistent evaluation worker: one cached model instance plus the scratch
 /// arena and gather buffers every evaluation reuses.
 ///
-/// [`evaluate_params`] clones the template and materialises every mini-batch
-/// on each call; an `EvalWorker` pays that cost once and then evaluates with
+/// [`EvalWorker::evaluate_current`] is the only evaluation loop: the round
+/// loop, [`evaluate_params`], the fairness sweep and the loss landscape all
+/// run it. A worker pays the template clone once and then evaluates with
 /// zero model constructions and zero full-activation allocations — the
-/// evaluation half of the persistent round plane. Produces bit-for-bit the
-/// numbers [`evaluate`] produces (a warm pool and a throwaway one give the
-/// same bits).
+/// evaluation half of the persistent round plane. A warm worker and a fresh
+/// one give the same bits.
 pub struct EvalWorker {
     model: Box<dyn Model>,
     pool: TensorPool,
@@ -187,9 +157,9 @@ mod tests {
     #[test]
     fn evaluation_of_empty_dataset_is_zero() {
         let mut rng = SeededRng::new(0);
-        let mut model = mlp(4, &[8], 2, &mut rng);
+        let model = mlp(4, &[8], 2, &mut rng);
         let empty = Dataset::empty(&[4], 2);
-        let eval = evaluate(model.as_mut(), &empty, 16);
+        let eval = EvalWorker::new(model.as_ref()).evaluate_current(&empty, 16);
         assert_eq!(eval.samples, 0);
         assert_eq!(eval.accuracy, 0.0);
     }
@@ -197,9 +167,9 @@ mod tests {
     #[test]
     fn random_model_has_high_loss_on_balanced_data() {
         let mut rng = SeededRng::new(1);
-        let mut model = mlp(4, &[8], 2, &mut rng);
+        let model = mlp(4, &[8], 2, &mut rng);
         let data = separable_dataset(200);
-        let eval = evaluate(model.as_mut(), &data, 32);
+        let eval = EvalWorker::new(model.as_ref()).evaluate_current(&data, 32);
         assert_eq!(eval.samples, 200);
         assert!((0.0..=1.0).contains(&eval.accuracy));
         // A randomly initialised model cannot have confident correct predictions,
@@ -224,7 +194,7 @@ mod tests {
                 sgd.step(model.as_mut());
             }
         }
-        let eval = evaluate(model.as_mut(), &data, 16);
+        let eval = EvalWorker::new(model.as_ref()).evaluate_current(&data, 16);
         assert!(eval.accuracy > 0.95, "accuracy {}", eval.accuracy);
         assert!(eval.accuracy_pct() > 95.0);
     }
@@ -233,12 +203,17 @@ mod tests {
     fn evaluate_params_loads_the_given_vector() {
         let mut rng = SeededRng::new(3);
         let template = mlp(4, &[8], 2, &mut rng);
+        let other = mlp(4, &[8], 2, &mut rng);
         let data = separable_dataset(50);
-        // Evaluating the template's own params must match direct evaluation.
-        let direct = evaluate(template.clone_model().as_mut(), &data, 16);
-        let via_params = evaluate_params(template.as_ref(), &template.params_flat(), &data, 16);
-        assert!((direct.accuracy - via_params.accuracy).abs() < 1e-6);
-        assert!((direct.loss - via_params.loss).abs() < 1e-6);
+        // A worker warmed on other parameters must evaluate the given vector
+        // exactly as a fresh worker does.
+        let mut warm = EvalWorker::new(other.as_ref());
+        let before = warm.evaluate_current(&data, 16);
+        let via_warm = warm.evaluate_params(&template.params_flat(), &data, 16);
+        let fresh = evaluate_params(template.as_ref(), &template.params_flat(), &data, 16);
+        let bits = |e: Evaluation| (e.accuracy.to_bits(), e.loss.to_bits(), e.samples);
+        assert_eq!(bits(via_warm), bits(fresh));
+        assert_ne!(before.loss.to_bits(), fresh.loss.to_bits());
     }
 
     #[test]

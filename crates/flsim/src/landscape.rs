@@ -8,8 +8,8 @@
 //! norm-bounded random perturbations) so the comparison can be asserted in
 //! tests and printed by the Figure 4 harness.
 
+use crate::eval::EvalWorker;
 use fedcross_data::Dataset;
-use fedcross_nn::loss::softmax_cross_entropy;
 use fedcross_nn::Model;
 use fedcross_tensor::SeededRng;
 
@@ -48,25 +48,6 @@ impl LossSurface {
     }
 }
 
-/// Mean loss of `params` (loaded into a clone of `template`) on `data`.
-fn loss_of(template: &dyn Model, params: &[f32], data: &Dataset, batch_size: usize) -> f32 {
-    let mut model = template.clone_model();
-    model.set_params_flat(params);
-    let mut total = 0f64;
-    let mut samples = 0usize;
-    for batch in data.minibatches(batch_size, None) {
-        let logits = model.forward(&batch.features, false);
-        let (loss, _) = softmax_cross_entropy(&logits, &batch.labels);
-        total += loss as f64 * batch.len() as f64;
-        samples += batch.len();
-    }
-    if samples == 0 {
-        0.0
-    } else {
-        (total / samples as f64) as f32
-    }
-}
-
 /// Draws a random direction with the same norm as `params` (global
 /// normalisation), so perturbation radii are comparable across architectures
 /// and parameter scales.
@@ -89,7 +70,8 @@ fn random_direction(params: &[f32], rng: &mut SeededRng) -> Vec<f32> {
 /// Computes the 2-D loss surface around `params` on `data`.
 ///
 /// The grid spans `[-radius, radius]` (as a fraction of the parameter norm)
-/// in both directions with `resolution` points per axis.
+/// in both directions with `resolution` points per axis. Every grid point is
+/// evaluated on one [`EvalWorker`] over `template`.
 pub fn loss_surface_2d(
     template: &dyn Model,
     params: &[f32],
@@ -108,6 +90,7 @@ pub fn loss_surface_2d(
         .map(|i| -radius + 2.0 * radius * i as f32 / (resolution - 1) as f32)
         .collect();
 
+    let mut worker = EvalWorker::new(template);
     let mut loss = vec![vec![0f32; resolution]; resolution];
     let mut perturbed = vec![0f32; params.len()];
     for (i, &a) in coords.iter().enumerate() {
@@ -115,7 +98,7 @@ pub fn loss_surface_2d(
             for (k, p) in perturbed.iter_mut().enumerate() {
                 *p = params[k] + a * d1[k] + b * d2[k];
             }
-            loss[i][j] = loss_of(template, &perturbed, data, batch_size);
+            loss[i][j] = worker.evaluate_params(&perturbed, data, batch_size).loss;
         }
     }
     LossSurface {
@@ -129,6 +112,7 @@ pub fn loss_surface_2d(
 /// by random directions of relative norm `epsilon`, averaged over
 /// `n_directions` draws. Flat minima have low sharpness; sharp ravines have
 /// high sharpness — the quantitative version of the paper's Figure 4 claim.
+/// Every loss is evaluated on one [`EvalWorker`] over `template`.
 pub fn sharpness(
     template: &dyn Model,
     params: &[f32],
@@ -139,7 +123,8 @@ pub fn sharpness(
     rng: &mut SeededRng,
 ) -> f32 {
     assert!(epsilon > 0.0 && n_directions > 0);
-    let base = loss_of(template, params, data, batch_size);
+    let mut worker = EvalWorker::new(template);
+    let base = worker.evaluate_params(params, data, batch_size).loss;
     let mut total_rise = 0f32;
     let mut perturbed = vec![0f32; params.len()];
     for _ in 0..n_directions {
@@ -147,7 +132,7 @@ pub fn sharpness(
         for (k, p) in perturbed.iter_mut().enumerate() {
             *p = params[k] + epsilon * dir[k];
         }
-        let rise = loss_of(template, &perturbed, data, batch_size) - base;
+        let rise = worker.evaluate_params(&perturbed, data, batch_size).loss - base;
         total_rise += rise.max(0.0);
     }
     total_rise / n_directions as f32
@@ -156,7 +141,9 @@ pub fn sharpness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::evaluate_params;
     use fedcross_data::Dataset;
+    use fedcross_nn::loss::softmax_cross_entropy;
     use fedcross_nn::models::mlp;
     use fedcross_nn::optim::Sgd;
     use fedcross_tensor::Tensor;
@@ -270,10 +257,11 @@ mod tests {
         assert!(a >= 0.0);
         assert_eq!(a, b, "sharpness must be deterministic for a fixed seed");
         // A trained minimum's loss is below an untrained model's loss (sanity
-        // check that loss_of reads the parameters we pass in).
+        // check that evaluation reads the parameters we pass in).
         let untrained = mlp(3, &[8], 2, &mut SeededRng::new(99));
-        let untrained_loss = loss_of(model.as_ref(), &untrained.params_flat(), &data, 64);
-        let trained_loss = loss_of(model.as_ref(), &good, &data, 64);
+        let untrained_loss =
+            evaluate_params(model.as_ref(), &untrained.params_flat(), &data, 64).loss;
+        let trained_loss = evaluate_params(model.as_ref(), &good, &data, 64).loss;
         assert!(trained_loss < untrained_loss);
     }
 

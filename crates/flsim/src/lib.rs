@@ -105,8 +105,8 @@ pub use client::{LocalTrainConfig, LocalUpdate};
 pub use comm::{CommOverheadClass, CommTracker};
 pub use device::DeviceModel;
 pub use engine::{
-    FederatedAlgorithm, ResumeError, RoundContext, RoundReport, Simulation, SimulationConfig,
-    UploadOutcome, SPARSE_SELECTION_THRESHOLD,
+    FederatedAlgorithm, ResumeError, RoundContext, RoundReport, Scenario, Simulation,
+    SimulationConfig, UploadOutcome, SPARSE_SELECTION_THRESHOLD,
 };
 pub use faults::{FaultPlan, FaultTally, RoundPolicy, UploadFate};
 pub use eval::EvalWorker;

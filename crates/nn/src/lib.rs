@@ -125,7 +125,7 @@ pub trait Model: Send {
 
     /// Writes all parameters, concatenated into one flat vector, into `out`
     /// (cleared first), reusing its capacity — the allocation-free form the
-    /// optimizer's step scratch and the upload path use.
+    /// upload path uses.
     fn read_params_into(&self, out: &mut Vec<f32>);
 
     /// Writes all accumulated gradients into `out` (cleared first), in the
@@ -148,12 +148,9 @@ pub trait Model: Send {
 
     /// Visits every parameter (value + gradient pair) in [`Model::params_flat`]
     /// order, letting an optimizer update values in place without ever
-    /// materialising the flat vectors. Returns `false` when unsupported (the
-    /// default), in which case callers fall back to the flat-vector path.
-    fn visit_params_for_step(&mut self, f: &mut dyn FnMut(&mut Param)) -> bool {
-        let _ = f;
-        false
-    }
+    /// materialising the flat vectors. Returns whether every parameter was
+    /// visited; [`optim::Sgd`] steps only models that return `true`.
+    fn visit_params_for_step(&mut self, f: &mut dyn FnMut(&mut Param)) -> bool;
 
     /// Overwrites all parameters from a flat vector produced by
     /// [`Model::params_flat`] (of this or an architecturally identical model).

@@ -2,10 +2,10 @@
 //!
 //! Every client in the FedCross evaluation trains with SGD (learning rate
 //! 0.01, momentum 0.5 — Section IV-A). [`Sgd`] implements that update with
-//! optional weight decay, operating on the flat parameter vector a [`Model`]
-//! exposes. [`Sgd::step_with`] lets the FL baselines inject per-parameter
-//! gradient corrections (FedProx's proximal term, SCAFFOLD's control
-//! variates) without re-implementing the optimizer.
+//! optional weight decay, in place on the parameter tensors a [`Model`]
+//! visits, indexed in flat-vector order. [`Sgd::step_with`] lets the FL
+//! baselines inject per-parameter gradient corrections (FedProx's proximal
+//! term, SCAFFOLD's control variates) without re-implementing the optimizer.
 
 use crate::Model;
 
@@ -23,9 +23,6 @@ pub struct Sgd {
     /// L2 weight-decay coefficient (0 disables decay).
     pub weight_decay: f32,
     velocity: Vec<f32>,
-    // Reused flat-vector scratch so steady-state steps allocate nothing.
-    params_scratch: Vec<f32>,
-    grads_scratch: Vec<f32>,
 }
 
 impl Sgd {
@@ -36,8 +33,6 @@ impl Sgd {
             momentum: 0.0,
             weight_decay: 0.0,
             velocity: Vec::new(),
-            params_scratch: Vec::new(),
-            grads_scratch: Vec::new(),
         };
         // One shared validation + install path: `new` and `reconfigure` can
         // never drift apart in what they accept.
@@ -54,19 +49,18 @@ impl Sgd {
     ///
     /// The buffer's *capacity* is kept, so an optimizer owned by a persistent
     /// client worker refills (rather than re-allocates) its velocity on the
-    /// next step — one of the pieces of the zero-allocation round plane. On a
-    /// model that supports [`Model::visit_params_for_step`], that step writes
-    /// each velocity as `momentum * 0.0 + g` instead of zero-filling the
-    /// buffer and reading it back; other models get a zero-filled buffer.
+    /// next step — one of the pieces of the zero-allocation round plane. That
+    /// step writes each velocity as `momentum * 0.0 + g` instead of
+    /// zero-filling the buffer and reading it back.
     pub fn reset_state(&mut self) {
         self.velocity.clear();
     }
 
     /// Re-validates and installs new hyper-parameters, resetting the momentum
     /// state (capacity preserved). Equivalent to replacing the optimizer with
-    /// `Sgd::new(lr, momentum, weight_decay)` except that the velocity and
-    /// scratch buffers keep their allocations — the form the persistent
-    /// worker plane uses at every dispatch.
+    /// `Sgd::new(lr, momentum, weight_decay)` except that the velocity buffer
+    /// keeps its allocation — the form the persistent worker plane uses at
+    /// every dispatch.
     pub fn reconfigure(&mut self, lr: f32, momentum: f32, weight_decay: f32) {
         assert!(lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
@@ -88,17 +82,17 @@ impl Sgd {
     ///
     /// FedProx supplies `g + μ (w - w_global)`, SCAFFOLD supplies
     /// `g - c_i + c`.
+    ///
+    /// # Panics
+    /// Panics if [`Model::visit_params_for_step`] returns `false`.
     pub fn step_with(
         &mut self,
         model: &mut dyn Model,
         transform: impl Fn(usize, f32, f32) -> f32,
     ) {
-        // Fast path: update each parameter tensor in place, skipping the
-        // three full-model copies (read params, read grads, write back) of
-        // the flat-vector path. The update is applied in exactly the flat
-        // order with identical per-element arithmetic, so both paths are
-        // bitwise identical; with the scratch reuse below, steady-state steps
-        // perform zero allocations either way (pinned by the training-plane
+        // Update each parameter tensor in place, in flat-vector order, with
+        // the per-element arithmetic of `step_raw`; steady-state steps
+        // perform zero allocations (pinned by the training-plane
         // allocation-count test).
         //
         // The first step after a reset (velocity empty) writes the velocity
@@ -144,37 +138,15 @@ impl Sgd {
             }
             offset += n;
         });
-        if updated_in_place {
-            return;
-        }
-
-        // Fallback for external models: flat vectors, read into reused
-        // scratch buffers, over a zero-filled velocity.
-        if fresh {
-            self.velocity.resize(count, 0.0);
-        }
-        let mut params = std::mem::take(&mut self.params_scratch);
-        let mut grads = std::mem::take(&mut self.grads_scratch);
-        model.read_params_into(&mut params);
-        model.read_grads_into(&mut grads);
-        debug_assert_eq!(params.len(), grads.len());
-        for i in 0..params.len() {
-            let mut g = transform(i, params[i], grads[i]);
-            if self.weight_decay > 0.0 {
-                g += self.weight_decay * params[i];
-            }
-            let v = self.momentum * self.velocity[i] + g;
-            self.velocity[i] = v;
-            params[i] -= self.lr * v;
-        }
-        model.set_params_flat(&params);
-        self.params_scratch = params;
-        self.grads_scratch = grads;
+        assert!(
+            updated_in_place,
+            "Sgd steps models in place: visit_params_for_step must visit every parameter"
+        );
     }
 
     /// Applies one SGD step directly to a raw parameter/gradient pair without
-    /// going through a model. Used by server-side optimisation (e.g. training
-    /// the FedGen generator).
+    /// going through a model: the plain flat-vector loop the optimizer tests
+    /// compare [`Sgd::step`] against.
     pub fn step_raw(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         if self.velocity.len() != params.len() {

@@ -192,7 +192,7 @@ impl DpFedAvg {
         if let Some(accountant) = self.accountant.as_mut() {
             accountant.step_with_rate(ordered.len() as f64 / num_clients.max(1) as f64);
         }
-        RoundReport::from_ordered(&ordered)
+        RoundReport::from_updates(&ordered)
     }
 }
 
@@ -394,7 +394,7 @@ impl DpFedCross {
         if let Some(accountant) = self.accountant.as_mut() {
             accountant.step_with_rate(participants as f64 / num_clients.max(1) as f64);
         }
-        RoundReport::from_ordered(ordered)
+        RoundReport::from_updates(ordered)
     }
 }
 

@@ -9,7 +9,7 @@ use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{Dataset, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::client::local_train;
-use fedcross_flsim::{CommTracker, FederatedAlgorithm, LocalTrainConfig};
+use fedcross_flsim::{ClientWorkerPool, CommTracker, FederatedAlgorithm, LocalTrainConfig};
 use fedcross_nn::models::{
     cnn, fedavg_cnn, lstm_classifier, mlp, resnet20_lite, CnnConfig, LstmConfig,
 };
@@ -74,6 +74,7 @@ fn main() {
     let master = SeededRng::new(99);
     for round in 0..3 {
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let mut ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -81,6 +82,7 @@ fn main() {
             4,
             master.fork(round as u64),
             &mut comm,
+            &mut pool,
         );
         algo.run_round(round, &mut ctx);
     }

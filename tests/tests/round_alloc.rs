@@ -145,8 +145,8 @@ fn steady_state_rounds_and_eval_perform_zero_full_model_allocations() {
             k,
             master.fork(round as u64),
             comm,
-        )
-        .with_worker_pool(pool);
+            pool,
+        );
         algorithm.run_round(round, &mut ctx);
         algorithm.global_params_into(global_buf);
         let eval = eval_worker.evaluate_params(global_buf, data.test_set(), 16);

@@ -17,7 +17,7 @@ use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
 use fedcross_flsim::{
     AvailabilityModel, ClientWorkerPool, CommTracker, EvalWorker, FederatedAlgorithm,
-    LocalTrainConfig,
+    LocalTrainConfig, Scenario,
 };
 use fedcross_nn::layers::{Dropout, Flatten, Linear, Relu};
 use fedcross_nn::{Model, Sequential};
@@ -82,8 +82,8 @@ fn fedprox_factory(init: Vec<f32>, _k: usize) -> Box<dyn FederatedAlgorithm> {
 /// Runs `rounds` rounds of `algorithm`, recording the deployed global
 /// parameters after every round. With `persistent = true` all rounds share
 /// one `ClientWorkerPool` (the steady-state simulation path); with `false`
-/// every round gets a fresh context-owned pool, which is exactly the
-/// historical clone-per-round cost profile.
+/// every round gets a fresh pool, which clones one model per job every
+/// round.
 fn run_trajectory(
     make: AlgoFactory,
     data: &FederatedDataset,
@@ -96,10 +96,20 @@ fn run_trajectory(
     let mut algorithm = make(template.params_flat(), k);
     let master = SeededRng::new(77);
     let mut shared_pool = ClientWorkerPool::new();
+    let scenario = Scenario {
+        availability,
+        ..Scenario::default()
+    };
     let mut trajectory = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let mut comm = CommTracker::new();
-        let ctx = RoundContext::new(
+        let mut fresh_pool = ClientWorkerPool::new();
+        let pool = if persistent {
+            &mut shared_pool
+        } else {
+            &mut fresh_pool
+        };
+        let mut ctx = RoundContext::new(
             data,
             template,
             LocalTrainConfig {
@@ -112,13 +122,9 @@ fn run_trajectory(
             k,
             master.fork(round as u64),
             &mut comm,
+            pool,
         )
-        .with_availability(availability, round);
-        let mut ctx = if persistent {
-            ctx.with_worker_pool(&mut shared_pool)
-        } else {
-            ctx
-        };
+        .with_scenario(scenario, round);
         algorithm.run_round(round, &mut ctx);
         trajectory.push(algorithm.global_params());
     }
@@ -200,8 +206,8 @@ fn steady_state_rounds_construct_no_models() {
             k,
             master.fork(round as u64),
             &mut comm,
-        )
-        .with_worker_pool(&mut pool);
+            &mut pool,
+        );
         algorithm.run_round(round, &mut ctx);
         if round == 0 {
             assert_eq!(pool.models_built(), k, "warm-up builds one model per slot");
@@ -216,9 +222,9 @@ fn steady_state_rounds_construct_no_models() {
 }
 
 /// `(accuracy, loss)` bits of the three perturbed parameter vectors in
-/// `pooled_eval_matches_clone_per_eval_bitwise`, recorded from the
-/// allocating clone + `eval::evaluate` loop (minibatches + allocating
-/// forward) before that loop was deleted.
+/// `pooled_eval_matches_clone_per_eval_bitwise`, recorded from a
+/// clone-per-eval loop over `Dataset::minibatches` with the allocating
+/// `Model::forward` and `softmax_cross_entropy`.
 const EVAL_PINS: [(u32, u32); 3] = [
     (0x0000_0000, 0x4073_73a4),
     (0x0000_0000, 0x4070_7380),
@@ -231,10 +237,10 @@ fn pooled_eval_matches_clone_per_eval_bitwise() {
     let template = dropout_model(43);
     let mut worker = EvalWorker::new(template.as_ref());
     // Several parameter vectors through the same cached worker, each compared
-    // against the bits the historical clone + `evaluate` path produced —
-    // NOT against `evaluate_params`, which wraps EvalWorker itself and would
-    // make this test compare the worker to itself. Odd batch size so the
-    // tail batch is exercised.
+    // against the bits a clone-per-eval loop produced (`EVAL_PINS`) — NOT
+    // against `evaluate_params`, which wraps EvalWorker itself and would make
+    // this test compare the worker to itself. Odd batch size so the tail
+    // batch is exercised.
     for (seed, &(accuracy, loss)) in (0..3u64).zip(&EVAL_PINS) {
         let mut rng = SeededRng::new(100 + seed);
         let params: Vec<f32> = template
@@ -243,11 +249,6 @@ fn pooled_eval_matches_clone_per_eval_bitwise() {
             .map(|p| p + 0.01 * rng.normal())
             .collect();
         let pooled = worker.evaluate_params(&params, data.test_set(), 7);
-        let mut reference_model = template.clone_model();
-        reference_model.set_params_flat(&params);
-        let cloned =
-            fedcross_flsim::eval::evaluate(reference_model.as_mut(), data.test_set(), 7);
-        assert_eq!((cloned.accuracy.to_bits(), cloned.loss.to_bits()), (accuracy, loss));
         assert_eq!(
             (pooled.accuracy.to_bits(), pooled.loss.to_bits()),
             (accuracy, loss),
@@ -284,6 +285,7 @@ fn simulation_results_are_unchanged_by_the_round_plane() {
     let master = SeededRng::new(config.seed);
     for round in 0..config.rounds {
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let mut ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -291,8 +293,9 @@ fn simulation_results_are_unchanged_by_the_round_plane() {
             k,
             master.fork(round as u64),
             &mut comm,
+            &mut pool,
         )
-        .with_availability(AvailabilityModel::AlwaysOn, round);
+        .with_scenario(Scenario::default(), round);
         algo_ref.run_round(round, &mut ctx);
         let eval = fedcross_flsim::eval::evaluate_params(
             template.as_ref(),

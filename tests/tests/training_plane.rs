@@ -18,7 +18,7 @@ use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{Batch, Dataset, Heterogeneity};
 use fedcross_flsim::client::local_train;
 use fedcross_flsim::engine::{RoundContext, TrainJob};
-use fedcross_flsim::{CommTracker, FederatedAlgorithm, LocalTrainConfig};
+use fedcross_flsim::{ClientWorkerPool, CommTracker, FederatedAlgorithm, LocalTrainConfig};
 use fedcross_nn::layers::{
     BatchNorm2d, Conv2d, Dropout, Embedding, Flatten, GlobalAvgPool2d, Linear, Lstm, MaxPool2d,
     Relu, ResidualBlock, Sigmoid, Tanh,
@@ -555,8 +555,16 @@ fn parameter_free_leading_layers_match_pinned_uploads() {
         for threads in [1, 2] {
             rayon::set_num_threads(threads);
             let mut comm = CommTracker::new();
-            let mut ctx =
-                RoundContext::new(&data, template, local, 4, SeededRng::new(23), &mut comm);
+            let mut pool = ClientWorkerPool::new();
+            let mut ctx = RoundContext::new(
+                &data,
+                template,
+                local,
+                4,
+                SeededRng::new(23),
+                &mut comm,
+                &mut pool,
+            );
             let jobs = (0..4)
                 .map(|client| TrainJob::plain(client, template.params_flat()))
                 .collect();
@@ -805,6 +813,7 @@ fn fedcross_trajectory_matches_pre_refactor_fingerprint() {
     let master = SeededRng::new(99);
     for round in 0..3 {
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let mut ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -812,6 +821,7 @@ fn fedcross_trajectory_matches_pre_refactor_fingerprint() {
             4,
             master.fork(round as u64),
             &mut comm,
+            &mut pool,
         );
         algo.run_round(round, &mut ctx);
     }

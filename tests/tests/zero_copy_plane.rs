@@ -12,7 +12,7 @@ use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::Heterogeneity;
 use fedcross_flsim::engine::RoundContext;
-use fedcross_flsim::{CommTracker, FederatedAlgorithm, LocalTrainConfig};
+use fedcross_flsim::{ClientWorkerPool, CommTracker, FederatedAlgorithm, LocalTrainConfig};
 use fedcross_nn::params::ParamBlock;
 use fedcross_nn::Model;
 use fedcross_tensor::SeededRng;
@@ -193,6 +193,7 @@ fn fedcross_round_on_param_block_plane_is_bitwise_identical_to_seed_pipeline() {
 
     for round in 0..rounds {
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let mut ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -200,10 +201,12 @@ fn fedcross_round_on_param_block_plane_is_bitwise_identical_to_seed_pipeline() {
             k,
             master.fork(round as u64),
             &mut comm,
+            &mut pool,
         );
         algo.run_round(round, &mut ctx);
 
         let mut ref_comm = CommTracker::new();
+        let mut ref_pool = ClientWorkerPool::new();
         let mut ref_ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -211,6 +214,7 @@ fn fedcross_round_on_param_block_plane_is_bitwise_identical_to_seed_pipeline() {
             k,
             master.fork(round as u64),
             &mut ref_comm,
+            &mut ref_pool,
         );
         reference_round(
             &mut reference,
@@ -274,6 +278,7 @@ fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
     // Round 0 un-shares the initial buffer (copy-on-write); afterwards every
     // block is uniquely owned.
     let mut comm = CommTracker::new();
+    let mut pool = ClientWorkerPool::new();
     let mut ctx = RoundContext::new(
         &data,
         template.as_ref(),
@@ -281,6 +286,7 @@ fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
         k,
         master.fork(0),
         &mut comm,
+        &mut pool,
     );
     algo.run_round(0, &mut ctx);
     assert!(algo.middleware().iter().all(|m| m.is_unique()));
@@ -294,6 +300,7 @@ fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
         .collect();
     for round in 1..3 {
         let mut comm = CommTracker::new();
+        let mut pool = ClientWorkerPool::new();
         let mut ctx = RoundContext::new(
             &data,
             template.as_ref(),
@@ -301,6 +308,7 @@ fn dispatch_is_by_reference_and_fusion_reuses_middleware_buffers() {
             k,
             master.fork(round as u64),
             &mut comm,
+            &mut pool,
         );
         algo.run_round(round, &mut ctx);
         let now: Vec<*const f32> = algo
@@ -324,6 +332,7 @@ fn local_updates_share_worker_buffers_under_copy_on_write() {
     // its update duplicates the buffer and never perturbs the worker.
     let (data, template) = tiny_setup(13, 3);
     let mut comm = CommTracker::new();
+    let mut pool = ClientWorkerPool::new();
     let mut ctx = RoundContext::new(
         &data,
         template.as_ref(),
@@ -331,6 +340,7 @@ fn local_updates_share_worker_buffers_under_copy_on_write() {
         3,
         SeededRng::new(1),
         &mut comm,
+        &mut pool,
     );
     let global = ParamBlock::from(template.params_flat());
     let jobs: Vec<(usize, ParamBlock)> = (0..3).map(|c| (c, global.clone())).collect();
