@@ -10,8 +10,11 @@
 //! FedGen's two *behavioural* ingredients:
 //!
 //! 1. an ensemble-knowledge regulariser: every client's gradients are pulled
-//!    towards the previous round's ensemble model (the distillation target
-//!    that FedGen's generated samples would otherwise provide), and
+//!    towards the previous round's ensemble, the global model it was
+//!    dispatched (the distillation target that FedGen's generated samples
+//!    would otherwise provide) — as written, FedProx's proximal term with
+//!    `μ = distill_weight`, so this baseline is FedProx plus a download
+//!    payload, and
 //! 2. the extra generator payload dispatched to every client each round,
 //!    sized as a configurable fraction of the model, which reproduces the
 //!    paper's "Medium" communication-overhead classification in Table I.
@@ -19,7 +22,6 @@
 use crate::server::GlobalModel;
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport, TrainJob};
-use fedcross_nn::params::ParamBlock;
 
 /// Configuration of the simplified FedGen baseline.
 #[derive(Debug, Clone, Copy)]
@@ -44,9 +46,6 @@ impl Default for FedGenConfig {
 /// The simplified FedGen baseline.
 pub struct FedGen {
     global: GlobalModel,
-    /// The previous round's ensemble model — the distillation teacher (shares
-    /// the global model's buffer between rounds, copy-on-write).
-    teacher: ParamBlock,
     config: FedGenConfig,
 }
 
@@ -56,11 +55,7 @@ impl FedGen {
         let global = GlobalModel::new(init_params);
         assert!(config.distill_weight >= 0.0);
         assert!((0.0..=1.0).contains(&config.generator_fraction));
-        Self {
-            teacher: global.params().clone(),
-            global,
-            config,
-        }
+        Self { global, config }
     }
 
     /// The configuration in use.
@@ -87,10 +82,11 @@ impl FederatedAlgorithm for FedGen {
         let generator_scalars =
             (self.global.params().len() as f32 * self.config.generator_fraction) as usize;
         let lambda = self.config.distill_weight;
-        let teacher = &self.teacher;
+        // The distillation teacher is the dispatched global model itself;
+        // sharing the same ParamBlock costs one reference bump per client.
         let updates = self.global.dispatch_jobs(ctx, &selected, |client, model| {
             // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-            let teacher = teacher.clone();
+            let teacher = model.clone();
             TrainJob {
                 // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
                 correction: Some(Box::new(move |i, w, g| g + lambda * (w - teacher[i]))),
@@ -100,20 +96,9 @@ impl FederatedAlgorithm for FedGen {
                 ..TrainJob::plain(client, model.clone())
             }
         });
-        if updates.is_empty() {
-            // Every selected client dropped out this round (possible under an
-            // availability model); the global model simply carries over.
-            return RoundReport::default();
-        }
-        // Release the teacher's reference to last round's buffer first, so
-        // the mean reuses the retired global allocation instead of copying
-        // a buffer that is about to be overwritten anyway.
-        self.teacher = ParamBlock::default();
+        // An empty round (every selected client dropped out) carries the
+        // global model over.
         self.global.weighted_mean(&updates);
-        // The new ensemble is both the next global model and the next
-        // teacher (shared buffer, reference bump).
-        // alloc: bounded — cohort-sized per-round dispatch/bookkeeping, inside the round_alloc ceiling
-        self.teacher = self.global.params().clone();
         RoundReport::from_updates(&updates)
     }
 
@@ -122,20 +107,15 @@ impl FederatedAlgorithm for FedGen {
     }
 
     fn snapshot_state(&self) -> Result<AlgorithmState, StateError> {
-        // The distillation teacher (last round's ensemble — the state the
-        // generator would be trained from) must survive a restart, or the
-        // first resumed round would distill towards the wrong target.
-        Ok(self
-            .global
-            .snapshot()
-            .with_aux("teacher", self.teacher.to_vec()))
+        // The distillation teacher is the global model, so the global model
+        // is the whole cross-round state.
+        Ok(self.global.snapshot())
     }
 
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), StateError> {
-        let teacher = state.expect_aux("teacher", self.global.params().len())?;
-        self.global.restore(state)?;
-        self.teacher = ParamBlock::from(teacher);
-        Ok(())
+        // Checkpoints that also carry a `teacher` aux vector (a copy of the
+        // global model) restore the same way; the copy is not read.
+        self.global.restore(state)
     }
 }
 

@@ -3,7 +3,7 @@
 //! to the uninterrupted run — same global parameters, same history records at
 //! the same absolute rounds, same communication totals. Covers all nine
 //! shipped algorithms — FedCross, the five baselines (SCAFFOLD's control
-//! variates, FedGen's teacher, CluSamp's update directions), secure
+//! variates, CluSamp's update directions), secure
 //! aggregation, the DP variants (round-derived noise + accountant spent
 //! budget) and compressed uploads (round-derived dithering, `UploadStats`
 //! counters, error-feedback residual tables) — under both full availability
