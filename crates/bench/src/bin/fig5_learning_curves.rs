@@ -16,11 +16,7 @@ use fedcross_data::Heterogeneity;
 fn main() {
     let args = Args::from_env();
     let config = args.apply(ExperimentConfig::default());
-    let model = match args.value::<String>("--model").as_deref() {
-        Some("resnet") => ModelSpec::ResNet20,
-        Some("vgg") => ModelSpec::Vgg16,
-        _ => ModelSpec::Cnn,
-    };
+    let model = args.value("--model").unwrap_or(ModelSpec::Cnn);
 
     let settings: Vec<Heterogeneity> = if args.flag("--all-settings") {
         vec![

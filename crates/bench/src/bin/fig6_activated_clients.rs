@@ -17,10 +17,7 @@ fn main() {
     let args = Args::from_env();
     let base = args.apply(ExperimentConfig::default());
 
-    let ks: Vec<usize> = args
-        .value::<String>("--ks")
-        .map(|s| s.split(',').filter_map(|v| v.parse().ok()).collect())
-        .unwrap_or_else(|| vec![2, 4, 8]);
+    let ks: Vec<usize> = args.list("--ks").unwrap_or_else(|| vec![2, 4, 8]);
 
     let task = TaskSpec::Cifar10(Heterogeneity::Dirichlet(0.1));
     let data = build_task(task, &base, base.seed);

@@ -17,10 +17,7 @@ fn main() {
     let args = Args::from_env();
     let base = args.apply(ExperimentConfig::default());
 
-    let sizes: Vec<usize> = args
-        .value::<String>("--sizes")
-        .map(|s| s.split(',').filter_map(|v| v.parse().ok()).collect())
-        .unwrap_or_else(|| vec![20, 40, 80]);
+    let sizes: Vec<usize> = args.list("--sizes").unwrap_or_else(|| vec![20, 40, 80]);
     // Fixed total training budget, shared across clients.
     let total_samples = base.num_clients * base.samples_per_client;
 

@@ -16,11 +16,7 @@ use fedcross_data::Heterogeneity;
 fn main() {
     let args = Args::from_env();
     let config = args.apply(ExperimentConfig::default());
-    let model = match args.value::<String>("--model").as_deref() {
-        Some("vgg") => ModelSpec::Vgg16,
-        Some("resnet") => ModelSpec::ResNet20,
-        _ => ModelSpec::Cnn,
-    };
+    let model = args.value("--model").unwrap_or(ModelSpec::Cnn);
     // Acceleration is active for the first ~third of training at reduced scale
     // (the paper uses 100 of 1000 rounds at full scale).
     let window = (config.rounds / 3).max(2);

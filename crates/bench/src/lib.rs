@@ -96,6 +96,21 @@ impl ModelSpec {
     }
 }
 
+/// Parses the `--model` names of the image harnesses: `cnn`, `resnet` and
+/// `vgg`.
+impl std::str::FromStr for ModelSpec {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        match name {
+            "cnn" => Ok(ModelSpec::Cnn),
+            "resnet" => Ok(ModelSpec::ResNet20),
+            "vgg" => Ok(ModelSpec::Vgg16),
+            _ => Err(format!("unknown model {name:?} (expected cnn, resnet or vgg)")),
+        }
+    }
+}
+
 /// Scale knobs of one experiment run.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
@@ -432,6 +447,24 @@ impl Args {
         }
     }
 
+    /// The comma-separated list following a `--name` flag, each entry parsed;
+    /// `None` only when the flag is absent.
+    ///
+    /// # Panics
+    /// Panics like [`Args::value`], and also names the first entry that does
+    /// not parse, so a mistyped entry is never silently dropped.
+    pub fn list<T: std::str::FromStr>(&self, name: &str) -> Option<Vec<T>> {
+        let raw: String = self.value(name)?;
+        let entries = raw.split(',').map(|entry| match entry.parse() {
+            Ok(value) => value,
+            Err(_) => panic!(
+                "{name} {raw:?}: entry {entry:?} is not a valid {}",
+                std::any::type_name::<T>()
+            ),
+        });
+        Some(entries.collect())
+    }
+
     /// Applies the standard scale flags to an [`ExperimentConfig`].
     pub fn apply(&self, mut config: ExperimentConfig) -> ExperimentConfig {
         if self.flag("--full") {
@@ -548,11 +581,18 @@ mod tests {
             "--full".into(),
             "--k".into(),
             "5".into(),
+            "--ks".into(),
+            "2,4,8".into(),
+            "--model".into(),
+            "resnet".into(),
         ]);
         assert!(args.flag("--full"));
         assert!(!args.flag("--smoke"));
         assert_eq!(args.value::<usize>("--rounds"), Some(7));
         assert_eq!(args.value::<usize>("--missing"), None);
+        assert_eq!(args.list::<usize>("--ks"), Some(vec![2, 4, 8]));
+        assert_eq!(args.list::<usize>("--sizes"), None);
+        assert_eq!(args.value::<ModelSpec>("--model"), Some(ModelSpec::ResNet20));
         let config = args.apply(ExperimentConfig::default());
         assert_eq!(config.rounds, 7);
         assert_eq!(config.clients_per_round, 5);
@@ -565,6 +605,20 @@ mod tests {
     fn args_reject_a_value_that_does_not_parse() {
         let args = Args::from_vec(vec!["--rounds".into(), "1e3".into()]);
         let _ = args.value::<usize>("--rounds");
+    }
+
+    #[test]
+    #[should_panic(expected = "--ks \"2,x3\": entry \"x3\" is not a valid usize")]
+    fn args_reject_an_unparsable_list_entry() {
+        let args = Args::from_vec(vec!["--ks".into(), "2,x3".into()]);
+        let _ = args.list::<usize>("--ks");
+    }
+
+    #[test]
+    #[should_panic(expected = "--model \"mlp\": not a valid")]
+    fn args_reject_an_unknown_model() {
+        let args = Args::from_vec(vec!["--model".into(), "mlp".into()]);
+        let _ = args.value::<ModelSpec>("--model");
     }
 
     #[test]
