@@ -7,7 +7,7 @@
 //! so CI can detect kernel regressions without paying for full statistics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fedcross::selection::{similarity_matrix, SelectionStrategy};
+use fedcross::selection::SelectionStrategy;
 use fedcross_tensor::SeededRng;
 
 fn make_models(k: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -41,9 +41,6 @@ fn bench_selection(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("highest_similarity", &id), &id, |b, _| {
             b.iter(|| black_box(SelectionStrategy::HighestSimilarity.select_all(5, &models)))
-        });
-        group.bench_with_input(BenchmarkId::new("similarity_matrix", &id), &id, |b, _| {
-            b.iter(|| black_box(similarity_matrix(&models)))
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use crate::codec::{CompressedUpdate, Compressor};
-use fedcross_nn::params::{add_into, sub_into};
+use fedcross_nn::params::add_scaled;
 use fedcross_tensor::SeededRng;
 
 /// Error-feedback residual memory, keyed by client index.
@@ -61,11 +61,12 @@ impl ErrorFeedback {
         };
         // corrected = residual + delta (addition is commutative, so this is
         // numerically identical to the historical delta + residual order).
-        add_into(&mut corrected, delta);
+        add_scaled(&mut corrected, delta, 1.0);
         let compressed = compressor.compress(&corrected, rng);
         let decoded = compressed.decode();
-        // residual = corrected - decoded, in place.
-        sub_into(&mut corrected, &decoded);
+        // residual = corrected - decoded, in place (adding -1 × decoded is
+        // exactly subtracting it).
+        add_scaled(&mut corrected, &decoded, -1.0);
         self.residuals.insert(client, corrected);
         compressed
     }

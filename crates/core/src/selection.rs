@@ -196,25 +196,6 @@ impl SelectionStrategy {
     }
 }
 
-/// The full pairwise cosine-similarity matrix of the uploaded models, the
-/// view that shows middleware models converging towards each other over
-/// training (Section III-A).
-pub fn similarity_matrix<V: AsRef<[f32]> + Sync>(models: &[V]) -> Vec<Vec<f32>> {
-    let k = models.len();
-    let dots = pairwise_matrix(models, Pairwise::Dot);
-    // Both halves hold the (lower, higher) pair's similarity.
-    let entry = |i: usize, j: usize| {
-        if i == j {
-            1.0
-        } else {
-            SimilarityMeasure::Cosine.pair_similarity(&dots, k, i.min(j), i.max(j))
-        }
-    };
-    (0..k)
-        .map(|i| (0..k).map(|j| entry(i, j)).collect())
-        .collect()
-}
-
 /// Mean pairwise cosine similarity between distinct uploaded models — a
 /// scalar view of how unified the middleware models currently are.
 pub fn mean_pairwise_similarity<V: AsRef<[f32]> + Sync>(models: &[V]) -> f32 {
@@ -338,19 +319,6 @@ mod tests {
     fn selection_requires_at_least_two_models() {
         let models = vec![vec![1.0]];
         SelectionStrategy::InOrder.select(0, 0, &models);
-    }
-
-    #[test]
-    fn similarity_matrix_is_symmetric_with_unit_diagonal() {
-        let models = toy_models();
-        let m = similarity_matrix(&models);
-        for (i, row) in m.iter().enumerate() {
-            assert!((row[i] - 1.0).abs() < 1e-6);
-            for (j, &value) in row.iter().enumerate() {
-                assert!((value - m[j][i]).abs() < 1e-6);
-            }
-        }
-        assert!(m[0][3] < -0.99);
     }
 
     #[test]

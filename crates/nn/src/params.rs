@@ -334,28 +334,6 @@ pub fn difference(a: &[f32], b: &[f32]) -> ParamVec {
     a.iter().zip(b).map(|(&x, &y)| x - y).collect()
 }
 
-/// In-place element-wise addition `target += v`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn add_into(target: &mut [f32], v: &[f32]) {
-    assert_eq!(target.len(), v.len(), "add_into requires equal lengths");
-    for (t, &x) in target.iter_mut().zip(v) {
-        *t += x;
-    }
-}
-
-/// In-place element-wise subtraction `target -= v`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn sub_into(target: &mut [f32], v: &[f32]) {
-    assert_eq!(target.len(), v.len(), "sub_into requires equal lengths");
-    for (t, &x) in target.iter_mut().zip(v) {
-        *t -= x;
-    }
-}
-
 /// Squared L2 distance between two parameter vectors.
 pub fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "squared_distance requires equal lengths");
@@ -474,15 +452,6 @@ mod tests {
         let b = vec![0.0, 1.0];
         assert!(cosine(&a, &b).abs() < 1e-6);
         assert!((euclidean(&a, &b) - 2f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn add_and_sub_into_are_inverses() {
-        let mut t = vec![1.0, -2.0, 3.5];
-        let v = vec![0.5, 0.5, -1.5];
-        add_into(&mut t, &v);
-        sub_into(&mut t, &v);
-        assert_eq!(t, vec![1.0, -2.0, 3.5]);
     }
 
     // --- ParamBlock ---

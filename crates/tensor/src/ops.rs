@@ -118,22 +118,12 @@ impl Tensor {
         out
     }
 
-    /// Row-wise log-softmax of a rank-2 tensor.
-    ///
-    /// # Panics
-    /// Panics if the tensor is not rank-2.
-    pub fn log_softmax_rows(&self) -> Tensor {
-        let mut out = self.clone();
-        out.log_softmax_rows_in_place();
-        out
-    }
-
-    /// In-place form of [`Tensor::log_softmax_rows`]; bitwise identical.
+    /// Row-wise log-softmax of a rank-2 tensor, in place.
     ///
     /// # Panics
     /// Panics if the tensor is not rank-2.
     pub fn log_softmax_rows_in_place(&mut self) {
-        assert_eq!(self.rank(), 2, "log_softmax_rows requires a rank-2 tensor");
+        assert_eq!(self.rank(), 2, "log_softmax_rows_in_place requires a rank-2 tensor");
         let cols = self.dims()[1];
         for row in self.data_mut().chunks_mut(cols) {
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -228,7 +218,8 @@ mod tests {
     #[test]
     fn log_softmax_matches_log_of_softmax() {
         let x = Tensor::from_vec(vec![0.2, -1.3, 2.7, 0.0, 0.0, 0.0], &[2, 3]);
-        let ls = x.log_softmax_rows();
+        let mut ls = x.clone();
+        ls.log_softmax_rows_in_place();
         let ref_ls = x.softmax_rows().ln_clamped();
         for (a, b) in ls.data().iter().zip(ref_ls.data()) {
             assert!((a - b).abs() < 1e-4);
@@ -237,7 +228,8 @@ mod tests {
 
     #[test]
     fn log_softmax_values_are_nonpositive() {
-        let x = Tensor::from_vec(vec![5.0, 1.0, -2.0, 0.3], &[2, 2]);
-        assert!(x.log_softmax_rows().data().iter().all(|&v| v <= 1e-6));
+        let mut x = Tensor::from_vec(vec![5.0, 1.0, -2.0, 0.3], &[2, 2]);
+        x.log_softmax_rows_in_place();
+        assert!(x.data().iter().all(|&v| v <= 1e-6));
     }
 }
