@@ -96,8 +96,6 @@ impl FederatedAlgorithm for FedGen {
                 ..TrainJob::plain(client, model.clone())
             }
         });
-        // An empty round (every selected client dropped out) carries the
-        // global model over.
         self.global.weighted_mean(&updates);
         RoundReport::from_updates(&updates)
     }

@@ -154,12 +154,9 @@ impl Scenario {
     /// Validates every configured model.
     ///
     /// # Panics
-    /// Panics on an invalid setting (a dropout or fault probability outside
-    /// `[0, 1)`, a straggler period below 2, an adversary fraction outside
-    /// `[0, 1)` or a non-finite attack parameter, a non-positive deadline
-    /// budget, a zero buffered goal, a device fraction outside `[0, 1]` or a
-    /// slowdown below 1), so a misconfiguration fails at setup instead of
-    /// silently misbehaving at training time.
+    /// Panics when a configured model's own `validate` does (e.g. a dropout
+    /// probability outside `[0, 1)` or a zero buffered goal), so a
+    /// misconfiguration fails at setup instead of misbehaving in training.
     pub fn validate(&self) {
         self.availability.validate();
         if let Some(adversary) = &self.adversary {

@@ -123,7 +123,7 @@ impl Tensor {
     /// # Panics
     /// Panics if the tensor is not rank-2.
     pub fn log_softmax_rows_in_place(&mut self) {
-        assert_eq!(self.rank(), 2, "log_softmax_rows_in_place requires a rank-2 tensor");
+        assert_eq!(self.rank(), 2, "log-softmax requires a rank-2 tensor");
         let cols = self.dims()[1];
         for row in self.data_mut().chunks_mut(cols) {
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
