@@ -3,9 +3,9 @@
 //! to the uninterrupted run — same global parameters, same history records at
 //! the same absolute rounds, same communication totals. Covers all nine
 //! shipped algorithms — FedCross, the five baselines (SCAFFOLD's control
-//! variates, CluSamp's update directions), secure
-//! aggregation, the DP variants (round-derived noise + accountant spent
-//! budget) and compressed uploads (round-derived dithering, `UploadStats`
+//! variates, CluSamp's update directions), secure aggregation, the DP
+//! variants (round-derived noise + accountant spent budget) and compressed
+//! uploads (round-derived dithering, `UploadStats`
 //! counters, error-feedback residual tables) — under both full availability
 //! and random client dropout, plus checkpoint validation, on-disk corruption
 //! safety, and the noise plane's order-independence contract (permuting
@@ -279,6 +279,41 @@ fn fedgen_restart_is_a_non_event_under_random_dropout() {
         AvailabilityModel::RandomDropout { prob: 0.3 },
         "fedgen-drop",
     );
+}
+
+/// FedGen's cross-round state is its global model alone: a checkpoint that
+/// also carries a `teacher` copy of that model must still load and resume
+/// bitwise.
+#[test]
+fn fedgen_resumes_a_checkpoint_that_carries_a_teacher_copy() {
+    let (data, template) = setup(5);
+    let sim = Simulation::new(sim_config(6, 2), &data, template.clone_model());
+    let build = || {
+        let init = template.params_flat();
+        build_algorithm(AlgorithmSpec::FedGen, init, data.num_clients(), 3)
+    };
+    let mut whole = build();
+    let uninterrupted = sim.run(whole.as_mut());
+
+    let mut first = build();
+    let partial = sim.run_segment(first.as_mut(), 0, 3);
+    let mut checkpoint = sim
+        .checkpoint(first.as_ref(), &partial)
+        .expect("snapshot supported");
+    let teacher = checkpoint.state.models[0].to_vec();
+    checkpoint.state.aux.push(("teacher".to_string(), teacher));
+    let path = temp_path("fedgen-teacher");
+    checkpoint.save(&path).expect("checkpoint saves");
+    let restored = Checkpoint::load(&path).expect("checkpoint loads");
+    let _ = std::fs::remove_file(&path);
+
+    let mut fresh = build();
+    let resumed = sim
+        .resume(&restored, fresh.as_mut())
+        .expect("a teacher copy does not block the restore");
+    assert!(bitwise_eq(&whole.global_params(), &fresh.global_params()));
+    assert_eq!(resumed.history, uninterrupted.history);
+    assert_eq!(resumed.comm, uninterrupted.comm);
 }
 
 #[test]
