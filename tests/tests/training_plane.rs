@@ -10,7 +10,8 @@
 //! `examples/trajectory_probe.rs` — if any kernel, blocking parameter, or
 //! loop restructure changes a single bit anywhere in training, these hashes
 //! move and the test fails. A table pins the schedule-invariance fixture's
-//! trajectory fingerprint of every shipped algorithm the same way.
+//! trajectory fingerprint of every shipped algorithm the same way, and a
+//! second one the robust rules and DP noise placement the first leaves out.
 
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
 use fedcross_bench::determinism::{spec_fingerprint, SweptAlgorithm};
@@ -29,6 +30,7 @@ use fedcross_nn::models::{
 };
 use fedcross_nn::{Layer, Model, Sequential};
 use fedcross_tensor::{init, SeededRng, Tensor, TensorPool};
+use fedcross_tests::rule_and_noise_variants;
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -779,6 +781,40 @@ fn every_algorithm_matches_its_pinned_fingerprint() {
         .filter_map(|(algorithm, (label, pinned))| {
             assert_eq!(algorithm.label(), label, "pin table order drifted");
             let actual = spec_fingerprint(*algorithm, None);
+            (actual != pinned).then(|| format!("{label}: {actual:016x} != pinned {pinned:016x}"))
+        })
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "trajectories diverged from their pins:\n{}",
+        diverged.join("\n")
+    );
+}
+
+/// Fingerprints of [`rule_and_noise_variants`] on the same fixture, in table
+/// order: the median, Krum and norm-bound paths of RobustFedCross, the
+/// trimmed-mean, Krum and norm-bound paths of RobustFedAvg, and local-noise
+/// DP-FedCross and DP-FedAvg, recorded before the FedCross variants staged
+/// their candidates in `fedcross::server::Middleware`.
+const VARIANT_FINGERPRINTS: [(&str, u64); 8] = [
+    ("Robust-FedCross(median)", 0xfeb8361f51a9d316),
+    ("Robust-FedCross(krum)", 0x60dd211f88975ee2),
+    ("Robust-FedCross(norm-bound)", 0xe2c0f07c46793ce6),
+    ("Robust-FedAvg(trimmed-mean)", 0x25958907a00d92f0),
+    ("Robust-FedAvg(krum)", 0x9cf302d7ec94b61b),
+    ("Robust-FedAvg(norm-bound)", 0xe840fc610f6ccc72),
+    ("DP-FedCross(local)", 0x629c95985526fc3f),
+    ("DP-FedAvg(local)", 0xd492a2d6262e2599),
+];
+
+#[test]
+fn every_rule_and_noise_variant_matches_its_pinned_fingerprint() {
+    let diverged: Vec<String> = rule_and_noise_variants()
+        .into_iter()
+        .zip(VARIANT_FINGERPRINTS)
+        .filter_map(|(algorithm, (label, pinned))| {
+            assert_eq!(algorithm.label(), label, "pin table order drifted");
+            let actual = spec_fingerprint(algorithm, None);
             (actual != pinned).then(|| format!("{label}: {actual:016x} != pinned {pinned:016x}"))
         })
         .collect();
