@@ -34,7 +34,6 @@
 //!   like the robust rules: a stale client must not buy weight back by
 //!   reporting a large shard.
 
-use crate::acceleration::Acceleration;
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use crate::server::{GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{
@@ -539,26 +538,18 @@ impl BufferedFedCross {
             }
         }
 
-        // Rebuild each slot's candidate on the *current* middleware anchor.
-        let candidates: Vec<Vec<f32>> = consumed
-            .iter()
-            .map(|entry| {
-                let w = entry.staleness_weight(round, self.config.staleness_alpha);
-                let anchor = self.middleware.models()[entry.slot].as_slice();
-                anchor
-                    .iter()
-                    .zip(&entry.delta)
-                    .map(|(a, d)| a + w * d)
-                    // alloc: bounded — buffered-plane staging, buffer-bounded per flush
-                    .collect()
-            })
-            // alloc: bounded — buffered-plane staging, buffer-bounded per flush
-            .collect();
-
+        // Stage each slot's staleness-weighted delta; the middleware
+        // re-anchors it on the *current* middleware model.
+        let staged = self.middleware.staging(consumed.len());
+        for (candidate, entry) in staged.iter_mut().zip(&consumed) {
+            let w = entry.staleness_weight(round, self.config.staleness_alpha);
+            for (c, d) in candidate.iter_mut().zip(&entry.delta) {
+                *c = w * d;
+            }
+        }
         // alloc: bounded — buffered-plane staging, buffer-bounded per flush
         let slots: Vec<usize> = consumed.iter().map(|entry| entry.slot).collect();
-        self.middleware
-            .fuse(round, &slots, &candidates, Acceleration::None);
+        self.middleware.fuse_staged(round, &slots);
         report_from(&consumed)
     }
 }

@@ -19,14 +19,13 @@
 //! hands Byzantine clients a free amplification knob (report a huge
 //! `num_samples`), so the robust variants deliberately ignore it.
 
-use crate::acceleration::Acceleration;
 use crate::aggregation::RobustRule;
 use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use crate::server::{slot_order, GlobalModel, Middleware};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
-use fedcross_nn::params::{add_scaled, ParamBlock, ParamVec};
+use fedcross_nn::params::ParamBlock;
 
 /// FedAvg with a Byzantine-robust aggregation rule in place of the weighted
 /// average: dispatch the single global model to `K` clients, then replace it
@@ -34,6 +33,9 @@ use fedcross_nn::params::{add_scaled, ParamBlock, ParamVec};
 pub struct RobustFedAvg {
     rule: RobustRule,
     global: GlobalModel,
+    /// The next global model, written while the current one is the
+    /// norm-bound rule's anchor.
+    aggregate: Vec<f32>,
 }
 
 impl RobustFedAvg {
@@ -46,6 +48,7 @@ impl RobustFedAvg {
         Self {
             rule,
             global: GlobalModel::new(init_params),
+            aggregate: Vec::new(),
         }
     }
 
@@ -73,12 +76,10 @@ impl RobustFedAvg {
         let report = RoundReport::from_updates(&updates);
         // alloc: bounded — cohort-sized aggregation staging, once per round
         let uploads: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-        // The norm-bounding rule clips against the dispatched model, which is
-        // about to be overwritten in place — copy the anchor out first.
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let anchor: ParamVec = self.global.params().to_vec();
+        self.aggregate.resize(self.global.params().len(), 0.0);
         self.rule
-            .aggregate_into(self.global.params_mut(), &anchor, &uploads);
+            .aggregate_into(&mut self.aggregate, self.global.params(), &uploads);
+        self.global.params_mut().copy_from_slice(&self.aggregate);
         report
     }
 }
@@ -158,6 +159,10 @@ impl Default for RobustFedCrossConfig {
 pub struct RobustFedCross {
     config: RobustFedCrossConfig,
     middleware: Middleware,
+    /// The consensus or one clipped delta.
+    scratch: Vec<f32>,
+    /// The norm-bound rule's anchor for anchor-relative deltas.
+    zero_anchor: Vec<f32>,
 }
 
 impl RobustFedCross {
@@ -176,7 +181,12 @@ impl RobustFedCross {
             ..
         } = config;
         let middleware = Middleware::new(init_params, k, alpha, strategy, measure);
-        Self { config, middleware }
+        Self {
+            config,
+            middleware,
+            scratch: Vec::new(),
+            zero_anchor: Vec::new(),
+        }
     }
 
     /// The configured hyper-parameters.
@@ -207,8 +217,9 @@ impl RobustFedCross {
         self.sanitize_and_fuse(round, &slots, &updates)
     }
 
-    /// Sanitizes slot-ordered uploads into candidates rebuilt on their own
-    /// middleware anchors, then cross-aggregates the candidates.
+    /// Sanitizes the slot-ordered uploads' deltas, which the middleware
+    /// stages and then rebuilds on their own anchors, and cross-aggregates
+    /// the candidates.
     fn sanitize_and_fuse(
         &mut self,
         round: usize,
@@ -219,86 +230,35 @@ impl RobustFedCross {
         if updates.is_empty() {
             return report;
         }
-
         let dim = self.middleware.models()[0].len();
-        let anchors: Vec<&[f32]> = slots
-            .iter()
-            .map(|&slot| self.middleware.models()[slot].as_slice())
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-        // Per-slot deltas against the model each slot dispatched this round.
-        let deltas: Vec<ParamVec> = updates
-            .iter()
-            .zip(&anchors)
-            .map(|(update, anchor)| {
-                update
-                    .params
-                    .iter()
-                    .zip(*anchor)
-                    .map(|(u, a)| u - a)
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    .collect()
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-
-        // Sanitize: rebuild every returned middleware from its own anchor.
-        let sanitized: Vec<ParamVec> = match self.config.rule {
-            RobustRule::NormBound { .. } => {
+        self.scratch.resize(dim, 0.0);
+        let deltas = self.middleware.stage_deltas(slots, updates);
+        match self.config.rule {
+            rule @ RobustRule::NormBound { .. } => {
                 // Per-slot clipping: each delta is bounded independently. The
                 // rule's anchor is the zero vector because the deltas are
                 // already anchor-relative.
-                // alloc: bounded — cohort-sized aggregation staging, once per round
-                let zero = vec![0f32; dim];
-                anchors
-                    .iter()
-                    .zip(&deltas)
-                    .map(|(anchor, delta)| {
-                        // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut clipped = vec![0f32; dim];
-                        self.config.rule.aggregate_into(
-                            &mut clipped,
-                            &zero,
-                            std::slice::from_ref(delta),
-                        );
-                        // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut model = anchor.to_vec();
-                        add_scaled(&mut model, &clipped, 1.0);
-                        model
-                    })
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    .collect()
+                self.zero_anchor.resize(dim, 0.0);
+                for delta in deltas.iter_mut() {
+                    let delta_only = std::slice::from_ref(&*delta);
+                    rule.aggregate_into(&mut self.scratch, &self.zero_anchor, delta_only);
+                    std::mem::swap(delta, &mut self.scratch);
+                }
             }
-            rule => {
-                // Exclusion rules: one robust consensus delta across the
-                // round's uploads (a single survivor is its own consensus —
-                // Krum needs two uploads to score).
-                let consensus: ParamVec = if deltas.len() == 1 {
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    deltas[0].clone()
-                } else {
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    let mut out = vec![0f32; dim];
-                    rule.aggregate_into(&mut out, &[], &deltas);
-                    out
-                };
-                anchors
-                    .iter()
-                    .map(|anchor| {
-                        // alloc: bounded — cohort-sized aggregation staging, once per round
-                        let mut model = anchor.to_vec();
-                        add_scaled(&mut model, &consensus, 1.0);
-                        model
-                    })
-                    // alloc: bounded — cohort-sized aggregation staging, once per round
-                    .collect()
+            // Exclusion rules: one robust consensus delta across the round's
+            // uploads. A single survivor is its own consensus (Krum needs two
+            // uploads to score).
+            rule if deltas.len() > 1 => {
+                rule.aggregate_into(&mut self.scratch, &[], deltas);
+                for delta in deltas.iter_mut() {
+                    delta.copy_from_slice(&self.scratch);
+                }
             }
-        };
-
+            _ => {}
+        }
         // Cross-aggregation then runs on the sanitized models exactly as
         // plain FedCross runs it on the uploads.
-        self.middleware
-            .fuse(round, slots, &sanitized, Acceleration::None);
+        self.middleware.fuse_staged(round, slots);
         report
     }
 }

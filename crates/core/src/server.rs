@@ -6,9 +6,10 @@
 //! FedAvg's round: dispatch one global model, train, aggregate. Each owns its
 //! model(s) on the copy-on-write parameter plane together with validation,
 //! dispatch, the deployed read and snapshot/restore, so an algorithm adds
-//! only what varies: a FedCross variant turns uploads into fusion candidates
-//! (identity, robust sanitize, staleness re-anchor, clip-and-noise), a
-//! single-model algorithm supplies its server rule.
+//! only what varies: plain FedCross fuses its uploads as trained, a FedCross
+//! variant transforms the deltas the middleware stages (robust sanitize,
+//! staleness weight, clip-and-noise), a single-model algorithm supplies its
+//! server rule.
 
 use crate::acceleration::Acceleration;
 use crate::aggregation::{
@@ -18,7 +19,7 @@ use crate::selection::{SelectionStrategy, SimilarityMeasure};
 use fedcross_flsim::checkpoint::{AlgorithmState, StateError};
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{RoundContext, TrainJob};
-use fedcross_nn::params::{weighted_average_into, ParamBlock};
+use fedcross_nn::params::{add_scaled, weighted_average_into, ParamBlock};
 use std::borrow::Borrow;
 
 /// Pairs every upload with the middleware slot that dispatched it
@@ -68,13 +69,17 @@ pub(crate) fn propeller_indices(round: usize, i: usize, count: usize, n: usize) 
 ///
 /// Dispatch is `K` reference bumps, and fusion writes each round's result
 /// **into** the retired middleware buffers, so a steady-state round performs
-/// no full-model clones.
+/// no full-model clones. A variant that transforms deltas before fusion
+/// stages them in candidate buffers the middleware keeps across rounds
+/// ([`Middleware::stage_deltas`], [`Middleware::fuse_staged`]).
 #[derive(Debug)]
 pub struct Middleware {
     models: Vec<ParamBlock>,
     alpha: f32,
     strategy: SelectionStrategy,
     measure: SimilarityMeasure,
+    /// Candidate buffers, grown on first use; plain FedCross never stages.
+    staging: Vec<Vec<f32>>,
 }
 
 impl Middleware {
@@ -100,6 +105,7 @@ impl Middleware {
             alpha,
             strategy,
             measure,
+            staging: Vec::new(),
         }
     }
 
@@ -195,6 +201,48 @@ impl Middleware {
                 .collect();
             cross_aggregate_propellers_into(target, candidates[i].as_ref(), &picks, alpha);
         }
+    }
+
+    /// `n` candidate buffers of model length for a variant to write deltas
+    /// into, then rebuild and fuse through [`Middleware::fuse_staged`]. The
+    /// buffers are kept across rounds, so only a round with more uploads
+    /// than any before allocates; they hold whatever the last round left.
+    pub fn staging(&mut self, n: usize) -> &mut [Vec<f32>] {
+        let dim = self.models[0].len();
+        // alloc: bounded — one candidate buffer per slot, grown once and kept across rounds
+        self.staging
+            .resize_with(n.max(self.staging.len()), || vec![0.0; dim]);
+        &mut self.staging[..n]
+    }
+
+    /// Stages each upload's delta against the model its slot dispatched,
+    /// `updates[i] − models[slots[i]]`, and returns the deltas for the
+    /// variant to transform in place.
+    pub fn stage_deltas<U: Borrow<LocalUpdate>>(
+        &mut self,
+        slots: &[usize],
+        updates: &[U],
+    ) -> &mut [Vec<f32>] {
+        self.staging(updates.len());
+        for ((delta, &slot), update) in self.staging.iter_mut().zip(slots).zip(updates) {
+            let (upload, anchor) = (&update.borrow().params, &self.models[slot]);
+            assert_eq!(upload.len(), anchor.len(), "upload dimension mismatch");
+            for ((d, u), a) in delta.iter_mut().zip(upload.iter()).zip(anchor.iter()) {
+                *d = u - a;
+            }
+        }
+        &mut self.staging[..updates.len()]
+    }
+
+    /// Rebuilds staged delta `i` into the candidate `models[slots[i]] +
+    /// delta` and fuses the candidates through [`Middleware::fuse`].
+    pub fn fuse_staged(&mut self, round: usize, slots: &[usize]) {
+        let mut staging = std::mem::take(&mut self.staging);
+        for (candidate, &slot) in staging.iter_mut().zip(slots) {
+            add_scaled(candidate, &self.models[slot], 1.0);
+        }
+        self.fuse(round, slots, &staging[..slots.len()], Acceleration::None);
+        self.staging = staging;
     }
 
     /// The deployable global model, the middleware mean (Section III-B3),

@@ -26,14 +26,14 @@ use crate::mechanism::{privatize_aggregate, privatize_client_delta, DpConfig};
 use crate::secure_agg::{aggregate_masked, PairwiseMasker};
 use fedcross::selection::{SelectionStrategy, SimilarityMeasure};
 use fedcross::server::{slot_order, GlobalModel, Middleware};
-use fedcross::Acceleration;
 use fedcross_flsim::checkpoint::{
     decode_f64, decode_u64, encode_f64, encode_u64, AlgorithmState, StateError,
 };
 use fedcross_flsim::client::LocalUpdate;
 use fedcross_flsim::engine::{FederatedAlgorithm, RoundContext, RoundReport};
 use fedcross_flsim::streams::{RoundStreams, StreamDomain};
-use fedcross_nn::params::{add_scaled, average, difference, ParamBlock};
+use fedcross_nn::params::{add_scaled, difference, ParamBlock};
+use std::borrow::Borrow;
 
 /// Name of the [`AlgorithmState`] record holding an [`RdpAccountant`]'s
 /// spent budget: `[rounds, sampling_rate, spent_rdp per order...]`.
@@ -103,6 +103,10 @@ pub struct DpFedAvg {
     client_noise: RoundStreams,
     central_noise: RoundStreams,
     accountant: Option<RdpAccountant>,
+    /// One client's privatised delta.
+    delta: Vec<f32>,
+    /// The mean of the round's privatised deltas.
+    mean: Vec<f32>,
 }
 
 impl DpFedAvg {
@@ -117,6 +121,8 @@ impl DpFedAvg {
             client_noise: RoundStreams::new(StreamDomain::DpClientNoise, noise_seed),
             central_noise: RoundStreams::new(StreamDomain::DpCentralNoise, noise_seed),
             accountant: None,
+            delta: Vec::new(),
+            mean: Vec::new(),
         }
     }
 
@@ -168,26 +174,35 @@ impl DpFedAvg {
         ordered.sort_by_key(|update| update.client);
 
         // Clip (and locally noise) every client's delta against the
-        // dispatched global model, each from its own (round, client) stream.
+        // dispatched global model, each from its own (round, client) stream,
+        // and fold it into the unweighted mean of bounded deltas (the
+        // DP-FedAvg estimator) as `average_into` would.
+        let dim = self.global.params().len();
+        self.delta.resize(dim, 0.0);
+        self.mean.resize(dim, 0.0);
+        self.mean.fill(0.0);
+        let scale = 1.0 / ordered.len() as f32;
         let round_noise = self.client_noise.round(round);
-        let deltas: Vec<Vec<f32>> = ordered
-            .iter()
-            .map(|update| {
-                let mut delta = difference(&update.params, self.global.params());
-                let mut rng = round_noise.stream(update.client);
-                privatize_client_delta(&mut delta, &self.config, &mut rng);
-                delta
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
+        for update in &ordered {
+            let (upload, global) = (update.params.iter(), self.global.params().iter());
+            for ((d, u), g) in self.delta.iter_mut().zip(upload).zip(global) {
+                *d = u - g;
+            }
+            let mut rng = round_noise.stream(update.client);
+            privatize_client_delta(&mut self.delta, &self.config, &mut rng);
+            add_scaled(&mut self.mean, &self.delta, scale);
+        }
 
-        // Unweighted mean of bounded deltas (the DP-FedAvg estimator), then
-        // the central perturbation — calibrated to the returned count — if
+        // The central perturbation — calibrated to the returned count — if
         // configured.
-        let mut aggregate = average(&deltas);
         let mut central_rng = self.central_noise.round(round).server();
-        privatize_aggregate(&mut aggregate, &self.config, deltas.len(), &mut central_rng);
-        add_scaled(self.global.params_mut(), &aggregate, 1.0);
+        privatize_aggregate(
+            &mut self.mean,
+            &self.config,
+            ordered.len(),
+            &mut central_rng,
+        );
+        add_scaled(self.global.params_mut(), &self.mean, 1.0);
 
         if let Some(accountant) = self.accountant.as_mut() {
             accountant.step_with_rate(ordered.len() as f64 / num_clients.max(1) as f64);
@@ -345,51 +360,38 @@ impl DpFedCross {
         self.privatize_and_fuse(round, num_clients, &slots, &ordered)
     }
 
-    /// Privatises slot-ordered uploads against the models their slots
-    /// dispatched, cross-aggregates them and advances the accountant.
-    /// Missing slots (dropped clients) simply skip the round.
-    fn privatize_and_fuse(
+    /// Privatises the deltas of slot-ordered uploads against the models their
+    /// slots dispatched, which the middleware stages, then cross-aggregates
+    /// the rebuilt candidates and advances the accountant. Missing slots
+    /// (dropped clients) simply skip the round.
+    fn privatize_and_fuse<U: Borrow<LocalUpdate>>(
         &mut self,
         round: usize,
         num_clients: usize,
         slots: &[usize],
-        ordered: &[&LocalUpdate],
+        ordered: &[U],
     ) -> RoundReport {
         if ordered.is_empty() {
             return RoundReport::default();
         }
-        // Privatise each uploaded middleware model against the version that
-        // was dispatched to its client, each from its own (round, slot)
-        // stream.
+        // Each delta draws from its own (round, slot) stream.
         let participants = ordered.len();
         let round_client_noise = self.client_noise.round(round);
         let round_central_noise = self.central_noise.round(round);
-        let candidates: Vec<Vec<f32>> = slots
-            .iter()
-            .zip(ordered)
-            .map(|(&slot, update)| {
-                let dispatched = &self.middleware.models()[slot];
-                let mut delta = difference(&update.params, dispatched);
-                let mut rng = round_client_noise.stream(slot);
-                privatize_client_delta(&mut delta, &self.config.dp, &mut rng);
-                // Central placement: each *returned* middleware stream
-                // receives noise of std z·C/participants, so the released
-                // global model (the average of the updated middleware
-                // models) carries the same perturbation magnitude as central
-                // DP-FedAvg over the same participants. Calibrating to the
-                // configured K when clients dropped out would under-noise
-                // the release.
-                let mut rng = round_central_noise.stream(slot);
-                privatize_aggregate(&mut delta, &self.config.dp, participants, &mut rng);
-                // Reconstruct dispatched + delta in the delta buffer itself
-                // (addition commutes), avoiding a full-model clone per upload.
-                add_scaled(&mut delta, dispatched.as_slice(), 1.0);
-                delta
-            })
-            // alloc: bounded — cohort-sized aggregation staging, once per round
-            .collect();
-        self.middleware
-            .fuse(round, slots, &candidates, Acceleration::None);
+        let deltas = self.middleware.stage_deltas(slots, ordered);
+        for (delta, &slot) in deltas.iter_mut().zip(slots) {
+            let mut rng = round_client_noise.stream(slot);
+            privatize_client_delta(delta, &self.config.dp, &mut rng);
+            // Central placement: each *returned* middleware stream receives
+            // noise of std z·C/participants, so the released global model
+            // (the average of the updated middleware models) carries the
+            // same perturbation magnitude as central DP-FedAvg over the same
+            // participants. Calibrating to the configured K when clients
+            // dropped out would under-noise the release.
+            let mut rng = round_central_noise.stream(slot);
+            privatize_aggregate(delta, &self.config.dp, participants, &mut rng);
+        }
+        self.middleware.fuse_staged(round, slots);
 
         if let Some(accountant) = self.accountant.as_mut() {
             accountant.step_with_rate(participants as f64 / num_clients.max(1) as f64);
@@ -417,9 +419,7 @@ impl FederatedAlgorithm for DpFedCross {
     fn run_round(&mut self, round: usize, ctx: &mut RoundContext<'_>) -> RoundReport {
         self.ensure_accountant(self.middleware.models().len(), ctx.num_clients());
         let (slots, updates) = self.middleware.dispatch(ctx);
-        // alloc: bounded — cohort-sized aggregation staging, once per round
-        let ordered: Vec<&LocalUpdate> = updates.iter().collect();
-        self.privatize_and_fuse(round, ctx.num_clients(), &slots, &ordered)
+        self.privatize_and_fuse(round, ctx.num_clients(), &slots, &updates)
     }
 
     fn global_params_into(&self, out: &mut Vec<f32>) {
@@ -531,6 +531,7 @@ impl FederatedAlgorithm for SecureAggFedAvg {
 mod tests {
     use super::*;
     use crate::mechanism::NoisePlacement;
+    use fedcross_nn::params::average;
     use fedcross_tensor::SeededRng;
     use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
     use fedcross_data::{ClientDataSource, Heterogeneity};

@@ -31,17 +31,6 @@ impl PairwiseMasker {
         }
     }
 
-    /// The pairwise mask shared by clients `i` and `j` (order-independent).
-    fn pair_mask(&self, i: usize, j: usize, dim: usize) -> Vec<f32> {
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let stream = (lo as u64) << 32 | hi as u64;
-        let mut rng = SeededRng::new(self.round_seed).fork(stream); // fork: construction-seed
-        (0..dim)
-            .map(|_| rng.normal_with(0.0, self.mask_scale))
-            // alloc: cold — optional privacy plane, outside the pinned zero-alloc configuration
-            .collect()
-    }
-
     /// Masks `upload` for the client at position `position` among
     /// `participants` total clients this round.
     ///
@@ -56,11 +45,17 @@ impl PairwiseMasker {
             if other == position {
                 continue;
             }
-            let mask = self.pair_mask(position, other, upload.len());
-            // The lower-indexed participant adds, the higher-indexed subtracts.
-            let sign = if position < other { 1.0 } else { -1.0 };
-            for (m, v) in masked.iter_mut().zip(&mask) {
-                *m += sign * v;
+            // The pair shares one mask stream whichever of the two draws it;
+            // the lower-indexed participant adds, the higher-indexed subtracts.
+            let (lo, hi, sign) = if position < other {
+                (position, other, 1.0)
+            } else {
+                (other, position, -1.0)
+            };
+            let stream = (lo as u64) << 32 | hi as u64;
+            let mut rng = SeededRng::new(self.round_seed).fork(stream); // fork: construction-seed
+            for m in masked.iter_mut() {
+                *m += sign * rng.normal_with(0.0, self.mask_scale);
             }
         }
         masked

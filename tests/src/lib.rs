@@ -56,7 +56,9 @@ const VARIANTS: [(&str, Builder); 8] = [
         };
         Box::new(DpFedCross::new(config, init, SANITIZER_K, 7))
     }),
-    ("DP-FedAvg(local)", |init| Box::new(DpFedAvg::new(init, LOCAL_DP, 7))),
+    ("DP-FedAvg(local)", |init| {
+        Box::new(DpFedAvg::new(init, LOCAL_DP, 7))
+    }),
 ];
 
 /// [`VARIANTS`] as sweepable algorithms, in table order.
