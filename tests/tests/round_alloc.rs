@@ -61,6 +61,7 @@ fn counts() -> (usize, usize) {
 }
 
 use fedcross::{FedCross, FedCrossConfig, SelectionStrategy, SimilarityMeasure};
+use fedcross_bench::determinism::{SweptAlgorithm, SANITIZER_K};
 use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
 use fedcross_data::{ClientDataSource, Heterogeneity};
 use fedcross_flsim::engine::RoundContext;
@@ -68,8 +69,65 @@ use fedcross_flsim::{
     ClientWorkerPool, CommTracker, EvalWorker, FederatedAlgorithm, LocalTrainConfig,
 };
 use fedcross_nn::layers::{Dropout, Flatten, Linear, Relu};
-use fedcross_nn::Sequential;
+use fedcross_nn::{Model, Sequential};
 use fedcross_tensor::SeededRng;
+use fedcross_tests::rule_and_noise_variants;
+
+/// The shipped algorithms that still allocate full-model buffers in a
+/// steady round, the most each may allocate per round at `SANITIZER_K`, and
+/// why. Every other algorithm must allocate none.
+const LARGE_ALLOCATION_EXCEPTIONS: [(&str, usize, &str); 6] = [
+    (
+        "SCAFFOLD",
+        17,
+        "its control variates are cloned and differenced every round",
+    ),
+    ("CluSamp", 3, "a fresh update direction per participant"),
+    (
+        "Buffered-FedAvg",
+        7,
+        "the in-flight store owns each upload's delta, collect_due clones it \
+         once per transport copy, and the weighted mean has its own buffer",
+    ),
+    (
+        "Buffered-FedCross",
+        6,
+        "the in-flight store owns each upload's delta and collect_due clones \
+         it once per transport copy",
+    ),
+    (
+        "Compressed-FedAvg",
+        14,
+        "codec buffers: each upload's delta, its 4-bit codes and two \
+         decodings, and the mean; a client's first error-feedback residual \
+         adds one",
+    ),
+    (
+        "SecureAgg-FedAvg",
+        7,
+        "the deltas, their masked copies and the masked sum",
+    ),
+];
+
+/// The persistent round plane one algorithm runs on, exactly as
+/// `Simulation` wires it.
+struct Plane {
+    pool: ClientWorkerPool,
+    eval_worker: EvalWorker,
+    global_buf: Vec<f32>,
+    comm: CommTracker,
+}
+
+impl Plane {
+    fn new(template: &dyn Model) -> Self {
+        Self {
+            pool: ClientWorkerPool::new(),
+            eval_worker: EvalWorker::new(template),
+            global_buf: Vec::new(),
+            comm: CommTracker::new(),
+        }
+    }
+}
 
 // NOTE: this binary contains exactly one #[test] so no concurrent test
 // thread can pollute the global allocation counters.
@@ -125,56 +183,49 @@ fn steady_state_rounds_and_eval_perform_zero_full_model_allocations() {
         k,
     );
 
-    // The persistent round plane, exactly as `Simulation` wires it.
     let master = SeededRng::new(99);
-    let mut pool = ClientWorkerPool::new();
-    let mut eval_worker = EvalWorker::new(template.as_ref());
-    let mut global_buf: Vec<f32> = Vec::new();
-    let mut comm = CommTracker::new();
-
-    let run_round = |round: usize,
-                         algorithm: &mut FedCross,
-                         pool: &mut ClientWorkerPool,
-                         eval_worker: &mut EvalWorker,
-                         global_buf: &mut Vec<f32>,
-                         comm: &mut CommTracker| {
-        let mut ctx = RoundContext::new(
-            &data,
-            template.as_ref(),
-            local,
-            k,
-            master.fork(round as u64),
-            comm,
-            pool,
-        );
-        algorithm.run_round(round, &mut ctx);
-        algorithm.global_params_into(global_buf);
-        let eval = eval_worker.evaluate_params(global_buf, data.test_set(), 16);
-        assert!(eval.loss.is_finite());
-    };
+    let run_round =
+        |round: usize, k: usize, algorithm: &mut dyn FederatedAlgorithm, plane: &mut Plane| {
+            let mut ctx = RoundContext::new(
+                &data,
+                template.as_ref(),
+                local,
+                k,
+                master.fork(round as u64),
+                &mut plane.comm,
+                &mut plane.pool,
+            );
+            algorithm.run_round(round, &mut ctx);
+            algorithm.global_params_into(&mut plane.global_buf);
+            let eval = plane
+                .eval_worker
+                .evaluate_params(&plane.global_buf, data.test_set(), 16);
+            assert!(eval.loss.is_finite());
+        };
+    let mut plane = Plane::new(template.as_ref());
 
     // Warm-up: two rounds populate the worker slots, arenas, upload blocks,
     // velocity buffers, the eval worker and the global buffer. (The second
     // round catches one-time free-list growth, as in the PR 2 test.)
     for round in 0..2 {
-        run_round(round, &mut algorithm, &mut pool, &mut eval_worker, &mut global_buf, &mut comm);
+        run_round(round, k, &mut algorithm, &mut plane);
     }
     let (_, large_warm) = counts();
     assert!(large_warm > 0, "warm-up must allocate the plane");
-    assert_eq!(pool.models_built(), k);
+    assert_eq!(plane.pool.models_built(), k);
 
     // Steady state: every subsequent round (training + upload + fusion +
     // global-model generation + evaluation) must perform ZERO
     // full-model-scale allocations, the arenas must serve everything from
     // their free lists, and the total allocation count must stay a small
     // bookkeeping constant.
-    let arena_warm = pool.arena_fresh_allocations();
-    let eval_arena_warm = eval_worker.arena_fresh_allocations();
+    let arena_warm = plane.pool.arena_fresh_allocations();
+    let eval_arena_warm = plane.eval_worker.arena_fresh_allocations();
     assert!(arena_warm > 0 && eval_arena_warm > 0);
     let mut totals = Vec::new();
     for round in 2..8 {
         let (total_before, large_before) = counts();
-        run_round(round, &mut algorithm, &mut pool, &mut eval_worker, &mut global_buf, &mut comm);
+        run_round(round, k, &mut algorithm, &mut plane);
         let (total_after, large_after) = counts();
         assert_eq!(
             large_after - large_before,
@@ -185,12 +236,12 @@ fn steady_state_rounds_and_eval_perform_zero_full_model_allocations() {
         totals.push(total_after - total_before);
     }
     assert_eq!(
-        pool.arena_fresh_allocations(),
+        plane.pool.arena_fresh_allocations(),
         arena_warm,
         "worker arenas must serve every steady-state checkout from their free lists"
     );
     assert_eq!(
-        eval_worker.arena_fresh_allocations(),
+        plane.eval_worker.arena_fresh_allocations(),
         eval_arena_warm,
         "the eval arena must serve every steady-state checkout from its free lists"
     );
@@ -208,8 +259,45 @@ fn steady_state_rounds_and_eval_perform_zero_full_model_allocations() {
         );
     }
     assert_eq!(
-        pool.models_built(),
+        plane.pool.models_built(),
         k,
         "steady-state rounds must not construct models"
+    );
+
+    // Every shipped algorithm, and the robust rules and DP noise placement
+    // the shipped list leaves out, on the same probe at the sweeps' K. The
+    // total-count ceiling above stays FedCross-only: the robust rules' column
+    // sorts allocate many small per-chunk columns.
+    let mut violations = Vec::new();
+    for swept in SweptAlgorithm::shipped()
+        .into_iter()
+        .chain(rule_and_noise_variants())
+    {
+        let label = swept.label();
+        let mut algorithm = swept.build(template.params_flat());
+        let mut plane = Plane::new(template.as_ref());
+        for round in 0..2 {
+            run_round(round, SANITIZER_K, algorithm.as_mut(), &mut plane);
+        }
+        let mut worst = 0;
+        for round in 2..5 {
+            let (_, large_before) = counts();
+            run_round(round, SANITIZER_K, algorithm.as_mut(), &mut plane);
+            worst = worst.max(counts().1 - large_before);
+        }
+        let allowed = LARGE_ALLOCATION_EXCEPTIONS
+            .iter()
+            .find(|(name, ..)| *name == label)
+            .map_or(0, |&(_, allowed, _)| allowed);
+        if worst > allowed {
+            violations.push(format!(
+                "{label}: {worst} full-model-scale allocation(s) per steady round, {allowed} allowed"
+            ));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "steady rounds allocated full-model buffers:\n{}",
+        violations.join("\n")
     );
 }
