@@ -95,8 +95,8 @@ fn bench_round_plane(c: &mut Criterion) {
         })
     });
 
-    // Evaluation: a warm worker vs. a fresh one per call
-    // (`evaluate_params` clones the template each time).
+    // Evaluation: a warm worker vs. a fresh one per call, which clones the
+    // template each time.
     let params = template.params_flat();
     group.bench_function("eval_pooled_worker", |b| {
         let mut worker = EvalWorker::new(template.as_ref());
@@ -106,12 +106,8 @@ fn bench_round_plane(c: &mut Criterion) {
     });
     group.bench_function("eval_clone_per_call", |b| {
         b.iter(|| {
-            black_box(fedcross_flsim::eval::evaluate_params(
-                template.as_ref(),
-                &params,
-                data.test_set(),
-                16,
-            ));
+            let mut worker = EvalWorker::new(template.as_ref());
+            black_box(worker.evaluate_params(&params, data.test_set(), 16));
         })
     });
 

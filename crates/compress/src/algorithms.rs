@@ -292,13 +292,9 @@ mod tests {
     #[test]
     fn quantized_uploads_learn_and_shrink_the_payload() {
         let (data, template) = tiny_setup(1);
-        let init_acc = fedcross_flsim::eval::evaluate_params(
-            template.as_ref(),
-            &template.params_flat(),
-            data.test_set(),
-            64,
-        )
-        .accuracy;
+        let init_acc = fedcross_flsim::EvalWorker::new(template.as_ref())
+            .evaluate_params(&template.params_flat(), data.test_set(), 64)
+            .accuracy;
         let mut algo = CompressedFedAvg::new(
             template.params_flat(),
             Box::new(UniformQuantizer::new(8, true)),
@@ -321,13 +317,9 @@ mod tests {
     #[test]
     fn topk_with_error_feedback_learns() {
         let (data, template) = tiny_setup(2);
-        let init_acc = fedcross_flsim::eval::evaluate_params(
-            template.as_ref(),
-            &template.params_flat(),
-            data.test_set(),
-            64,
-        )
-        .accuracy;
+        let init_acc = fedcross_flsim::EvalWorker::new(template.as_ref())
+            .evaluate_params(&template.params_flat(), data.test_set(), 64)
+            .accuracy;
         let mut algo = CompressedFedAvg::new(
             template.params_flat(),
             Box::new(TopK::new(0.25)),

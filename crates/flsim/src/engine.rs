@@ -646,17 +646,6 @@ impl<'a> RoundContext<'a> {
             // alloc: bounded — cohort-sized outcome list, once per round
             .collect()
     }
-
-    /// Records auxiliary server→client payload outside of a training job
-    /// (e.g. a broadcast generator).
-    pub fn record_extra_download(&mut self, scalars: usize) {
-        self.comm.record_extra_download(scalars);
-    }
-
-    /// Records auxiliary client→server payload outside of a training job.
-    pub fn record_extra_upload(&mut self, scalars: usize) {
-        self.comm.record_extra_upload(scalars);
-    }
 }
 
 /// A federated-learning method, pluggable into the [`Simulation`].
@@ -1404,7 +1393,6 @@ impl<'a> Simulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_params;
     use fedcross_data::federated::{FederatedDataset, SynthCifar10Config};
     use fedcross_data::Heterogeneity;
     use fedcross_nn::models::CnnConfig;
@@ -1543,7 +1531,8 @@ mod tests {
             &mut rng,
         );
         let init_params = template.params_flat();
-        let init_eval = evaluate_params(template.as_ref(), &init_params, data.test_set(), 64);
+        let init_eval =
+            EvalWorker::new(template.as_ref()).evaluate_params(&init_params, data.test_set(), 64);
 
         let mut algo = EngineFedAvg {
             global: ParamBlock::from(init_params.clone()),

@@ -23,26 +23,12 @@ impl Evaluation {
     }
 }
 
-/// Evaluates a flat parameter vector on a fresh [`EvalWorker`] over
-/// `template`. This is how one-shot callers (tests) evaluate a model
-/// without disturbing any client state; the simulation's round loop instead
-/// keeps one [`EvalWorker`] so the per-evaluation clone disappears. Results
-/// are bitwise identical either way.
-pub fn evaluate_params(
-    template: &dyn Model,
-    params: &[f32],
-    data: &Dataset,
-    batch_size: usize,
-) -> Evaluation {
-    EvalWorker::new(template).evaluate_params(params, data, batch_size)
-}
-
 /// A persistent evaluation worker: one cached model instance plus the scratch
 /// arena and gather buffers every evaluation reuses.
 ///
 /// [`EvalWorker::evaluate_current`] is the only evaluation loop: the round
-/// loop, [`evaluate_params`], the fairness sweep and the loss landscape all
-/// run it. A worker pays the template clone once and then evaluates with
+/// loop, the fairness sweep and the loss landscape all run it, and a
+/// one-shot caller evaluates on `EvalWorker::new(template)`. A worker pays the template clone once and then evaluates with
 /// zero model constructions and zero full-activation allocations — the
 /// evaluation half of the persistent round plane. A warm worker and a fresh
 /// one give the same bits.
@@ -210,7 +196,11 @@ mod tests {
         let mut warm = EvalWorker::new(other.as_ref());
         let before = warm.evaluate_current(&data, 16);
         let via_warm = warm.evaluate_params(&template.params_flat(), &data, 16);
-        let fresh = evaluate_params(template.as_ref(), &template.params_flat(), &data, 16);
+        let fresh = EvalWorker::new(template.as_ref()).evaluate_params(
+            &template.params_flat(),
+            &data,
+            16,
+        );
         let bits = |e: Evaluation| (e.accuracy.to_bits(), e.loss.to_bits(), e.samples);
         assert_eq!(bits(via_warm), bits(fresh));
         assert_ne!(before.loss.to_bits(), fresh.loss.to_bits());
@@ -221,8 +211,9 @@ mod tests {
         let mut rng = SeededRng::new(4);
         let template = mlp(4, &[8], 2, &mut rng);
         let data = separable_dataset(60);
-        let a = evaluate_params(template.as_ref(), &template.params_flat(), &data, 7);
-        let b = evaluate_params(template.as_ref(), &template.params_flat(), &data, 60);
+        let params = template.params_flat();
+        let a = EvalWorker::new(template.as_ref()).evaluate_params(&params, &data, 7);
+        let b = EvalWorker::new(template.as_ref()).evaluate_params(&params, &data, 60);
         assert!((a.accuracy - b.accuracy).abs() < 1e-6);
         assert!((a.loss - b.loss).abs() < 1e-5);
     }

@@ -141,7 +141,6 @@ pub fn sharpness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_params;
     use fedcross_data::Dataset;
     use fedcross_nn::loss::softmax_cross_entropy;
     use fedcross_nn::models::mlp;
@@ -259,9 +258,11 @@ mod tests {
         // A trained minimum's loss is below an untrained model's loss (sanity
         // check that evaluation reads the parameters we pass in).
         let untrained = mlp(3, &[8], 2, &mut SeededRng::new(99));
-        let untrained_loss =
-            evaluate_params(model.as_ref(), &untrained.params_flat(), &data, 64).loss;
-        let trained_loss = evaluate_params(model.as_ref(), &good, &data, 64).loss;
+        let mut worker = EvalWorker::new(model.as_ref());
+        let untrained_loss = worker
+            .evaluate_params(&untrained.params_flat(), &data, 64)
+            .loss;
+        let trained_loss = worker.evaluate_params(&good, &data, 64).loss;
         assert!(trained_loss < untrained_loss);
     }
 

@@ -584,13 +584,9 @@ mod tests {
     #[test]
     fn dp_fedavg_learns_with_modest_noise() {
         let (data, template) = tiny_setup(0, 6);
-        let init_acc = fedcross_flsim::eval::evaluate_params(
-            template.as_ref(),
-            &template.params_flat(),
-            data.test_set(),
-            64,
-        )
-        .accuracy;
+        let init_acc = fedcross_flsim::EvalWorker::new(template.as_ref())
+            .evaluate_params(&template.params_flat(), data.test_set(), 64)
+            .accuracy;
         // Modest means noise norm below signal norm: the averaged delta has
         // L2 norm up to C, the central noise vector has norm ≈ z·C/K·√d.
         let config = DpConfig {
@@ -658,13 +654,9 @@ mod tests {
     #[test]
     fn dp_fedcross_learns_and_tracks_the_budget() {
         let (data, template) = tiny_setup(3, 8);
-        let init_acc = fedcross_flsim::eval::evaluate_params(
-            template.as_ref(),
-            &template.params_flat(),
-            data.test_set(),
-            64,
-        )
-        .accuracy;
+        let init_acc = fedcross_flsim::EvalWorker::new(template.as_ref())
+            .evaluate_params(&template.params_flat(), data.test_set(), 64)
+            .accuracy;
         let config = DpFedCrossConfig {
             alpha: 0.9,
             dp: DpConfig {

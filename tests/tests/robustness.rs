@@ -103,13 +103,9 @@ fn dropout_reduces_realised_client_contacts() {
 #[test]
 fn fedcross_with_moderate_dropout_still_learns() {
     let (data, template) = setup(2, 10, 30);
-    let init_acc = fedcross_flsim::eval::evaluate_params(
-        template.as_ref(),
-        &template.params_flat(),
-        data.test_set(),
-        64,
-    )
-    .accuracy;
+    let init_acc = fedcross_flsim::EvalWorker::new(template.as_ref())
+        .evaluate_params(&template.params_flat(), data.test_set(), 64)
+        .accuracy;
     let mut algo = FedCross::new(
         FedCrossConfig {
             alpha: 0.9,

@@ -238,9 +238,8 @@ fn pooled_eval_matches_clone_per_eval_bitwise() {
     let mut worker = EvalWorker::new(template.as_ref());
     // Several parameter vectors through the same cached worker, each compared
     // against the bits a clone-per-eval loop produced (`EVAL_PINS`) — NOT
-    // against `evaluate_params`, which wraps EvalWorker itself and would make
-    // this test compare the worker to itself. Odd batch size so the tail
-    // batch is exercised.
+    // against a fresh EvalWorker, which would make this test compare the
+    // worker to itself. Odd batch size so the tail batch is exercised.
     for (seed, &(accuracy, loss)) in (0..3u64).zip(&EVAL_PINS) {
         let mut rng = SeededRng::new(100 + seed);
         let params: Vec<f32> = template
@@ -297,8 +296,7 @@ fn simulation_results_are_unchanged_by_the_round_plane() {
         )
         .with_scenario(Scenario::default(), round);
         algo_ref.run_round(round, &mut ctx);
-        let eval = fedcross_flsim::eval::evaluate_params(
-            template.as_ref(),
+        let eval = EvalWorker::new(template.as_ref()).evaluate_params(
             &algo_ref.global_params(),
             data.test_set(),
             config.eval_batch_size,
