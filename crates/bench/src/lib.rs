@@ -106,7 +106,7 @@ impl std::str::FromStr for ModelSpec {
             "cnn" => Ok(ModelSpec::Cnn),
             "resnet" => Ok(ModelSpec::ResNet20),
             "vgg" => Ok(ModelSpec::Vgg16),
-            _ => Err(format!("unknown model {name:?}")),
+            _ => Err(format!("expected cnn, resnet or vgg, not {name:?}")),
         }
     }
 }
@@ -433,17 +433,24 @@ impl Args {
     /// flag is absent.
     ///
     /// # Panics
-    /// Panics, naming the flag and the raw value, when the flag has no value
-    /// or its value does not parse, so a mistyped value never silently runs
-    /// the default experiment.
-    pub fn value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+    /// Panics, naming the flag, the raw value and the parse error, when the
+    /// flag has no value or its value does not parse, so a mistyped value
+    /// never silently runs the default experiment.
+    pub fn value<T>(&self, name: &str) -> Option<T>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
         let i = self.raw.iter().position(|a| a == name)?;
         let Some(raw) = self.raw.get(i + 1) else {
             panic!("{name} needs a value");
         };
         match raw.parse() {
             Ok(value) => Some(value),
-            Err(_) => panic!("{name} {raw:?}: not a valid {}", std::any::type_name::<T>()),
+            Err(err) => panic!(
+                "{name} {raw:?}: not a valid {}: {err}",
+                std::any::type_name::<T>()
+            ),
         }
     }
 
@@ -453,12 +460,16 @@ impl Args {
     /// # Panics
     /// Panics like [`Args::value`], and also names the first entry that does
     /// not parse, so a mistyped entry is never silently dropped.
-    pub fn list<T: std::str::FromStr>(&self, name: &str) -> Option<Vec<T>> {
+    pub fn list<T>(&self, name: &str) -> Option<Vec<T>>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
         let raw: String = self.value(name)?;
         let entries = raw.split(',').map(|entry| match entry.parse() {
             Ok(value) => value,
-            Err(_) => panic!(
-                "{name} {raw:?}: entry {entry:?} is not a valid {}",
+            Err(err) => panic!(
+                "{name} {raw:?}: entry {entry:?} is not a valid {}: {err}",
                 std::any::type_name::<T>()
             ),
         });
@@ -615,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--model \"mlp\": not a valid")]
+    #[should_panic(expected = "expected cnn, resnet or vgg")]
     fn args_reject_an_unknown_model() {
         let args = Args::from_vec(vec!["--model".into(), "mlp".into()]);
         let _ = args.value::<ModelSpec>("--model");
