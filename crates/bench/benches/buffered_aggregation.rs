@@ -1,16 +1,27 @@
 //! Criterion micro-benchmarks of the staleness-aware buffered server half
 //! (`BufferedFedAvg::absorb` / `BufferedFedCross::absorb`): merge + dedupe of
 //! an arrival set, the staleness-weighted delta fold, and — for the FedCross
-//! variant — candidate rebuild plus similarity-driven cross-aggregation.
+//! variant — the weighted deltas staged and rebuilt into candidates by the
+//! middleware, plus similarity-driven cross-aggregation.
 //!
 //! Shapes match the `aggregation` and `robust_aggregation` benches (10
 //! uploads at 10k/100k parameters) so the cost of buffering over a plain
 //! synchronous mean is directly readable. Duplicate arrivals are included:
 //! the dedupe path is part of every real round under transport faults.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross::buffered::{BufferedFedAvg, BufferedFedCross, BufferedFedCrossConfig, BufferedUpload};
 use fedcross_tensor::SeededRng;
+
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        20
+    }
+}
 
 /// An arrival set of `n` uploads with round-spread staleness, plus `dups`
 /// duplicated transport copies.
@@ -36,7 +47,7 @@ fn make_arrivals(n: usize, dups: usize, slots: usize, dim: usize, seed: u64) -> 
 
 fn bench_buffered_aggregation(c: &mut Criterion) {
     let mut group = c.benchmark_group("buffered_aggregation");
-    group.sample_size(20);
+    group.sample_size(sample_size());
 
     for &dim in &[10_000usize, 100_000] {
         let fedavg_arrivals = make_arrivals(10, 3, 1, dim, 7);

@@ -7,6 +7,8 @@
 //! Krum is O(n² · dim) pairwise distances; all three parallelise over
 //! coordinate chunks / candidates once the workload crosses the rayon
 //! threshold, with bitwise-identical serial and parallel results.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross::aggregation::{
@@ -14,6 +16,14 @@ use fedcross::aggregation::{
 };
 use fedcross_nn::params::average_into;
 use fedcross_tensor::SeededRng;
+
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        20
+    }
+}
 
 fn make_uploads(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = SeededRng::new(seed);
@@ -24,7 +34,7 @@ fn make_uploads(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
 
 fn bench_robust_aggregation(c: &mut Criterion) {
     let mut group = c.benchmark_group("robust_aggregation");
-    group.sample_size(20);
+    group.sample_size(sample_size());
 
     for &dim in &[10_000usize, 100_000] {
         let uploads = make_uploads(10, dim, 7);

@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks of one client-side SGD step (forward + backward
 //! + update) for each model family of Table II.
+//!
+//! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fedcross_nn::loss::softmax_cross_entropy;
@@ -7,6 +9,14 @@ use fedcross_nn::models::{fedavg_cnn, lstm_classifier, resnet20_lite, vgg_lite, 
 use fedcross_nn::optim::Sgd;
 use fedcross_nn::Model;
 use fedcross_tensor::{init, SeededRng, Tensor};
+
+fn sample_size() -> usize {
+    if std::env::var_os("FEDCROSS_BENCH_SMOKE").is_some() {
+        2
+    } else {
+        10
+    }
+}
 
 fn step(model: &mut dyn Model, x: &Tensor, labels: &[usize], sgd: &mut Sgd) {
     model.zero_grads();
@@ -18,7 +28,7 @@ fn step(model: &mut dyn Model, x: &Tensor, labels: &[usize], sgd: &mut Sgd) {
 
 fn bench_training_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("client_training_step");
-    group.sample_size(10);
+    group.sample_size(sample_size());
     let mut rng = SeededRng::new(1);
 
     let image = init::normal(&[10, 3, 16, 16], 0.0, 1.0, &mut rng);
