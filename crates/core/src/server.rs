@@ -207,7 +207,7 @@ impl Middleware {
     /// into, then rebuild and fuse through [`Middleware::fuse_staged`]. The
     /// buffers are kept across rounds, so only a round with more uploads
     /// than any before allocates; they hold whatever the last round left.
-    pub fn staging(&mut self, n: usize) -> &mut [Vec<f32>] {
+    pub(crate) fn staging(&mut self, n: usize) -> &mut [Vec<f32>] {
         let dim = self.models[0].len();
         // alloc: bounded — one candidate buffer per slot, grown once and kept across rounds
         self.staging

@@ -26,10 +26,6 @@ fn robust_fedavg(rule: RobustRule, init: Vec<f32>) -> Box<dyn FederatedAlgorithm
     Box::new(RobustFedAvg::new(rule, init))
 }
 
-/// The robust rules and the DP noise placement that
-/// [`SweptAlgorithm::shipped`] does not run: it pins RobustFedCross with the
-/// trimmed mean only, RobustFedAvg with the median only and both DP
-/// algorithms with central noise only.
 const VARIANTS: [(&str, Builder); 8] = [
     ("Robust-FedCross(median)", |init| {
         robust_fedcross(RobustRule::Median, init)
@@ -61,7 +57,10 @@ const VARIANTS: [(&str, Builder); 8] = [
     }),
 ];
 
-/// [`VARIANTS`] as sweepable algorithms, in table order.
+/// The robust rules and the DP noise placement that
+/// [`SweptAlgorithm::shipped`] does not run, as sweepable algorithms: it
+/// runs RobustFedCross with the trimmed mean only, RobustFedAvg with the
+/// median only and both DP algorithms with central noise only.
 pub fn rule_and_noise_variants() -> Vec<SweptAlgorithm> {
     VARIANTS
         .map(|(label, build)| SweptAlgorithm::Unregistered(label, build))
