@@ -767,20 +767,20 @@ const ALGORITHM_FINGERPRINTS: [(&str, u64); 14] = [
     ("SecureAgg-FedAvg", 0x3646bb6670bb3ea7),
 ];
 
-#[test]
-fn every_algorithm_matches_its_pinned_fingerprint() {
-    let algorithms = SweptAlgorithm::shipped();
+/// Runs every algorithm on the fingerprint fixture and asserts each against
+/// its pin, in table order, listing every divergence at once.
+fn assert_pinned_fingerprints(algorithms: Vec<SweptAlgorithm>, pins: &[(&str, u64)]) {
     assert_eq!(
         algorithms.len(),
-        ALGORITHM_FINGERPRINTS.len(),
-        "a shipped algorithm has no pinned fingerprint"
+        pins.len(),
+        "an algorithm has no pinned fingerprint"
     );
     let diverged: Vec<String> = algorithms
-        .iter()
-        .zip(ALGORITHM_FINGERPRINTS)
-        .filter_map(|(algorithm, (label, pinned))| {
+        .into_iter()
+        .zip(pins)
+        .filter_map(|(algorithm, &(label, pinned))| {
             assert_eq!(algorithm.label(), label, "pin table order drifted");
-            let actual = spec_fingerprint(*algorithm, None);
+            let actual = spec_fingerprint(algorithm, None);
             (actual != pinned).then(|| format!("{label}: {actual:016x} != pinned {pinned:016x}"))
         })
         .collect();
@@ -789,6 +789,11 @@ fn every_algorithm_matches_its_pinned_fingerprint() {
         "trajectories diverged from their pins:\n{}",
         diverged.join("\n")
     );
+}
+
+#[test]
+fn every_algorithm_matches_its_pinned_fingerprint() {
+    assert_pinned_fingerprints(SweptAlgorithm::shipped(), &ALGORITHM_FINGERPRINTS);
 }
 
 /// Fingerprints of [`rule_and_noise_variants`] on the same fixture, in table
@@ -809,20 +814,7 @@ const VARIANT_FINGERPRINTS: [(&str, u64); 8] = [
 
 #[test]
 fn every_rule_and_noise_variant_matches_its_pinned_fingerprint() {
-    let diverged: Vec<String> = rule_and_noise_variants()
-        .into_iter()
-        .zip(VARIANT_FINGERPRINTS)
-        .filter_map(|(algorithm, (label, pinned))| {
-            assert_eq!(algorithm.label(), label, "pin table order drifted");
-            let actual = spec_fingerprint(algorithm, None);
-            (actual != pinned).then(|| format!("{label}: {actual:016x} != pinned {pinned:016x}"))
-        })
-        .collect();
-    assert!(
-        diverged.is_empty(),
-        "trajectories diverged from their pins:\n{}",
-        diverged.join("\n")
-    );
+    assert_pinned_fingerprints(rule_and_noise_variants(), &VARIANT_FINGERPRINTS);
 }
 
 #[test]
