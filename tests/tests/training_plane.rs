@@ -119,6 +119,41 @@ const PINS: &[(&str, &[PassPin])] = &[
         ],
     ),
     (
+        "conv2d 32x3x16x16 ->2 k3 s1 p1",
+        &[
+            [0x1f244bbf780c8ec4, 0x482cfbd549731cf6, 0xdc87c8e7e11619c5],
+            [0x9d6fdd92d9def70a, 0x482cfbd549731cf6, 0x44b9b77c64382c5e],
+        ],
+    ),
+    (
+        "conv2d 25x3x7x7 ->16 k3 s1 p1",
+        &[
+            [0x5040e9f72a0d0be6, 0x847c75890886c077, 0xa1eef59350e2acff],
+            [0x239c34dadd9c1753, 0x847c75890886c077, 0x5cdeb2f5291ddea2],
+        ],
+    ),
+    (
+        "conv2d 3x4x11x11 ->6 k5 s2 p2",
+        &[
+            [0x628cc74f1fbb6e7d, 0x21061d0f7554819f, 0x41224f2c2913ae3c],
+            [0xad9db34f5f083538, 0x21061d0f7554819f, 0x7fc7b36890364d44],
+        ],
+    ),
+    (
+        "conv2d 2x2x4x4 ->3 k5 s1 p2",
+        &[
+            [0x8d293e375dc6ce5c, 0xe5960af74ee65fac, 0xd54a07872741ec0b],
+            [0x8cc545627ebb4e87, 0xe5960af74ee65fac, 0xadfa80d43c60c883],
+        ],
+    ),
+    (
+        "conv2d 64x3x16x16 ->16 k3 s1 p1",
+        &[
+            [0x175e63c65edd12a7, 0x379679657feada1c, 0x1e39c9b579d918c2],
+            [0x68869a30d83c7f9b, 0x379679657feada1c, 0x5d3fd06fffcca004],
+        ],
+    ),
+    (
         "relu",
         &[
             [0xc32026d0fecb7b6a, 0x6c6ad301b7d91258, EMPTY],
@@ -351,6 +386,18 @@ fn conv2d_pooled_forms_match_allocating_forms() {
         (2usize, 3usize, 5usize, 9usize, 3usize, 1usize, 1usize),
         (1, 1, 2, 7, 3, 2, 0),
         (3, 2, 4, 8, 1, 1, 0),
+        // million_shards' first layer: dW over 8192 rows is one serial
+        // reduction (2·8192·27 < 2^19).
+        (32, 3, 2, 16, 3, 1, 1),
+        // 16·1225·27 ≥ 2^19: dW sums 1024-row partials, and the first block
+        // edge falls inside image 20.
+        (25, 3, 16, 7, 3, 1, 1),
+        // Stride 2, padding 2, a 5x5 kernel.
+        (3, 4, 6, 11, 5, 2, 2),
+        // An output smaller than the kernel.
+        (2, 2, 3, 4, 5, 1, 2),
+        // cnn_train's eval batch: large enough to split across threads.
+        (64, 3, 16, 16, 3, 1, 1),
     ] {
         let mut rng = SeededRng::new(7 + n as u64);
         let layer = Conv2d::new(c, oc, k, s, p, &mut rng);
