@@ -46,6 +46,26 @@ fn bench_layer(
     });
 }
 
+/// Benchmarks a layer's pooled evaluation forward pass on `input`, called
+/// from the bench thread as the round thread evaluates: outside a rayon
+/// worker, so a batch worth splitting runs across threads.
+fn bench_eval_forward(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    mut layer: Box<dyn Layer>,
+    input: Tensor,
+) {
+    let mut pool = TensorPool::new();
+    let out = layer.forward_into(&input, false, &mut pool);
+    pool.recycle(out);
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            let out = layer.forward_into(black_box(&input), false, &mut pool);
+            pool.recycle(out);
+        })
+    });
+}
+
 fn bench_client_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("client_training");
     group.sample_size(sample_size());
@@ -58,6 +78,23 @@ fn bench_client_training(c: &mut Criterion) {
         "conv2d_3to16_fwd_bwd",
         Box::new(Conv2d::new(3, 16, 3, 1, 1, &mut rng)),
         image.clone(),
+    );
+    // million_shards' first layer (2 filters) and cnn_train's eval batch,
+    // drawn from their own stream so the rows below keep their inputs.
+    let mut conv_rng = SeededRng::new(2);
+    let shards_image = init::normal(&[32, 3, 16, 16], 0.0, 1.0, &mut conv_rng);
+    bench_layer(
+        &mut group,
+        "conv2d_3to2_b32_fwd_bwd",
+        Box::new(Conv2d::new(3, 2, 3, 1, 1, &mut conv_rng)),
+        shards_image,
+    );
+    let eval_batch = init::normal(&[64, 3, 16, 16], 0.0, 1.0, &mut conv_rng);
+    bench_eval_forward(
+        &mut group,
+        "conv2d_3to16_b64_eval_fwd",
+        Box::new(Conv2d::new(3, 16, 3, 1, 1, &mut conv_rng)),
+        eval_batch,
     );
     let fc_in = init::normal(&[10, 2048], 0.0, 1.0, &mut rng);
     bench_layer(

@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks of the tensor kernels that dominate client-side
-//! training cost: matmul and im2col convolution (each writing into a
-//! preallocated output, as the layers do) and softmax cross-entropy.
+//! training cost: matmul and the per-image im2col lowering of a convolution
+//! (each writing into a preallocated output, as the layers do) and softmax
+//! cross-entropy.
 //!
 //! `FEDCROSS_BENCH_SMOKE=1` shrinks every benchmark to a 2-sample smoke run
 //! so CI can detect kernel regressions without paying for full statistics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedcross_nn::loss::softmax_cross_entropy;
-use fedcross_tensor::conv::{im2col_into, im2col_shape, Conv2dGeom};
+use fedcross_tensor::conv::{im2col_image_into, im2col_shape, Conv2dGeom};
 use fedcross_tensor::{init, SeededRng, Tensor};
 
 fn sample_size(full: usize) -> usize {
@@ -43,12 +44,15 @@ fn bench_conv(c: &mut Criterion) {
     let geom = Conv2dGeom::new(3, 1, 1);
     for &(batch, channels, size) in &[(10usize, 3usize, 16usize), (32, 16, 16)] {
         let input = init::normal(&[batch, channels, size, size], 0.0, 1.0, &mut rng);
-        let (rows, row_len) = im2col_shape(&input, geom);
-        let mut out = Tensor::zeros(&[rows, row_len]);
+        let (taps, pixels) = im2col_shape(&input, geom);
+        let mut out = Tensor::zeros(&[batch, taps, pixels]);
         let id = format!("b{batch}_c{channels}_s{size}");
         group.bench_with_input(BenchmarkId::new("im2col", &id), &id, |bench, _| {
             bench.iter(|| {
-                im2col_into(&input, geom, &mut out);
+                let images = input.data().chunks_exact(channels * size * size);
+                for (image, cols) in images.zip(out.data_mut().chunks_exact_mut(taps * pixels)) {
+                    im2col_image_into(image, [channels, size, size], geom, cols);
+                }
                 black_box(out.numel())
             })
         });

@@ -1,8 +1,10 @@
-//! 2-D convolution layer implemented with `im2col`.
+//! 2-D convolution layer, lowered one image at a time through its column
+//! matrix (`fedcross_tensor::conv`).
 
 use crate::layer::{Layer, Param};
-use fedcross_tensor::conv::{col2im_into, im2col_into, im2col_shape, Conv2dGeom};
-use fedcross_tensor::linalg::transpose_into;
+use fedcross_tensor::conv::{
+    conv2d_forward_into, conv2d_input_grad_into, conv2d_param_grads, im2col_shape, Conv2dGeom,
+};
 use fedcross_tensor::{init, SeededRng, Tensor, TensorPool};
 
 /// A 2-D convolution with square kernels.
@@ -56,84 +58,20 @@ impl Conv2d {
         self.geom
     }
 
-    /// Converts the column-major matmul output `[N*OH*OW, OC]` into the image
-    /// layout `[N, OC, OH, OW]`: one tiled `[OH*OW, OC] -> [OC, OH*OW]`
-    /// transpose per image (pure data movement, cache-blocked on both sides
-    /// instead of the seed's strided scatter).
-    fn cols_to_images_into(
-        mat: &Tensor,
-        n: usize,
-        oc: usize,
-        oh: usize,
-        ow: usize,
-        out: &mut Tensor,
-    ) {
-        assert_eq!(out.numel(), n * oc * oh * ow, "wrong image buffer size");
-        out.reshape_in_place(&[n, oc, oh, ow]);
-        let spatial = oh * ow;
-        let data = mat.data();
-        let od = out.data_mut();
-        for ni in 0..n {
-            transpose_into(
-                &data[ni * spatial * oc..(ni + 1) * spatial * oc],
-                spatial,
-                oc,
-                &mut od[ni * oc * spatial..(ni + 1) * oc * spatial],
-            );
-        }
-    }
-
-    /// Converts an image-layout gradient `[N, OC, OH, OW]` back into the
-    /// column-major layout `[N*OH*OW, OC]` (the inverse tiled transpose).
-    fn images_to_cols_into(img: &Tensor, out: &mut Tensor) {
-        let dims = img.dims();
-        let (n, oc, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
-        let spatial = oh * ow;
-        assert_eq!(out.numel(), n * spatial * oc, "wrong col buffer size");
-        out.reshape_in_place(&[n * spatial, oc]);
-        let data = img.data();
-        let od = out.data_mut();
-        for ni in 0..n {
-            transpose_into(
-                &data[ni * oc * spatial..(ni + 1) * oc * spatial],
-                oc,
-                spatial,
-                &mut od[ni * spatial * oc..(ni + 1) * spatial * oc],
-            );
-        }
-    }
-
-    /// Accumulates dW and db from `grad_output`, returning the pooled
-    /// column-layout gradient `[N*OH*OW, OC]` for the caller's input-gradient
-    /// step (shared by both backward forms).
-    fn accumulate_param_grads(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor {
+    /// Accumulates dW and db from `grad_output` against the cached columns
+    /// (shared by both backward forms).
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor, pool: &mut TensorPool) {
         let cols = self
             .cached_cols
             .as_ref()
             .expect("backward called before forward");
-
-        let mut grad_mat =
-            pool.take_uninit(&[grad_output.numel() / self.out_channels, self.out_channels]);
-        Self::images_to_cols_into(grad_output, &mut grad_mat); // [N*OH*OW, OC]
-
-        // dW = dY^T · cols  -> [OC, CKK]
-        let mut grad_w = pool.take_uninit(&[self.out_channels, cols.dims()[1]]);
-        grad_mat.matmul_at_b_into(cols, &mut grad_w);
-        self.weight.grad.add_assign(&grad_w);
-        pool.recycle(grad_w);
-
-        // db = column sums of dY, via a zeroed scratch added once, so the
-        // rounding order is the pinned one.
-        let oc = self.out_channels;
-        let mut grad_b = pool.take_zeroed(&[oc]);
-        for row in grad_mat.data().chunks(oc) {
-            for (g, &v) in grad_b.data_mut().iter_mut().zip(row) {
-                *g += v;
-            }
-        }
-        self.bias.grad.add_assign(&grad_b);
-        pool.recycle(grad_b);
-        grad_mat
+        conv2d_param_grads(
+            grad_output,
+            cols,
+            &mut self.weight.grad,
+            &mut self.bias.grad,
+            pool,
+        );
     }
 }
 
@@ -145,21 +83,22 @@ impl Layer for Conv2d {
             self.in_channels,
             "Conv2d input channel mismatch"
         );
-        let (n, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
-        let oh = self.geom.out_size(h);
-        let ow = self.geom.out_size(w);
-
         if let Some(old) = self.cached_cols.take() {
             pool.recycle(old);
         }
-        let (col_rows, col_len) = im2col_shape(input, self.geom);
-        let mut cols = pool.take_uninit(&[col_rows, col_len]);
-        im2col_into(input, self.geom, &mut cols);
-        // [N*OH*OW, CKK] x [OC, CKK]^T -> [N*OH*OW, OC]
-        let mut mat = pool.take_uninit(&[col_rows, self.out_channels]);
-        cols.matmul_a_bt_into(&self.weight.value, &mut mat);
-        mat.add_row_broadcast_assign(&self.bias.value);
-
+        let n = input.dims()[0];
+        let (taps, pixels) = im2col_shape(input, self.geom);
+        let mut cols = pool.take_uninit(&[n, taps, pixels]);
+        // [N, OC, OH*OW]; the kernel reshapes it to [N, OC, OH, OW].
+        let mut out = pool.take_uninit(&[n, self.out_channels, pixels]);
+        conv2d_forward_into(
+            input,
+            &self.weight.value,
+            &self.bias.value,
+            self.geom,
+            &mut cols,
+            &mut out,
+        );
         self.cached_cols = Some(cols);
         match &mut self.cached_input_dims {
             Some(cached) => {
@@ -169,33 +108,23 @@ impl Layer for Conv2d {
             // alloc: pooled — dims cached on first call; steady rounds take the Some branch
             None => self.cached_input_dims = Some(input.dims().to_vec()),
         }
-        let mut out = pool.take_uninit(&[n, self.out_channels, oh, ow]);
-        Self::cols_to_images_into(&mat, n, self.out_channels, oh, ow, &mut out);
-        pool.recycle(mat);
         out
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, pool: &mut TensorPool) -> Tensor {
-        let grad_mat = self.accumulate_param_grads(grad_output, pool);
-
-        // dCols = dY · W  -> [N*OH*OW, CKK], then fold back to image space.
+        self.accumulate_param_grads(grad_output, pool);
         let input_dims = self
             .cached_input_dims
             .as_deref()
             .expect("backward called before forward");
-        let mut grad_cols = pool.take_uninit(&[grad_mat.dims()[0], self.weight.value.dims()[1]]);
-        grad_mat.matmul_into(&self.weight.value, &mut grad_cols);
-        pool.recycle(grad_mat);
         let mut grad_in = pool.take_uninit(input_dims);
-        col2im_into(&grad_cols, input_dims, self.geom, &mut grad_in);
-        pool.recycle(grad_cols);
+        conv2d_input_grad_into(grad_output, &self.weight.value, self.geom, &mut grad_in, pool);
         grad_in
     }
 
     fn backward_into_discard(&mut self, grad_output: &Tensor, pool: &mut TensorPool) {
-        // First-layer form: dCols / col2im (the input gradient) are skipped.
-        let grad_mat = self.accumulate_param_grads(grad_output, pool);
-        pool.recycle(grad_mat);
+        // First-layer form: the input gradient (Wᵀ · dY and col2im) is skipped.
+        self.accumulate_param_grads(grad_output, pool);
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -38,10 +38,18 @@ const KC: usize = 256;
 /// Rows per register tile.
 const MR: usize = 6;
 /// Columns per register tile (one 8-wide f32 vector on AVX2/NEON).
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
+
+/// Rows per partial sum of a deep `matmul_at_b_into` reduction. The length
+/// is a fixed constant — never a function of the machine's thread count —
+/// so the f32 summation grouping (and therefore every seeded training
+/// trajectory) is bitwise identical across machines. The convolution
+/// weight gradient ([`crate::conv::conv2d_param_grads`]) keeps the same
+/// grouping.
+pub(crate) const K_BLOCK_ROWS: usize = 1024;
 
 #[inline]
-fn parallel_worthwhile(m: usize, k: usize, n: usize) -> bool {
+pub(crate) fn parallel_worthwhile(m: usize, k: usize, n: usize) -> bool {
     m.saturating_mul(k).saturating_mul(n) >= PAR_THRESHOLD_FLOPS
 }
 
@@ -83,15 +91,16 @@ pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     }
 }
 
-/// `R x NR` register tile: accumulates `pc` products into `R * NR`
+/// `R x W` register tile: accumulates `pc` products into `R * W`
 /// accumulators held in registers, loading/storing the output tile once per
 /// `KC` block instead of once per `p` step. `R` is monomorphised (`MR` for
-/// full tiles, 4/2/1 for the `m % MR` remainder) so every row count keeps
-/// the 8-wide vectorised inner loop. Per-element accumulation order is
-/// strictly increasing `p`.
+/// full tiles, 4/2/1 for the `m % MR` remainder) and `W` is `NR` or, for a
+/// remainder of at least `NR / 2` columns, `NR / 2`, so every row count keeps
+/// a vectorised inner loop. Per-element accumulation order is strictly
+/// increasing `p`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn micro_tile<const R: usize>(
+fn micro_tile<const R: usize, const W: usize>(
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -102,15 +111,15 @@ fn micro_tile<const R: usize>(
     k: usize,
     n: usize,
 ) {
-    let mut acc = [[0f32; NR]; R];
+    let mut acc = [[0f32; W]; R];
     for (r, acc_row) in acc.iter_mut().enumerate() {
         let base = (i0 + r) * n + j0;
-        acc_row.copy_from_slice(&out[base..base + NR]);
+        acc_row.copy_from_slice(&out[base..base + W]);
     }
     for p in p0..p0 + pc {
-        let bv: [f32; NR] = b[p * n + j0..p * n + j0 + NR]
+        let bv: [f32; W] = b[p * n + j0..p * n + j0 + W]
             .try_into()
-            .expect("slice is exactly NR elements by construction");
+            .expect("slice is exactly W elements by construction");
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = a[(i0 + r) * k + p];
             for (l, x) in acc_row.iter_mut().enumerate() {
@@ -120,11 +129,35 @@ fn micro_tile<const R: usize>(
     }
     for (r, acc_row) in acc.iter().enumerate() {
         let base = (i0 + r) * n + j0;
-        out[base..base + NR].copy_from_slice(acc_row);
+        out[base..base + W].copy_from_slice(acc_row);
     }
 }
 
-/// Scalar edge tile for the `m % MR` / `n % NR` remainders; same per-element
+/// Runs the `ic x W` register tile at `(i0, j0)`, monomorphised on the row
+/// count `gemm_accum` picked.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn tile<const W: usize>(
+    ic: usize,
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    i0: usize,
+    j0: usize,
+    p0: usize,
+    pc: usize,
+    k: usize,
+    n: usize,
+) {
+    match ic {
+        MR => micro_tile::<MR, W>(out, a, b, i0, j0, p0, pc, k, n),
+        4 => micro_tile::<4, W>(out, a, b, i0, j0, p0, pc, k, n),
+        2 => micro_tile::<2, W>(out, a, b, i0, j0, p0, pc, k, n),
+        _ => micro_tile::<1, W>(out, a, b, i0, j0, p0, pc, k, n),
+    }
+}
+
+/// Scalar edge tile for the last `n % (NR / 2)` columns; same per-element
 /// accumulation order as the register tile.
 #[inline]
 #[allow(clippy::too_many_arguments)]
@@ -156,10 +189,11 @@ fn edge_tile(
 /// Accumulates `out[i, j] += Σ_{p in p_lo..p_hi} a[i, p] · b[p, j]` over the
 /// row-major operands `a` (`m x k`) and `b` (`k x n`).
 ///
-/// This is the one shared inner kernel of all matmul variants. `out` must be
-/// initialised (zeros for a plain product, partial sums to continue one).
+/// This is the one shared inner kernel of all matmul variants and of the
+/// convolution products in [`crate::conv`]. `out` must be initialised (zeros
+/// for a plain product, partial sums to continue one).
 #[allow(clippy::too_many_arguments)]
-fn gemm_accum(
+pub(crate) fn gemm_accum(
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -184,13 +218,12 @@ fn gemm_accum(
             };
             let mut j0 = 0;
             while j0 + NR <= n {
-                match ic {
-                    MR => micro_tile::<MR>(out, a, b, i0, j0, p0, pc, k, n),
-                    4 => micro_tile::<4>(out, a, b, i0, j0, p0, pc, k, n),
-                    2 => micro_tile::<2>(out, a, b, i0, j0, p0, pc, k, n),
-                    _ => micro_tile::<1>(out, a, b, i0, j0, p0, pc, k, n),
-                }
+                tile::<NR>(ic, out, a, b, i0, j0, p0, pc, k, n);
                 j0 += NR;
+            }
+            if j0 + NR / 2 <= n {
+                tile::<{ NR / 2 }>(ic, out, a, b, i0, j0, p0, pc, k, n);
+                j0 += NR / 2;
             }
             if j0 < n {
                 edge_tile(out, a, b, i0, ic, j0, n - j0, p0, pc, k, n);
@@ -312,11 +345,7 @@ impl Tensor {
         with_packed_transpose(self.data(), k, m, |at| {
             if parallel_worthwhile(m, k, n) && k >= 2 {
                 // Block over k and reduce per block in parallel, then sum the
-                // partials in block order. The block length is a fixed
-                // function of `k` alone — never of the machine's thread count
-                // — so the f32 summation grouping (and therefore every seeded
-                // training trajectory) is bitwise identical across machines.
-                const K_BLOCK_ROWS: usize = 1024;
+                // partials in block order.
                 let blocks = k.div_ceil(K_BLOCK_ROWS);
                 if blocks == 1 {
                     // A single block reduces exactly like the serial kernel;
@@ -492,12 +521,16 @@ mod tests {
     #[test]
     fn blocked_kernel_is_bitwise_identical_to_naive_ikj() {
         // Odd shapes: non-multiples of the MR/NR/KC tile sizes, single rows
-        // and columns, reduction dims straddling the KC block edge.
+        // and columns, reduction dims straddling the KC block edge, and
+        // column counts that end in the half-width tile (4, 12, 13).
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (1, 300, 1),
             (3, 5, 7),
             (4, 8, 8),
+            (7, 27, 4),
+            (6, 260, 12),
+            (11, 9, 13),
             (5, 9, 17),
             (13, 257, 9),
             (16, 511, 24),
