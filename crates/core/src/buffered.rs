@@ -241,23 +241,18 @@ fn send(
 
 /// Moves every due entry out of `inflight`, expanding transport copies into
 /// separate arrivals (the server half must dedupe them), and returns the
-/// arrivals.
+/// arrivals. Only the extra copy of a duplicated upload is cloned.
 fn collect_due(inflight: &mut Vec<BufferedUpload>, round: usize) -> Vec<BufferedUpload> {
     // alloc: bounded — due-arrival list, buffer-bounded per round
     let mut arrivals = Vec::new();
-    inflight.retain(|entry| {
-        if entry.due_round <= round {
-            for _ in 0..entry.copies.max(1) {
-                // alloc: bounded — due-arrival list, buffer-bounded per round
-                let mut copy = entry.clone();
-                copy.copies = 1;
-                arrivals.push(copy);
-            }
-            false
-        } else {
-            true
+    for mut entry in inflight.extract_if(.., |entry| entry.due_round <= round) {
+        let copies = std::mem::replace(&mut entry.copies, 1).max(1);
+        for _ in 1..copies {
+            // alloc: bounded — the extra transport copy of a duplicated upload
+            arrivals.push(entry.clone());
         }
-    });
+        arrivals.push(entry);
+    }
     arrivals
 }
 
