@@ -129,19 +129,23 @@ impl CompressedFedAvg {
         for update in &ordered {
             let delta = difference(&update.params, self.global.params());
             let mut rng = round_dither.stream(update.client);
-            let compressed = match self.feedback.as_mut() {
+            let (compressed, decoded) = match self.feedback.as_mut() {
                 Some(feedback) => feedback.compress_with_feedback(
                     update.client,
                     &delta,
                     self.compressor.as_ref(),
                     &mut rng,
                 ),
-                None => self.compressor.compress(&delta, &mut rng),
+                None => {
+                    let compressed = self.compressor.compress(&delta, &mut rng);
+                    let decoded = compressed.decode();
+                    (compressed, decoded)
+                }
             };
             self.stats.raw_scalars += delta.len() as u64;
             self.stats.compressed_scalars += compressed.payload_scalars() as u64;
             self.stats.uploads += 1;
-            decoded_deltas.push(compressed.decode());
+            decoded_deltas.push(decoded);
         }
 
         let aggregate = average(&decoded_deltas);

@@ -39,7 +39,8 @@ impl ErrorFeedback {
     /// Compresses `delta` for `client` with error feedback: the stored
     /// residual is added before compression and the new residual (corrected
     /// delta minus what the encoding reconstructs to) is stored for the next
-    /// round.
+    /// round. Returns the encoding together with its decoding, which the
+    /// residual needed anyway, so the server half need not decode it again.
     ///
     /// The client's stored residual buffer is recycled as the working buffer
     /// (`corrected = residual + delta`, then `residual = corrected − decoded`
@@ -51,7 +52,7 @@ impl ErrorFeedback {
         delta: &[f32],
         compressor: &dyn Compressor,
         rng: &mut SeededRng,
-    ) -> CompressedUpdate {
+    ) -> (CompressedUpdate, Vec<f32>) {
         // Take the stored residual and reuse its allocation; a missing or
         // stale-dimension residual degrades to a zero vector.
         let mut corrected = match self.residuals.remove(&client) {
@@ -68,7 +69,7 @@ impl ErrorFeedback {
         // exactly subtracting it).
         add_scaled(&mut corrected, &decoded, -1.0);
         self.residuals.insert(client, corrected);
-        compressed
+        (compressed, decoded)
     }
 
     /// Drops all stored residuals.
@@ -110,9 +111,10 @@ mod tests {
     fn identity_compression_leaves_no_residual() {
         let mut feedback = ErrorFeedback::new();
         let delta = vec![1.0, -2.0, 3.0];
-        let update =
+        let (update, decoded) =
             feedback.compress_with_feedback(0, &delta, &Identity, &mut SeededRng::new(0));
-        assert_eq!(update.decode(), delta);
+        assert_eq!(decoded, delta);
+        assert_eq!(update.decode(), decoded);
         assert!(l2_norm(feedback.residual(0).unwrap()) < 1e-6);
         assert_eq!(feedback.tracked_clients(), 1);
     }
@@ -122,17 +124,16 @@ mod tests {
         let mut feedback = ErrorFeedback::new();
         let compressor = TopK::new(0.3); // keeps 1 of 3 coordinates
         let delta = vec![0.1, 10.0, 0.2];
-        let first =
+        let (_, first) =
             feedback.compress_with_feedback(7, &delta, &compressor, &mut SeededRng::new(1));
-        assert_eq!(first.decode(), vec![0.0, 10.0, 0.0]);
+        assert_eq!(first, vec![0.0, 10.0, 0.0]);
         let residual = feedback.residual(7).unwrap().to_vec();
         assert!((residual[0] - 0.1).abs() < 1e-6);
         assert!((residual[2] - 0.2).abs() < 1e-6);
 
         // A zero delta next round still transmits the remembered residual.
-        let second =
+        let (_, decoded) =
             feedback.compress_with_feedback(7, &[0.0, 0.0, 0.0], &compressor, &mut SeededRng::new(2));
-        let decoded = second.decode();
         assert!(decoded[2] > 0.0 || decoded[0] > 0.0, "residual must eventually be sent");
     }
 
@@ -149,9 +150,7 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let mut gap_half_way = 0f32;
         for round in 0..rounds {
-            let decoded = feedback
-                .compress_with_feedback(1, &delta, &compressor, &mut rng)
-                .decode();
+            let (_, decoded) = feedback.compress_with_feedback(1, &delta, &compressor, &mut rng);
             for (t, d) in transmitted_sum.iter_mut().zip(decoded) {
                 *t += d;
             }
@@ -225,12 +224,8 @@ mod tests {
         }
         // The restored memory continues exactly like the original.
         let next = vec![0.5f32; 6];
-        let a = feedback
-            .compress_with_feedback(5, &next, &compressor, &mut SeededRng::new(7))
-            .decode();
-        let b = restored
-            .compress_with_feedback(5, &next, &compressor, &mut SeededRng::new(7))
-            .decode();
+        let (_, a) = feedback.compress_with_feedback(5, &next, &compressor, &mut SeededRng::new(7));
+        let (_, b) = restored.compress_with_feedback(5, &next, &compressor, &mut SeededRng::new(7));
         assert_eq!(a, b);
     }
 
@@ -242,7 +237,9 @@ mod tests {
         let _ = feedback.compress_with_feedback(0, &[1.0, 2.0, 3.0, 4.0], &compressor, &mut rng);
         // A different dimensionality must not panic and must ignore the old
         // residual.
-        let update = feedback.compress_with_feedback(0, &[1.0, 1.0], &compressor, &mut rng);
+        let (update, decoded) =
+            feedback.compress_with_feedback(0, &[1.0, 1.0], &compressor, &mut rng);
         assert_eq!(update.dim(), 2);
+        assert_eq!(decoded.len(), 2);
     }
 }
