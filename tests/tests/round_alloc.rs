@@ -92,21 +92,20 @@ const LARGE_ALLOCATION_EXCEPTIONS: [(&str, usize, &str); 6] = [
     ("CluSamp", 3, "a fresh update direction per participant"),
     (
         "Buffered-FedAvg",
-        7,
-        "the in-flight store owns each upload's delta, collect_due clones it \
-         once per transport copy, and the weighted mean has its own buffer",
+        4,
+        "the in-flight store owns each upload's delta, and the weighted mean \
+         has its own buffer",
     ),
     (
         "Buffered-FedCross",
-        6,
-        "the in-flight store owns each upload's delta and collect_due clones \
-         it once per transport copy",
+        3,
+        "the in-flight store owns each upload's delta",
     ),
     (
         "Compressed-FedAvg",
-        14,
-        "codec buffers: each upload's delta, its 4-bit codes and two \
-         decodings, and the mean; a client's first error-feedback residual \
+        11,
+        "codec buffers: each upload's delta, its 4-bit codes and its one \
+         decoding, and the mean; a client's first error-feedback residual \
          adds one",
     ),
     (
