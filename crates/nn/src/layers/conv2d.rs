@@ -118,7 +118,13 @@ impl Layer for Conv2d {
             .as_deref()
             .expect("backward called before forward");
         let mut grad_in = pool.take_uninit(input_dims);
-        conv2d_input_grad_into(grad_output, &self.weight.value, self.geom, &mut grad_in, pool);
+        conv2d_input_grad_into(
+            grad_output,
+            &self.weight.value,
+            self.geom,
+            &mut grad_in,
+            pool,
+        );
         grad_in
     }
 

@@ -110,9 +110,19 @@ pub fn im2col_image_into(image: &[f32], dims: [usize; 3], geom: Conv2dGeom, cols
     let [c, h, w] = dims;
     let k = geom.kernel;
     let (oh, ow) = (geom.out_size(h), geom.out_size(w));
-    assert_eq!(image.len(), c * h * w, "im2col_image_into: wrong image size");
-    assert_eq!(cols.len(), c * k * k * oh * ow, "im2col_image_into: wrong cols size");
-    let channels = image.chunks_exact(h * w).zip(cols.chunks_exact_mut(k * k * oh * ow));
+    assert_eq!(
+        image.len(),
+        c * h * w,
+        "im2col_image_into: wrong image size"
+    );
+    assert_eq!(
+        cols.len(),
+        c * k * k * oh * ow,
+        "im2col_image_into: wrong cols size"
+    );
+    let channels = image
+        .chunks_exact(h * w)
+        .zip(cols.chunks_exact_mut(k * k * oh * ow));
     for (plane, channel) in channels {
         for ky in 0..k {
             for kx in 0..k {
@@ -159,10 +169,20 @@ pub fn col2im_image_into(cols: &[f32], dims: [usize; 3], geom: Conv2dGeom, image
     let [c, h, w] = dims;
     let k = geom.kernel;
     let (oh, ow) = (geom.out_size(h), geom.out_size(w));
-    assert_eq!(cols.len(), c * k * k * oh * ow, "col2im_image_into: wrong cols size");
-    assert_eq!(image.len(), c * h * w, "col2im_image_into: wrong image size");
+    assert_eq!(
+        cols.len(),
+        c * k * k * oh * ow,
+        "col2im_image_into: wrong cols size"
+    );
+    assert_eq!(
+        image.len(),
+        c * h * w,
+        "col2im_image_into: wrong image size"
+    );
     image.fill(0.0);
-    let channels = image.chunks_exact_mut(h * w).zip(cols.chunks_exact(k * k * oh * ow));
+    let channels = image
+        .chunks_exact_mut(h * w)
+        .zip(cols.chunks_exact(k * k * oh * ow));
     for (plane, channel) in channels {
         for ky in (0..k).rev() {
             for kx in (0..k).rev() {
@@ -216,9 +236,20 @@ pub fn conv2d_forward_into(
     let dims = input.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     let oc = weight.dims()[0];
-    assert_eq!(weight.dims(), &[oc, taps], "conv2d: weight must be [OC, C*k*k]");
-    assert_eq!(bias.numel(), oc, "conv2d: bias must hold one value per filter");
-    assert!(c > 0 && oc > 0, "conv2d: needs at least one input and one output channel");
+    assert_eq!(
+        weight.dims(),
+        &[oc, taps],
+        "conv2d: weight must be [OC, C*k*k]"
+    );
+    assert_eq!(
+        bias.numel(),
+        oc,
+        "conv2d: bias must hold one value per filter"
+    );
+    assert!(
+        c > 0 && oc > 0,
+        "conv2d: needs at least one input and one output channel"
+    );
     assert_eq!(cols.numel(), n * taps * pixels, "conv2d: wrong cols size");
     assert_eq!(out.numel(), n * oc * pixels, "conv2d: wrong output size");
     cols.reshape_in_place(&[n, taps, pixels]);
@@ -264,10 +295,11 @@ pub fn conv2d_forward_into(
 /// more than one 1024-row block, in which case each block is reduced from
 /// `+0.0` and the blocks are added in order (a block edge may fall inside an
 /// image). The pixels of one image are contiguous in both operands, so each
-/// image's `dY_n` is transposed into `[OH * OW, OC]` (padded to a multiple
-/// of half a register tile) and the channels take the GEMM's register axis;
-/// the columns are read as cached. The bias gradient is one serial pass per
-/// channel.
+/// image's `dY_n` is transposed into `[OH * OW, OC]` and the channels take
+/// the GEMM's register axis, padded to a multiple of half a register tile;
+/// one or two channels instead repeat across the half tile and share it
+/// with consecutive taps, so no lane is padding. The columns are read as
+/// cached. The bias gradient is one serial pass per channel.
 ///
 /// # Panics
 /// Panics on a shape mismatch between the operands.
@@ -278,41 +310,71 @@ pub fn conv2d_param_grads(
     grad_bias: &mut Tensor,
     pool: &mut TensorPool,
 ) {
-    assert_eq!(grad_output.rank(), 4, "conv2d: grad_output must be [N, OC, OH, OW]");
+    assert_eq!(
+        grad_output.rank(),
+        4,
+        "conv2d: grad_output must be [N, OC, OH, OW]"
+    );
     let dims = grad_output.dims();
     let (n, oc, pixels) = (dims[0], dims[1], dims[2] * dims[3]);
     assert_eq!(cols.rank(), 3, "conv2d: cols must be [N, C*k*k, OH*OW]");
     let taps = cols.dims()[1];
-    assert_eq!(cols.dims(), &[n, taps, pixels], "conv2d: cols do not match grad_output");
-    assert_eq!(grad_weight.dims(), &[oc, taps], "conv2d: grad_weight must be [OC, C*k*k]");
-    assert_eq!(grad_bias.numel(), oc, "conv2d: grad_bias must hold one value per filter");
+    assert_eq!(
+        cols.dims(),
+        &[n, taps, pixels],
+        "conv2d: cols do not match grad_output"
+    );
+    assert_eq!(
+        grad_weight.dims(),
+        &[oc, taps],
+        "conv2d: grad_weight must be [OC, C*k*k]"
+    );
+    assert_eq!(
+        grad_bias.numel(),
+        oc,
+        "conv2d: grad_bias must hold one value per filter"
+    );
+    assert!(
+        oc > 0 && taps > 0,
+        "conv2d: needs at least one filter and one tap"
+    );
     let half_tile = NR / 2;
-    let lanes = oc.next_multiple_of(half_tile);
+    // One or two channels share the lanes of a half tile with their taps
+    // (`narrow_weight_grad`); more take whole lanes, padded with zeros.
+    let lanes = if oc <= 2 {
+        oc
+    } else {
+        oc.next_multiple_of(half_tile)
+    };
+    let width = lanes.max(half_tile);
+    let copies = width / lanes;
     let rows = n * pixels;
     let block = if parallel_worthwhile(oc, rows, taps) && rows > K_BLOCK_ROWS {
         K_BLOCK_ROWS
     } else {
         rows
     };
-    // Lanes past `oc` stay zero: only the first `oc` of each row are written.
-    let mut dyt = pool.take_zeroed(&[pixels, lanes]);
+    // dY_nᵀ, one row of `width` lanes per pixel: the channel values, repeated
+    // `copies` times. Lanes past them stay zero.
+    let mut dyt = pool.take_zeroed(&[pixels, width]);
     let mut partial = pool.take_zeroed(&[taps, lanes]);
     let mut dwt = pool.take_zeroed(&[taps, lanes]);
-    let mut db = pool.take_zeroed(&[lanes]);
+    let mut db = pool.take_zeroed(&[width]);
     let mut row = 0;
     for (dy, cols) in grad_output
         .data()
         .chunks_exact(oc * pixels)
         .zip(cols.data().chunks_exact(taps * pixels))
     {
-        // dY_nᵀ: one row of channel values per pixel.
         let dyt = dyt.data_mut();
         for (o, channel) in dy.chunks_exact(pixels).enumerate() {
             for (s, &v) in channel.iter().enumerate() {
-                dyt[s * lanes + o] = v;
+                for copy in 0..copies {
+                    dyt[s * width + copy * oc + o] = v;
+                }
             }
         }
-        for pixel in dyt.chunks_exact(lanes) {
+        for pixel in dyt.chunks_exact(width) {
             let groups = db.data_mut().chunks_exact_mut(half_tile);
             for (g, v) in groups.zip(pixel.chunks_exact(half_tile)) {
                 for (g, &v) in g.iter_mut().zip(v) {
@@ -324,7 +386,12 @@ pub fn conv2d_param_grads(
         let mut s = 0;
         while s < pixels {
             let end = pixels.min(s + block - row % block);
-            gemm_accum(partial.data_mut(), cols, dyt, taps, pixels, lanes, s, end);
+            let out = partial.data_mut();
+            match oc {
+                1 => narrow_weight_grad::<4>(out, cols, dyt, pixels, (s, end)),
+                2 => narrow_weight_grad::<2>(out, cols, dyt, pixels, (s, end)),
+                _ => gemm_accum(out, cols, dyt, taps, pixels, lanes, s, end),
+            }
             row += end - s;
             s = end;
             if row % block == 0 || row == rows {
@@ -347,6 +414,56 @@ pub fn conv2d_param_grads(
     pool.recycle(db);
 }
 
+/// Adds `Σ_{s in lo..hi} cols[t, s] · dY[o, s]` to `out[t * OC + o]` for a
+/// layer of one or two output channels (`OC = 4 / G`) without padding
+/// lanes: each four-lane accumulator holds `G` consecutive taps × the `OC`
+/// channels, so one loaded column value serves `OC` lanes and `dy4` holds
+/// each pixel's channel values repeated `G` times. Every element
+/// accumulates in increasing `s`, the order of [`gemm_accum`].
+fn narrow_weight_grad<const G: usize>(
+    out: &mut [f32],
+    cols: &[f32],
+    dy4: &[f32],
+    pixels: usize,
+    (lo, hi): (usize, usize),
+) {
+    const TILE: usize = 3;
+    const LANES: usize = NR / 2;
+    let oc = LANES / G;
+    let taps = out.len() / oc;
+    for t0 in (0..taps).step_by(TILE * G) {
+        // Lane `l` of accumulator `a` is tap `t0 + a·G + l / oc`, channel
+        // `l % oc`. Taps past the last one repeat it and are not stored.
+        let tap = |a: usize, l: usize| t0 + a * G + l / oc;
+        let row = |t: usize| &cols[t.min(taps - 1) * pixels + lo..t.min(taps - 1) * pixels + hi];
+        let rows: [[&[f32]; G]; TILE] =
+            std::array::from_fn(|a| std::array::from_fn(|g| row(t0 + a * G + g)));
+        let mut acc = [[0f32; LANES]; TILE];
+        for (a, acc) in acc.iter_mut().enumerate() {
+            for (l, x) in acc.iter_mut().enumerate() {
+                if tap(a, l) < taps {
+                    *x = out[tap(a, l) * oc + l % oc];
+                }
+            }
+        }
+        for (q, d) in dy4[lo * LANES..hi * LANES].chunks_exact(LANES).enumerate() {
+            for (acc, rows) in acc.iter_mut().zip(&rows) {
+                let vals: [f32; G] = std::array::from_fn(|g| rows[g][q]);
+                for (l, x) in acc.iter_mut().enumerate() {
+                    *x += vals[l / oc] * d[l];
+                }
+            }
+        }
+        for (a, acc) in acc.iter().enumerate() {
+            for (l, &x) in acc.iter().enumerate() {
+                if tap(a, l) < taps {
+                    out[tap(a, l) * oc + l % oc] = x;
+                }
+            }
+        }
+    }
+}
+
 /// Input gradient of a 2-D convolution: for each image, `weightᵀ · dY_n`
 /// (`[C * k * k, OH * OW]`, each element summed over the output channels in
 /// increasing order from `+0.0`) folded back by [`col2im_image_into`],
@@ -366,8 +483,16 @@ pub fn conv2d_input_grad_into(
     let dims = grad_input.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     let oc = weight.dims()[0];
-    assert_eq!(weight.dims(), &[oc, taps], "conv2d: weight must be [OC, C*k*k]");
-    assert_eq!(grad_output.numel(), n * oc * pixels, "conv2d: wrong grad_output size");
+    assert_eq!(
+        weight.dims(),
+        &[oc, taps],
+        "conv2d: weight must be [OC, C*k*k]"
+    );
+    assert_eq!(
+        grad_output.numel(),
+        n * oc * pixels,
+        "conv2d: wrong grad_output size"
+    );
     let mut wt = pool.take_uninit(&[taps, oc]);
     transpose_into(weight.data(), oc, taps, wt.data_mut());
     let mut dcols = pool.take_uninit(&[taps, pixels]);
@@ -580,12 +705,10 @@ mod tests {
                 for kx in 0..k {
                     for oy in 0..oh {
                         for ox in 0..ow {
-                            cols.push(
-                                match (source(oy, ky, h, geom), source(ox, kx, w, geom)) {
-                                    (Some(iy), Some(ix)) => image[(ci * h + iy) * w + ix],
-                                    _ => 0.0,
-                                },
-                            );
+                            cols.push(match (source(oy, ky, h, geom), source(ox, kx, w, geom)) {
+                                (Some(iy), Some(ix)) => image[(ci * h + iy) * w + ix],
+                                _ => 0.0,
+                            });
                         }
                     }
                 }
@@ -635,10 +758,11 @@ mod tests {
     /// `(N, C, OC, H = W, kernel, stride, padding)`: 3x3 same convolutions
     /// on and off the 8-wide pixel tile, a 1x1 kernel, stride 2 with a 5x5
     /// kernel, an output smaller than the kernel, a kernel wider than the
-    /// unpadded image, a batch whose weight gradient sums 1024-row partials
-    /// with a block edge inside an image, and one worth splitting across
-    /// threads.
-    const SHAPES: [(usize, usize, usize, usize, usize, usize, usize); 9] = [
+    /// unpadded image, one and two filters (the narrow weight gradient,
+    /// also over 1024-row partials), a batch whose weight gradient sums
+    /// 1024-row partials with a block edge inside an image, and one worth
+    /// splitting across threads.
+    const SHAPES: [(usize, usize, usize, usize, usize, usize, usize); 11] = [
         (2, 3, 5, 9, 3, 1, 1),
         (1, 1, 2, 7, 3, 2, 0),
         (3, 2, 4, 8, 1, 1, 0),
@@ -646,6 +770,8 @@ mod tests {
         (2, 2, 3, 4, 5, 1, 2),
         (1, 2, 9, 1, 3, 1, 2),
         (2, 3, 2, 16, 3, 1, 1),
+        (3, 2, 1, 9, 3, 1, 1),
+        (64, 3, 2, 16, 3, 1, 1),
         (25, 3, 16, 7, 3, 1, 1),
         (8, 3, 16, 16, 3, 1, 1),
     ];
@@ -736,7 +862,9 @@ mod tests {
         let x: Vec<f32> = (0..50).map(|i| ((i * 7 % 11) as f32) - 5.0).collect();
         let mut cols = vec![f32::NAN; 18 * 25];
         im2col_image_into(&x, dims, geom, &mut cols);
-        let y: Vec<f32> = (0..cols.len()).map(|i| ((i * 3 % 13) as f32) - 6.0).collect();
+        let y: Vec<f32> = (0..cols.len())
+            .map(|i| ((i * 3 % 13) as f32) - 6.0)
+            .collect();
         let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
         let mut folded = vec![f32::NAN; 50];
         col2im_image_into(&y, dims, geom, &mut folded);
@@ -776,7 +904,12 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(bits(out.data()), bits(&expected), "forward {:?}", SHAPES[seed]);
+            assert_eq!(
+                bits(out.data()),
+                bits(&expected),
+                "forward {:?}",
+                SHAPES[seed]
+            );
 
             // Parameter gradients: matmul_at_b_into's grouping over the N*OH*OW
             // rows, added onto running totals.
@@ -786,8 +919,13 @@ mod tests {
             let (w0, b0) = (grad_w.clone(), grad_b.clone());
             conv2d_param_grads(&grad_out, &cols, &mut grad_w, &mut grad_b, &mut pool);
             let rows = n * pixels;
-            let block = if oc * rows * taps >= 1 << 19 && rows > 1024 { 1024 } else { rows };
-            let dy = |r: usize, o: usize| grad_out.data()[(r / pixels * oc + o) * pixels + r % pixels];
+            let block = if oc * rows * taps >= 1 << 19 && rows > 1024 {
+                1024
+            } else {
+                rows
+            };
+            let dy =
+                |r: usize, o: usize| grad_out.data()[(r / pixels * oc + o) * pixels + r % pixels];
             for o in 0..oc {
                 for t in 0..taps {
                     let mut total = 0f32;
@@ -815,13 +953,19 @@ mod tests {
                 for t in 0..taps {
                     for px in 0..pixels {
                         for o in 0..oc {
-                            dcols[t * pixels + px] += weight.data()[o * taps + t] * dy[o * pixels + px];
+                            dcols[t * pixels + px] +=
+                                weight.data()[o * taps + t] * dy[o * pixels + px];
                         }
                     }
                 }
                 expected.extend(naive_fold(&dcols, [c, hw, hw], geom));
             }
-            assert_eq!(bits(grad_in.data()), bits(&expected), "input grad {:?}", SHAPES[seed]);
+            assert_eq!(
+                bits(grad_in.data()),
+                bits(&expected),
+                "input grad {:?}",
+                SHAPES[seed]
+            );
         }
     }
 
