@@ -128,8 +128,8 @@ pub fn im2col_image_into(image: &[f32], dims: [usize; 3], geom: Conv2dGeom, cols
             for kx in 0..k {
                 let row = &mut channel[(ky * k + kx) * oh * ow..][..oh * ow];
                 let (oys, oxs) = tap_window((ky, kx), (h, w), (oh, ow), geom);
-                // A tap that reaches into the padding zeroes its row once,
-                // rather than its border pixels run by run.
+                // A tap that reaches into the padding zeroes its whole row
+                // first, so each run below is one plain copy.
                 if oys.len() < oh || oxs.len() < ow {
                     row.fill(0.0);
                 }
